@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race test-distributed test-sweep test-chaos test-store test-loadgen fuzz-smoke bench-kernels bench-sweep bench bench-trajectory bench-compare ci docs-lint docs-check
+.PHONY: build vet lint test race fuzz-smoke bench-kernels bench-sweep bench bench-trajectory bench-compare ci docs-check
 
 build:
 	$(GO) build ./...
@@ -16,16 +16,12 @@ vet:
 lint:
 	$(GO) run ./cmd/tqsimlint ./...
 
-# Godoc contract: every exported symbol of the public tqsim package carries
-# a doc comment (determinism guarantees included — see docs/).
-# (Also enforced as part of `make lint`; repolint remains as a thin alias.)
-docs-lint:
-	$(GO) run ./cmd/repolint -godoc .
-
 # Docs contract: every relative markdown link resolves, and every example
-# program still builds against the current API.
+# program still builds against the current API. `make lint` already checks
+# the links (and the godoc contract) along with everything else; this runs
+# the link check alone — the empty -run list selects no analyzer.
 docs-check:
-	$(GO) run ./cmd/repolint -links
+	$(GO) run ./cmd/tqsimlint -run , -godoc= -links
 	$(GO) build ./examples/...
 
 test:
@@ -33,60 +29,11 @@ test:
 
 # Race-check everything: the statevec worker pool, the parallel tree
 # executor (on every registered backend via the conformance suite), the
-# tableau tree runner, and the parallel-shot baseline all carry
-# concurrency.
+# tableau tree runner, the parallel-shot baseline, and the whole serve
+# layer (distributed, sweep, chaos, store and load-harness suites) all
+# carry concurrency. This is the one place those suites run in CI.
 race:
 	$(GO) test -race ./...
-
-# Distributed serving suite under the race detector: coordinator + 3
-# in-process workers (merge byte-identity, kill-one-mid-job failover,
-# planner placement, local fallback), the BatchSeed partition property
-# test, and the serve-layer reliability regressions (LRU plan cache,
-# graceful drain, request cancellation).
-test-distributed:
-	$(GO) test -race ./internal/serve -run 'TestDistributed|TestShard|TestGracefulDrain|TestCancelled|TestPlanCacheLRU'
-
-# Sweep-engine suite under the race detector: the determinism property
-# tests (RunSweep per-point histograms byte-identical to standalone runs at
-# derived seeds, reuse on/off, serial/parallel), the /v1/sweeps endpoint
-# and streaming suites, and the distributed sweep tests (1-3 workers,
-# failover, stalled-lease timeout).
-test-sweep:
-	$(GO) test -race . -run 'TestSweep'
-	$(GO) test -race ./internal/sweep
-	$(GO) test -race ./internal/serve -run 'TestSweep|TestDistributedSweep|TestLeaseTimeout|TestDrainWaitSignals|TestStreamingHeaderEmit'
-
-# Chaos suite under the race detector: the seeded fault-plan grid (dropped
-# connections, 5xx bursts, Retry-After 503s, kill-mid-lease, corrupted
-# payloads, join/leave churn) whose invariant is byte-identical merged
-# histograms versus the fault-free run, plus the elastic-membership,
-# breaker, revival, Retry-After and drain-in-flight regressions, and the
-# faultinject determinism suite.
-test-chaos:
-	$(GO) test -race ./internal/faultinject
-	$(GO) test -race ./internal/serve -run 'TestChaos|TestLiveness|TestBreaker|TestWorkerJoin|TestWorkerRevival|TestRetryAfter|TestCoordinatorDrain|TestWorkerDrain'
-
-# Result & snapshot store suite under the race detector: the
-# content-addressed store (memory LRU, disk persistence, crash-file rescan,
-# byte caps), the structural circuit digest, the cross-job snapshot cache,
-# and the serve-layer replay-identity conformance grid (job/sweep/
-# distributed × stream shapes, restart-with-store-dir, cross-job snapshot
-# hits) plus the cache-correctness regressions (circuitHash unitary
-# collision, queued-client cancellation, plan-cache counter algebra).
-test-store:
-	$(GO) test -race ./internal/resultstore ./internal/circuit ./internal/core -run 'TestDigest|TestPrefixDigests|TestForPlan|TestEviction|Test.*LRU|TestPut|TestDisk|TestRescan|TestReopen|TestVanished|TestConcurrent'
-	$(GO) test -race ./internal/serve -run 'TestResultStore|TestSnapshotCache|TestSweepUsesSharedSnapshotCache|TestCircuitHashDistinguishesUnitaries|TestQueuedClientDisconnectCancels|TestPlanCacheStatsConsistentUnderEviction'
-
-# Load/capacity harness suite under the race detector: the seeded
-# determinism contracts (byte-identical arrival schedule and request
-# sequence, including concurrent generation), the latency-histogram
-# quantile-accuracy and merge property tests, the saturation-knee search
-# against a synthetic queue with analytic capacity, the live end-to-end
-# run against an httptest tqsimd with /v1/stats polled concurrently, and
-# the server-side latency accounting.
-test-loadgen:
-	$(GO) test -race ./internal/loadgen ./internal/metrics
-	$(GO) test -race ./internal/serve -run 'TestStatsLatency'
 
 # Short fuzz smoke: the QASM parser/round-trip fuzzer plus its committed
 # regression corpus. Go runs one fuzz target per invocation.
@@ -125,4 +72,4 @@ B ?= $(shell ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)
 bench-compare:
 	$(GO) run ./cmd/benchreport -diff $(A) $(B)
 
-ci: build vet lint test race test-distributed test-sweep test-chaos test-store test-loadgen fuzz-smoke bench-sweep bench-trajectory docs-check
+ci: build vet lint race fuzz-smoke bench-sweep bench-trajectory docs-check

@@ -1,7 +1,7 @@
 // Command tqsimlint is the repository's single lint gate: a multichecker
 // running the six determinism & serve-invariant analyzers from
-// internal/analysis plus the documentation contracts folded in from
-// repolint.
+// internal/analysis plus the godoc and markdown-link documentation
+// contracts.
 //
 //	tqsimlint ./...                 run everything (make lint does this)
 //	tqsimlint -run maporder,errdrop ./internal/serve

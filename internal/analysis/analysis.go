@@ -71,7 +71,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Diagnostic is one finding, in the repolint file:pos convention.
+// Diagnostic is one finding, printed in the file:pos: [check] convention.
 type Diagnostic struct {
 	// Pos locates the finding.
 	Pos token.Position

@@ -12,12 +12,11 @@ import (
 	"strings"
 )
 
-// This file carries the repository's documentation contracts, folded in
-// from cmd/repolint so `make lint` is the one CI lint gate: CheckGodoc
-// (every exported symbol has a doc comment) and CheckLinks (every
-// relative markdown link resolves). Both return findings in the same
-// Diagnostic shape as the analyzers; cmd/repolint remains a thin alias
-// over these functions.
+// This file carries the repository's documentation contracts, run by
+// cmd/tqsimlint so `make lint` is the one CI lint gate: CheckGodoc (every
+// exported symbol has a doc comment) and CheckLinks (every relative
+// markdown link resolves). Both return findings in the same Diagnostic
+// shape as the analyzers.
 
 // CheckGodoc reports every exported top-level symbol in the package
 // directory that lacks a doc comment. Grouped const/var/type declarations

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"tqsim/internal/gate"
+	"tqsim/internal/lru"
 	"tqsim/internal/partition"
 	"tqsim/internal/statevec"
 )
@@ -31,31 +31,18 @@ import (
 // snapshot_misses; they count boundary states, not plans, so a 4-level plan
 // assembled entirely from cache books 4 hits.
 type SnapshotCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    atomic.Int64
-	ll       *list.List // front = most recently used
-	m        map[string]*list.Element
+	mu     sync.Mutex
+	states *lru.Cache[*statevec.State] // cost = state bytes
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
-}
-
-type snapEntry struct {
-	key   string
-	st    *statevec.State
-	bytes int64
 }
 
 // NewSnapshotCache returns a cache holding at most maxBytes of boundary
 // states (least-recently-used states are evicted beyond it). maxBytes <= 0
 // selects an effectively unbounded cache.
 func NewSnapshotCache(maxBytes int64) *SnapshotCache {
-	return &SnapshotCache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		m:        make(map[string]*list.Element),
-	}
+	return &SnapshotCache{states: lru.New[*statevec.State](0, maxBytes)}
 }
 
 // Hits returns the number of boundary states served from cache.
@@ -65,13 +52,17 @@ func (sc *SnapshotCache) Hits() uint64 { return sc.hits.Load() }
 func (sc *SnapshotCache) Misses() uint64 { return sc.misses.Load() }
 
 // Bytes returns the resident state bytes.
-func (sc *SnapshotCache) Bytes() int64 { return sc.bytes.Load() }
+func (sc *SnapshotCache) Bytes() int64 {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.states.Cost()
+}
 
 // Len returns the resident state count.
 func (sc *SnapshotCache) Len() int {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return sc.ll.Len()
+	return sc.states.Len()
 }
 
 // ForPlan returns a PrefixSnapshots set for the plan, serving every
@@ -96,10 +87,7 @@ func (sc *SnapshotCache) ForPlan(plan *partition.Plan) (*PrefixSnapshots, error)
 	states := make([]*statevec.State, len(cuts))
 	sc.mu.Lock()
 	for i, key := range keys {
-		if el, ok := sc.m[key]; ok {
-			sc.ll.MoveToFront(el)
-			states[i] = el.Value.(*snapEntry).st
-		}
+		states[i], _ = sc.states.Get(key)
 	}
 	sc.mu.Unlock()
 
@@ -141,24 +129,15 @@ func (sc *SnapshotCache) ForPlan(plan *partition.Plan) (*PrefixSnapshots, error)
 
 // insert adds the boundary states under their keys, refreshing ones that
 // raced in meanwhile, then evicts least-recently-used states over the byte
-// cap.
+// cap — never the set just inserted, which its caller is about to run on.
 func (sc *SnapshotCache) insert(keys []string, states []*statevec.State) {
 	per := SnapshotBytes(1, states[0].NumQubits())
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	for i, key := range keys {
-		if el, ok := sc.m[key]; ok {
-			sc.ll.MoveToFront(el)
-			continue
+		if _, ok := sc.states.Get(key); !ok {
+			sc.states.Set(key, states[i], per)
 		}
-		sc.m[key] = sc.ll.PushFront(&snapEntry{key: key, st: states[i], bytes: per})
-		sc.bytes.Add(per)
 	}
-	for sc.maxBytes > 0 && sc.bytes.Load() > sc.maxBytes && sc.ll.Len() > len(keys) {
-		back := sc.ll.Back()
-		e := back.Value.(*snapEntry)
-		sc.ll.Remove(back)
-		delete(sc.m, e.key)
-		sc.bytes.Add(-e.bytes)
-	}
+	sc.states.Trim(len(keys))
 }

@@ -74,7 +74,7 @@ func TestScheduleDeterministic(t *testing.T) {
 // TestRequestSequenceDeterministic pins the request-sequence half of the
 // contract: request i's body bytes are a pure function of (spec, i) —
 // identical when generated twice, in reverse order, or concurrently from
-// many goroutines (run under -race by make test-loadgen).
+// many goroutines (run under -race by make race).
 func TestRequestSequenceDeterministic(t *testing.T) {
 	const n = 250
 	spec := detSpec(41)

@@ -43,7 +43,7 @@ func fetchStats(t *testing.T, client *http.Client, base string) serve.Stats {
 // TestLiveRunAgainstServer is the end-to-end acceptance path: a
 // full-rate open-loop run with the default mix (jobs, sweeps, streams,
 // replays) against a live server, while four goroutines hammer
-// /v1/stats the whole time. Run under -race by make test-loadgen, this
+// /v1/stats the whole time. Run under -race by make race, this
 // doubles as the stats-vs-traffic race satellite.
 func TestLiveRunAgainstServer(t *testing.T) {
 	ts := newLiveServer(t)

@@ -15,7 +15,6 @@
 package resultstore
 
 import (
-	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,6 +22,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"tqsim/internal/lru"
 )
 
 // Config tunes a Store. The zero value is a memory-only store at the
@@ -44,10 +45,8 @@ type Config struct {
 type Store struct {
 	cfg Config
 
-	mu       sync.Mutex
-	ll       *list.List // front = most recently used
-	mem      map[string]*list.Element
-	memBytes int64
+	mu  sync.Mutex
+	mem *lru.Cache[[]byte] // cost = body bytes
 
 	// disk indexes the backing dir: key -> size. evictOrder holds keys
 	// oldest-write-first, so the disk cap evicts in write order (the disk
@@ -56,11 +55,6 @@ type Store struct {
 	disk       map[string]int64
 	evictOrder []string
 	diskBytes  int64
-}
-
-type memEntry struct {
-	key  string
-	body []byte
 }
 
 // Open returns a ready store, creating and rescanning the backing
@@ -75,8 +69,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		cfg:  cfg,
-		ll:   list.New(),
-		mem:  make(map[string]*list.Element),
+		mem:  lru.New[[]byte](cfg.MaxEntries, 0),
 		disk: make(map[string]int64),
 	}
 	if cfg.Dir == "" {
@@ -124,9 +117,7 @@ func Open(cfg Config) (*Store, error) {
 // returned slice is shared — callers must treat it as read-only.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
-	if el, ok := s.mem[key]; ok {
-		s.ll.MoveToFront(el)
-		body := el.Value.(*memEntry).body
+	if body, ok := s.mem.Get(key); ok {
 		s.mu.Unlock()
 		return body, true
 	}
@@ -145,7 +136,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.mu.Lock()
-	s.addMemLocked(key, body)
+	s.mem.Add(key, body, int64(len(body)))
 	s.mu.Unlock()
 	return body, true
 }
@@ -156,7 +147,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // the memory tier is still a correct replay source.
 func (s *Store) Put(key string, body []byte) {
 	s.mu.Lock()
-	s.addMemLocked(key, body)
+	s.mem.Add(key, body, int64(len(body)))
 	_, exists := s.disk[key]
 	s.mu.Unlock()
 	if s.cfg.Dir == "" || exists {
@@ -196,14 +187,14 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cfg.Dir == "" {
-		return s.ll.Len()
+		return s.mem.Len()
 	}
 	n := len(s.disk)
-	for key := range s.mem {
+	s.mem.Each(func(key string, _ []byte) {
 		if _, onDisk := s.disk[key]; !onDisk {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -213,32 +204,13 @@ func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cfg.Dir == "" {
-		return s.memBytes
+		return s.mem.Cost()
 	}
 	return s.diskBytes
 }
 
 func (s *Store) path(key string) string {
 	return filepath.Join(s.cfg.Dir, key+".json")
-}
-
-func (s *Store) addMemLocked(key string, body []byte) {
-	if el, ok := s.mem[key]; ok {
-		e := el.Value.(*memEntry)
-		s.memBytes += int64(len(body)) - int64(len(e.body))
-		e.body = body
-		s.ll.MoveToFront(el)
-		return
-	}
-	s.mem[key] = s.ll.PushFront(&memEntry{key: key, body: body})
-	s.memBytes += int64(len(body))
-	for s.ll.Len() > s.cfg.MaxEntries {
-		back := s.ll.Back()
-		e := back.Value.(*memEntry)
-		s.ll.Remove(back)
-		delete(s.mem, e.key)
-		s.memBytes -= int64(len(e.body))
-	}
 }
 
 func (s *Store) evictDiskLocked() {

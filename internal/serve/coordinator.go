@@ -30,7 +30,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -39,7 +38,6 @@ import (
 	"sync"
 	"time"
 
-	"tqsim/internal/metrics"
 	"tqsim/internal/planner"
 )
 
@@ -147,17 +145,6 @@ func (s *Server) check(ctx context.Context, w *workerClient) bool {
 	return ok
 }
 
-// aliveWorkers counts registry members whose effective state is alive.
-func (s *Server) aliveWorkers() int {
-	n := 0
-	for _, w := range s.pool.snapshot() {
-		if w.state(s.cfg) == workerAlive {
-			n++
-		}
-	}
-	return n
-}
-
 // eligibleWorkers computes the set of workers dispatch may lease to right
 // now: alive (liveness state machine), not excluded from this job, not
 // draining, and — planner-driven placement — able to fit at least one copy
@@ -191,18 +178,24 @@ type shardError struct {
 	retryAfter time.Duration
 }
 
+// postTo posts v as a JSON body: the fleet's one client-side request shape
+// (leases to workers, announcements to coordinators).
+func postTo(ctx context.Context, hc *http.Client, url string, v any) (*http.Response, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return hc.Do(req)
+}
+
 // shard posts one lease attempt and decodes the response.
 func (w *workerClient) shard(ctx context.Context, req *ShardRequest) (*ShardResponse, *shardError) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, &shardError{msg: "marshal: " + err.Error()}
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/v1/shard", bytes.NewReader(body))
-	if err != nil {
-		return nil, &shardError{msg: err.Error()}
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := w.hc.Do(hreq)
+	resp, err := postTo(ctx, w.hc, w.base+"/v1/shard", req)
 	if err != nil {
 		return nil, &shardError{msg: err.Error()}
 	}
@@ -325,35 +318,17 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // lease is a contiguous block of unit indices dispatched as one shard.
 type lease struct{ from, to int }
 
-// leasedWork abstracts a unit-range workload the coordinator can shard
-// across the pool: job batches and sweep points share the lease queue,
-// placement, failure handling and requeue logic; only the wire request and
-// the in-process fallback differ.
-type leasedWork struct {
-	// units is the total unit count (batches or sweep points).
-	units int
-	// estPeak is the per-unit admission estimate placement divides worker
-	// budgets by.
-	estPeak int64
-	// wire builds the lease request for units [from, to).
-	wire func(from, to int) *ShardRequest
-	// runLocal executes units [from, to) in-process — the degraded path
-	// when no worker can take the work — emitting one ShardBatch per unit.
-	runLocal func(ctx context.Context, from, to int, emit func(*ShardBatch) *httpError) *httpError
-}
-
-// runLeased shards the work's units across the worker registry, delivering
-// each unit's ShardBatch to onUnit exactly once (a unit that somehow
-// arrives twice is dropped rather than double-counted — cheap insurance on
-// top of the lease bookkeeping). Eligibility is recomputed from the live
-// registry at every dispatch round, so a worker that joins or revives
-// mid-job starts receiving leases without a restart; the registry's change
-// broadcast wakes the loop the moment that happens. Every lease round trip
-// (including its retries) is bounded by Config.LeaseTimeout: a worker that
-// accepts a lease and then hangs is marked dead on expiry and its lease
+// runLeased shards the work's units across the worker registry, handing
+// every unit's ShardBatch to record (the pipeline's index-once merge, which
+// drops a unit that somehow arrives twice). Eligibility is recomputed from
+// the live registry at every dispatch round, so a worker that joins or
+// revives mid-job starts receiving leases without a restart; the registry's
+// change broadcast wakes the loop the moment that happens. Every lease round
+// trip (including its retries) is bounded by Config.LeaseTimeout: a worker
+// that accepts a lease and then hangs is marked dead on expiry and its lease
 // requeues, instead of stalling the work forever.
-func (s *Server) runLeased(ctx context.Context, work leasedWork, onUnit func(sb *ShardBatch, remote bool) *httpError) *httpError {
-	n := work.units
+func (s *Server) runLeased(ctx context.Context, wk work, record func(*ShardBatch) *httpError) *httpError {
+	n := wk.units()
 	s.refreshPool(ctx)
 
 	// excluded holds workers that answered 503 (still busy after the
@@ -363,29 +338,16 @@ func (s *Server) runLeased(ctx context.Context, work leasedWork, onUnit func(sb 
 	// and revives mid-job re-enters through eligibleWorkers.
 	excluded := make(map[*workerClient]bool)
 
-	got := make([]bool, n)
-	record := func(sb *ShardBatch, remote bool) *httpError {
-		if sb.Batch < 0 || sb.Batch >= n {
-			return errf(http.StatusBadGateway, "worker returned unit %d outside the work's %d units", sb.Batch, n)
-		}
-		if got[sb.Batch] {
-			return nil
-		}
-		got[sb.Batch] = true
-		return onUnit(sb, remote)
-	}
-	recordLocal := func(sb *ShardBatch) *httpError { return record(sb, false) }
-
 	// runLocal finishes leases in-process. Local execution re-enters the
 	// coordinator's own admission budget, so a degraded pool degrades to
 	// single-process service without overcommitting the coordinator.
 	runLocal := func(ls []lease) *httpError {
-		if herr := s.reserveMemory(work.estPeak); herr != nil {
+		if herr := s.reserveMemory(wk.peak()); herr != nil {
 			return herr
 		}
-		defer s.releaseMemory(work.estPeak)
+		defer s.releaseMemory(wk.peak())
 		for _, l := range ls {
-			if herr := work.runLocal(ctx, l.from, l.to, recordLocal); herr != nil {
+			if herr := wk.run(ctx, l.from, l.to, record); herr != nil {
 				return herr
 			}
 		}
@@ -396,7 +358,7 @@ func (s *Server) runLeased(ctx context.Context, work leasedWork, onUnit func(sb 
 	// (later joiners share the same lease size — granularity, not
 	// assignment, is fixed up front).
 	totalSlots := 0
-	for _, k := range s.eligibleWorkers(work.estPeak, excluded) {
+	for _, k := range s.eligibleWorkers(wk.peak(), excluded) {
 		totalSlots += k
 	}
 	chunk := 1
@@ -424,20 +386,13 @@ func (s *Server) runLeased(ctx context.Context, work leasedWork, onUnit func(sb 
 		resp *ShardResponse
 		err  *shardError
 	}
-	done := make(chan doneMsg)
+	// Buffered to the lease count: a lease is queued, in flight or merged,
+	// so at most that many results are ever outstanding and a sender never
+	// blocks — after an abort (cancelShards stops the work) the in-flight
+	// goroutines deliver into the buffer and exit with nobody receiving.
+	done := make(chan doneMsg, len(queue))
 	inflight := make(map[*workerClient]int)
 	inflightN := 0
-	// reap lets in-flight senders finish after an abort so their
-	// goroutines exit; cancelShards has already stopped their work.
-	reap := func() {
-		if inflightN > 0 {
-			go func(k int) {
-				for i := 0; i < k; i++ {
-					<-done
-				}
-			}(inflightN)
-		}
-	}
 
 	for {
 		// Subscribe before computing eligibility: a join or revival between
@@ -450,7 +405,7 @@ func (s *Server) runLeased(ctx context.Context, work leasedWork, onUnit func(sb 
 		// trial).
 		denied := make(map[*workerClient]bool)
 		for len(queue) > 0 {
-			elig := s.eligibleWorkers(work.estPeak, excluded)
+			elig := s.eligibleWorkers(wk.peak(), excluded)
 			var pick *workerClient
 			for w, k := range elig {
 				if denied[w] || inflight[w] >= k {
@@ -488,7 +443,7 @@ func (s *Server) runLeased(ctx context.Context, work leasedWork, onUnit func(sb 
 					lctx, cancel = context.WithTimeout(sctx, s.cfg.LeaseTimeout)
 					defer cancel()
 				}
-				resp, serr := s.leaseWithRetry(lctx, w, work.wire(l.from, l.to))
+				resp, serr := s.leaseWithRetry(lctx, w, wk.lease(l.from, l.to))
 				done <- doneMsg{w: w, l: l, resp: resp, err: serr}
 			}(pick, l)
 		}
@@ -520,7 +475,6 @@ func (s *Server) runLeased(ctx context.Context, work leasedWork, onUnit func(sb 
 		d.w.mu.Unlock()
 		if d.err != nil {
 			if ctx.Err() != nil {
-				reap()
 				return errf(statusClientClosedRequest, "job cancelled: %v", ctx.Err())
 			}
 			s.stats[statShardsRequeued].Add(1)
@@ -539,7 +493,6 @@ func (s *Server) runLeased(ctx context.Context, work leasedWork, onUnit func(sb 
 			case d.err.status >= 400 && d.err.status < 500:
 				// The worker rejected the work itself; re-dispatching the
 				// identical request cannot succeed anywhere.
-				reap()
 				return errf(http.StatusBadGateway,
 					"worker %s rejected lease [%d,%d): %s", d.w.base, d.l.from, d.l.to, d.err.msg)
 			default:
@@ -558,93 +511,11 @@ func (s *Server) runLeased(ctx context.Context, work leasedWork, onUnit func(sb 
 			continue
 		}
 		for i := range d.resp.Batches {
-			if herr := record(&d.resp.Batches[i], true); herr != nil {
-				reap()
+			if herr := record(&d.resp.Batches[i]); herr != nil {
 				return herr
 			}
 		}
 	}
 
-	for i, ok := range got {
-		if !ok {
-			return errf(http.StatusInternalServerError, "unit %d was never executed", i)
-		}
-	}
 	return nil
-}
-
-// runDistributed shards the job's batches across the worker pool and
-// merges the per-batch histograms. Matches runBatches' return contract.
-func (s *Server) runDistributed(ctx context.Context, j *job, onBatch func(*batchResult) error) (map[uint64]int, int, string, string, *httpError) {
-	merged := make(map[uint64]int)
-	outcomes := 0
-	backend, structure := "", ""
-	herr := s.runLeased(ctx, leasedWork{
-		units:   j.numBatches(),
-		estPeak: j.estPeak,
-		wire: func(from, to int) *ShardRequest {
-			return &ShardRequest{Job: *j.wire, From: from, To: to}
-		},
-		runLocal: func(ctx context.Context, from, to int, emit func(*ShardBatch) *httpError) *httpError {
-			var eherr *httpError
-			_, _, _, _, herr := s.runBatches(ctx, j, from, to, func(br *batchResult) error {
-				if h := emit(&ShardBatch{
-					Batch:     br.index,
-					Seed:      br.seed,
-					Outcomes:  br.outcomes,
-					Counts:    countsJSON(br.counts),
-					Backend:   br.backend,
-					Structure: br.structure,
-				}); h != nil {
-					eherr = h
-					return errors.New(h.msg)
-				}
-				return nil
-			})
-			if eherr != nil {
-				// Emit failures keep their own status (e.g. a client that
-				// vanished mid-stream) instead of runBatches' generic wrap.
-				return eherr
-			}
-			return herr
-		},
-	}, func(sb *ShardBatch, remote bool) *httpError {
-		counts, herr := parseCounts(sb.Counts)
-		if herr != nil {
-			return herr
-		}
-		metrics.MergeCounts(merged, counts)
-		outcomes += sb.Outcomes
-		if sb.Backend != "" {
-			backend, structure = sb.Backend, sb.Structure
-		}
-		if remote {
-			// Locally executed fallback batches were already counted inside
-			// runBatches; only worker-acked batches are new to the counter.
-			s.stats[statBatches].Add(1)
-		}
-		if onBatch != nil {
-			if err := onBatch(&batchResult{index: sb.Batch, seed: sb.Seed, outcomes: sb.Outcomes, counts: counts}); err != nil {
-				return errf(http.StatusInternalServerError, "stream: %v", err)
-			}
-		}
-		return nil
-	})
-	if herr != nil {
-		return nil, 0, "", "", herr
-	}
-	return merged, outcomes, backend, structure, nil
-}
-
-// parseCounts decodes a wire histogram's decimal keys.
-func parseCounts(in map[string]int) (map[uint64]int, *httpError) {
-	out := make(map[uint64]int, len(in))
-	for k, v := range in {
-		key, err := strconv.ParseUint(k, 10, 64)
-		if err != nil {
-			return nil, errf(http.StatusBadGateway, "worker returned non-numeric outcome key %q", k)
-		}
-		out[key] = v
-	}
-	return out, nil
 }

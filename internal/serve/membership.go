@@ -26,9 +26,7 @@ package serve
 // out by the breaker alone.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/url"
 	"strings"
@@ -227,13 +225,6 @@ func (w *workerClient) markDead() {
 	w.mu.Unlock()
 }
 
-// seen records a sign of life (successful probe or lease).
-func (w *workerClient) seen() {
-	w.mu.Lock()
-	w.lastSeen = time.Now()
-	w.mu.Unlock()
-}
-
 func (w *workerClient) snapshotInfo() WorkerInfo {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -311,8 +302,8 @@ func (s *Server) handleWorkerJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var a WorkerAnnounce
-	if err := json.NewDecoder(r.Body).Decode(&a); err != nil {
-		writeError(w, http.StatusBadRequest, "bad announce body: "+err.Error())
+	if herr := decodeBody(w, r, &a); herr != nil {
+		s.fail(w, herr)
 		return
 	}
 	u, err := url.Parse(a.URL)
@@ -340,17 +331,8 @@ func (s *Server) handleWorkerJoin(w http.ResponseWriter, r *http.Request) {
 // advertising the given base URL. Safe to call on any schedule; the
 // coordinator treats every announce as both registration and heartbeat.
 func (s *Server) Announce(ctx context.Context, coordinator, advertise string) error {
-	body, err := json.Marshal(&WorkerAnnounce{URL: advertise, Info: s.workerInfo()})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(coordinator, "/")+"/v1/workers", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := postTo(ctx, http.DefaultClient, strings.TrimRight(coordinator, "/")+"/v1/workers",
+		&WorkerAnnounce{URL: advertise, Info: s.workerInfo()})
 	if err != nil {
 		return err
 	}
@@ -426,9 +408,6 @@ type WorkerStat struct {
 
 // workerStats renders the registry for /v1/stats.
 func (s *Server) workerStats() []WorkerStat {
-	if s.pool == nil {
-		return nil
-	}
 	var out []WorkerStat
 	now := time.Now()
 	for _, w := range s.pool.snapshot() {
@@ -449,7 +428,7 @@ func (s *Server) workerStats() []WorkerStat {
 			InFlight:         w.inflight,
 		}
 		if !w.lastSeen.IsZero() {
-			ws.HeartbeatAgeMS = float64(now.Sub(w.lastSeen).Microseconds()) / 1000
+			ws.HeartbeatAgeMS = millis(now.Sub(w.lastSeen))
 		}
 		if slots := w.info.MaxConcurrent; slots > 0 {
 			ws.Utilization = float64(w.inflight) / float64(slots)

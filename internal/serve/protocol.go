@@ -65,6 +65,10 @@ type ShardBatch struct {
 	Fidelity *float64 `json:"fidelity,omitempty"`
 	// ElapsedMS is the unit's wall-clock duration (sweep points only).
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
+
+	// counts is the histogram by numeric key, set on batches that ran in
+	// this process so merging them need not parse Counts back.
+	counts map[uint64]int
 }
 
 // ShardResponse is the POST /v1/shard success body.

@@ -5,8 +5,9 @@
 // (circuit hash, noise, options) in a bounded LRU, and streams per-batch
 // histograms as NDJSON. POST /v1/sweeps serves whole parameter/noise grids
 // through the internal/sweep engine (plan and ideal-prefix reuse across
-// points), streaming one NDJSON line per point. cmd/tqsimd is a thin main
-// around New.
+// points), streaming one NDJSON line per point. Jobs, sweeps and shard
+// leases all run through one request pipeline (pipeline.go). cmd/tqsimd is
+// a thin main around New.
 //
 // With Config.StoreEntries or Config.StoreDir set, finished jobs and sweeps
 // are recorded in a content-addressed result store (internal/resultstore)
@@ -52,6 +53,7 @@ import (
 
 	"tqsim"
 	"tqsim/internal/hpcmodel"
+	"tqsim/internal/lru"
 	"tqsim/internal/metrics"
 	"tqsim/internal/planner"
 	"tqsim/internal/resultstore"
@@ -92,9 +94,9 @@ type Config struct {
 	Workers []string
 	// LeaseTimeout bounds one shard lease's round trip, including its retry
 	// attempts (default 10m, negative = unlimited). A worker that accepts a
-	// lease and then hangs — alive TCP, no response — used to stall the
-	// whole job forever; on timeout the worker is marked dead and the lease
-	// requeues to the rest of the pool. Size it above the longest
+	// lease and then hangs — alive TCP, no response — would otherwise stall
+	// the whole job forever; on timeout the worker is marked dead and the
+	// lease requeues to the rest of the pool. Size it above the longest
 	// legitimate lease (a lease is a handful of batches), not above zero.
 	LeaseTimeout time.Duration
 	// AcceptWorkers enables elastic membership on a coordinator with no
@@ -119,7 +121,7 @@ type Config struct {
 	RetryBackoff time.Duration
 	// RetryAfterCap caps how long the coordinator honors a worker's
 	// Retry-After hint on 503 before retrying (default 2s). Exhausted
-	// retries exclude the worker from the job, as before.
+	// retries exclude the worker from the job.
 	RetryAfterCap time.Duration
 	// BreakerThreshold opens a worker's circuit breaker after this many
 	// consecutive failed lease attempts; after BreakerCooldown the breaker
@@ -261,13 +263,14 @@ type Stats struct {
 	SnapshotHits   uint64 `json:"snapshot_hits"`
 	SnapshotMisses uint64 `json:"snapshot_misses"`
 	SnapshotBytes  int64  `json:"snapshot_bytes"`
-	// Per-request latency accounting over completed jobs and sweeps
-	// (replays included; rejections and failures excluded), measured from
-	// request receipt to response completion on a log-bucketed histogram
-	// (internal/metrics.LatencyHist). This is the server-side view the
-	// tqsimgen load harness cross-checks its client-side measurements
-	// against: client p99 ≥ server p99, with the gap being network and
-	// client-side queueing.
+	// Per-request latency accounting over completed requests — jobs, sweeps
+	// and, on a worker, shard leases; replays included, rejections and
+	// failures excluded, so LatencyCount equals the completed count —
+	// measured from request receipt to the final write on a log-bucketed
+	// histogram (internal/metrics.LatencyHist). This is the server-side
+	// view the tqsimgen load harness cross-checks its client-side
+	// measurements against: client p99 ≥ server p99, with the gap being
+	// network and client-side queueing.
 	LatencyCount  uint64  `json:"latency_count"`
 	LatencyMeanMS float64 `json:"latency_mean_ms"`
 	LatencyP50MS  float64 `json:"latency_p50_ms"`
@@ -284,22 +287,26 @@ type Server struct {
 	draining atomic.Bool
 
 	// pendMu guards the pending-job count and the idle signal. DrainWait
-	// blocks on idleCh (closed by release when the count reaches zero)
+	// blocks on idleCh (closed by unpend when the count reaches zero)
 	// instead of polling — drain completes the instant the last job does.
 	pendMu  sync.Mutex
 	pending int
 	idleCh  chan struct{}
 
-	memMu     sync.Mutex
-	memInUse  int64
+	memMu    sync.Mutex
+	memInUse int64
+	// planMu guards planCache. Plans are tiny next to running state
+	// vectors, but they pin their circuits (gate slices), so the cache is
+	// entry-capped (Config.PlanCacheEntries) against sustained traffic from
+	// many distinct circuits.
 	planMu    sync.Mutex
-	planCache *lruCache[*cachedPlan]
+	planCache *lru.Cache[*cachedPlan]
 	// sweepMu guards sweepPreps, the worker's cache of prepared sweeps:
 	// a coordinator cuts one sweep into several leases per worker, and
 	// re-preparing per lease would rebuild the grid's plans and ideal
 	// prefix snapshots the previous lease already paid for.
 	sweepMu    sync.Mutex
-	sweepPreps *lruCache[*sweepJob]
+	sweepPreps *lru.Cache[*sweepJob]
 	pool       *registry // non-nil when coordinating a worker fleet
 	stats      [statCount]atomic.Uint64
 
@@ -313,14 +320,11 @@ type Server struct {
 	storeErr  error
 
 	// reqLat is the per-request latency histogram behind the /v1/stats
-	// latency_* fields: every completed job and sweep (stored replays
-	// included) records its receipt-to-completion wall time. Atomic
-	// buckets, so recording never contends with a concurrent stats read.
+	// latency_* fields: every completed request (stored replays included)
+	// records its receipt-to-final-write wall time. Atomic buckets, so
+	// recording never contends with a concurrent stats read.
 	reqLat metrics.LatencyHist
 }
-
-// recordLatency books one completed request into the latency histogram.
-func (s *Server) recordLatency(start time.Time) { s.reqLat.Record(time.Since(start)) }
 
 type cachedPlan struct {
 	plan     *tqsim.Plan
@@ -337,7 +341,6 @@ const (
 	statBatches
 	statPlanHits
 	statPlanMisses
-	statPlanEvicted
 	statShardsDispatched
 	statShardsRequeued
 	statWorkerFailures
@@ -365,12 +368,12 @@ func New(cfg Config) *Server {
 		cfg: cfg.withDefaults(),
 		mux: http.NewServeMux(),
 	}
-	s.planCache = newLRU[*cachedPlan](s.cfg.PlanCacheEntries)
+	s.planCache = lru.New[*cachedPlan](s.cfg.PlanCacheEntries, 0)
 	// A handful of entries suffices: the cache exists so the several
 	// leases of one in-flight sweep share one Prepared (and its lazily
 	// built snapshots), not to retain history. Snapshots pinned by idle
 	// entries are bounded by this cap times the per-sweep snapshot set.
-	s.sweepPreps = newLRU[*sweepJob](4)
+	s.sweepPreps = lru.New[*sweepJob](4, 0)
 	s.slots = make(chan struct{}, s.cfg.MaxConcurrent)
 	if len(s.cfg.Workers) > 0 || s.cfg.AcceptWorkers {
 		s.pool = newRegistry(s.cfg)
@@ -391,9 +394,14 @@ func New(cfg Config) *Server {
 		s.snapCache = tqsim.NewSnapshotCache(s.cfg.SnapshotCacheBytes)
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/backends", s.handleBackends)
-	s.mux.HandleFunc("GET /v1/worker", s.handleWorkerInfo)
+	s.mux.HandleFunc("GET /v1/stats", view(func() any { return s.Snapshot() }))
+	s.mux.HandleFunc("GET /v1/backends", view(func() any {
+		return map[string]any{"backends": append([]string{tqsim.AutoBackend}, tqsim.Backends()...)}
+	}))
+	// The capacity advertisement: coordinators poll it as the health check
+	// and placement input; the same payload rides inside WorkerAnnounce
+	// heartbeats.
+	s.mux.HandleFunc("GET /v1/worker", view(func() any { return s.workerInfo() }))
 	s.mux.HandleFunc("POST /v1/plan", s.handlePlan)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweeps)
@@ -427,10 +435,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // difference between a load balancer retrying elsewhere and surfacing an
 // error to the client.
 //
-// The wait is a completion signal, not a poll: release closes the idle
+// The wait is a completion signal, not a poll: unpend closes the idle
 // channel when the pending count reaches zero, so drain returns the moment
-// the last job finishes and burns no timer churn while waiting. The ctx
-// cancel path is unchanged.
+// the last job finishes and burns no timer churn while waiting.
 func (s *Server) DrainWait(ctx context.Context) error {
 	for {
 		s.pendMu.Lock()
@@ -452,12 +459,6 @@ func (s *Server) DrainWait(ctx context.Context) error {
 			// BeginDrain, e.g. in tests).
 		}
 	}
-}
-
-// rejectDraining answers a submission arriving during drain.
-func (s *Server) rejectDraining(w http.ResponseWriter) {
-	s.stats[statDraining].Add(1)
-	writeError(w, http.StatusServiceUnavailable, "server is draining; retry")
 }
 
 // JobRequest is the POST /v1/jobs (and /v1/plan) body. Exactly one of QASM
@@ -580,7 +581,6 @@ type job struct {
 	noise   *tqsim.NoiseModel
 	opt     tqsim.Options
 	shots   int
-	mode    string
 	// batchSize is the per-batch shot count; 0 runs one batch. Batches are
 	// never materialized as a slice: a max-shots job at batch size 1 is
 	// millions of batches but only two distinct sizes, so plans are held
@@ -592,11 +592,18 @@ type job struct {
 	// peak for auto jobs, the named engine's for explicit ones.
 	estPeak int64
 	planHit bool
-	stream  bool
 	// wire is the request to forward in shard leases, with every value that
 	// shapes batch arithmetic pinned to the coordinator's resolution (the
 	// worker must never re-apply its own defaults and diverge).
 	wire *JobRequest
+	// snaps is the server's cross-job snapshot cache (nil when disabled).
+	snaps *tqsim.SnapshotCache
+
+	// The response under construction: record folds batches in, finish
+	// renders it.
+	merged             map[uint64]int
+	outcomes           int
+	backend, structure string
 }
 
 // numBatches returns how many batches the job runs.
@@ -687,8 +694,8 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 		circuit:    c,
 		noise:      m,
 		shots:      req.Shots,
-		mode:       mode,
-		stream:     req.Stream,
+		snaps:      s.snapCache,
+		merged:     make(map[uint64]int),
 		planBySize: make(map[int]*cachedPlan, 2),
 		opt: tqsim.Options{
 			Seed:              req.Seed,
@@ -698,9 +705,9 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 			Backend:           backend,
 			ClusterNodes:      req.ClusterNodes,
 			Parallelism:       req.Parallelism,
+			Epsilon:           req.Epsilon,
 		},
 	}
-	j.opt.Epsilon = req.Epsilon
 	j.batchSize = req.BatchShots
 	if j.batchSize == 0 {
 		j.batchSize = s.cfg.DefaultBatchShots
@@ -774,7 +781,7 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 func (s *Server) planBatch(hash string, c *tqsim.Circuit, m *tqsim.NoiseModel, shots int, mode string, opt tqsim.Options) (*cachedPlan, bool, *httpError) {
 	key := fmt.Sprintf("%s|%d", hash, shots)
 	s.planMu.Lock()
-	cp, ok := s.planCache.get(key)
+	cp, ok := s.planCache.Get(key)
 	s.planMu.Unlock()
 	if ok {
 		s.stats[statPlanHits].Add(1)
@@ -802,21 +809,16 @@ func (s *Server) planBatch(hash string, c *tqsim.Circuit, m *tqsim.NoiseModel, s
 	}
 	cp = &cachedPlan{plan: plan, decision: decision}
 	s.planMu.Lock()
-	evicted := s.planCache.add(key, cp)
+	s.planCache.Add(key, cp, 0)
 	s.planMu.Unlock()
-	if evicted > 0 {
-		s.stats[statPlanEvicted].Add(uint64(evicted))
-	}
 	return cp, false, nil
 }
 
 // circuitHash keys the plan cache: the circuit's structural digest plus
 // every option that shapes the plan or the decision. The digest covers the
 // full gate content — including raw-unitary matrices with no QASM 2.0
-// form. The previous key hashed a canonical QASM rendering and fell back
-// to name/width/length when serialization failed, so two same-shape
-// circuits differing only in an explicit unitary collided and the second
-// silently executed the first one's cached plan (and its gate list).
+// form — because a cached plan carries its gate list: two same-shape
+// circuits that collide here would silently execute each other's gates.
 func circuitHash(c *tqsim.Circuit, noiseName, mode string, opt *tqsim.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%g\x00%d\x00%d\x00%s\x00%d\x00%d\x00%g",
@@ -839,11 +841,9 @@ var errQueueFull = errors.New("queue full")
 
 // acquire takes an execution slot, bounded by MaxConcurrent running plus
 // QueueDepth waiting. Returns errQueueFull when the queue is full, and the
-// context's error when the caller goes away while queued. The slot wait
-// used to ignore the context entirely: a client that disconnected while
-// queued at capacity still took a slot when one freed, ran every batch
-// into the dead connection, and booked as failed — the cancellation that
-// per-batch ctx checks catch mid-run was invisible before the run started.
+// context's error when the caller goes away while queued — a client that
+// disconnects while queued at capacity must not take a slot when one frees
+// and run every unit into the dead connection.
 func (s *Server) acquire(ctx context.Context) error {
 	s.pendMu.Lock()
 	if s.pending >= s.cfg.MaxConcurrent+s.cfg.QueueDepth {
@@ -856,23 +856,20 @@ func (s *Server) acquire(ctx context.Context) error {
 	case s.slots <- struct{}{}:
 		return nil
 	case <-ctx.Done():
-		// Undo the pending claim exactly the way release would, minus the
-		// slot this request never got — including the idle signal DrainWait
-		// blocks on, so a drain doesn't hang on a request that left the
-		// queue sideways.
-		s.pendMu.Lock()
-		s.pending--
-		if s.pending == 0 && s.idleCh != nil {
-			close(s.idleCh)
-			s.idleCh = nil
-		}
-		s.pendMu.Unlock()
+		s.unpend()
 		return ctx.Err()
 	}
 }
 
 func (s *Server) release() {
 	<-s.slots
+	s.unpend()
+}
+
+// unpend drops one pending claim — a finished request's, or one that left
+// the queue sideways — and signals DrainWait when it was the last, so a
+// drain never hangs on a request that is no longer there.
+func (s *Server) unpend() {
 	s.pendMu.Lock()
 	s.pending--
 	if s.pending == 0 && s.idleCh != nil {
@@ -918,165 +915,41 @@ func (s *Server) releaseMemory(est int64) {
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if s.Draining() {
-		s.rejectDraining(w)
-		return
-	}
-	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	j, herr := s.prepare(&req)
-	if herr != nil {
-		s.stats[statFailed].Add(1)
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	// The result-store lookup runs before the queue: a replay writes
-	// already-merged bytes and must not wait behind — or consume — an
-	// execution slot or any memory budget.
-	key := ""
-	if s.results != nil {
-		key = jobResultKey(j)
-		if blob, ok := s.results.Get(key); ok && s.replayJob(w, j, blob) {
-			s.stats[statResultsHits].Add(1)
-			s.stats[statCompleted].Add(1)
-			s.recordLatency(start)
-			return
+	s.serve(w, r, func() (*submission, *httpError) {
+		var req JobRequest
+		if herr := decodeBody(w, r, &req); herr != nil {
+			return nil, herr
 		}
-		s.stats[statResultsMisses].Add(1)
-	}
-	ctx := r.Context()
-	if err := s.acquire(ctx); err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.stats[statQueueFull].Add(1)
-			writeError(w, http.StatusTooManyRequests,
-				fmt.Sprintf("queue full (%d running + %d queued)", s.cfg.MaxConcurrent, s.cfg.QueueDepth))
-			return
+		j, herr := s.prepare(&req)
+		if herr != nil {
+			return nil, herr
 		}
-		// The client disconnected while queued: the connection is gone, so
-		// there is nothing to write — book the job canceled, not failed.
-		s.stats[statCanceled].Add(1)
-		return
-	}
-	defer s.release()
-
-	// Multi-batch jobs shard across the worker pool when one is configured;
-	// single-batch jobs always run locally (there is nothing to shard).
-	distributed := s.pool != nil && j.numBatches() > 1
-	if !distributed {
-		// Memory is reserved only once the job holds an execution slot:
-		// queued jobs consume no state memory, so they must not pin the
-		// budget against the jobs actually running. Distributed jobs
-		// reserve on the workers that execute their shards (and locally
-		// only for a local fallback).
-		if herr := s.reserveMemory(j.estPeak); herr != nil {
-			writeError(w, herr.status, herr.msg)
-			return
-		}
-		defer s.releaseMemory(j.estPeak)
-	}
-
-	if j.stream {
-		s.runStreaming(ctx, w, j, distributed, key, start)
-		return
-	}
-	var rec *jobRecorder
-	var onBatch func(*batchResult) error
-	if key != "" {
-		rec = &jobRecorder{}
-		onBatch = func(br *batchResult) error { rec.observe(br); return nil }
-	}
-	resp, herr := s.runJob(ctx, j, distributed, onBatch)
-	if herr != nil {
-		s.countJobError(ctx, herr)
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	s.stats[statCompleted].Add(1)
-	s.recordLatency(start)
-	if key != "" {
-		s.storeJob(key, resp, rec)
-	}
-	writeJSON(w, http.StatusOK, resp)
+		return whole(j, req.Stream), nil
+	})
 }
 
-// countJobError books a finished-unsuccessfully job under the right
-// counter: client-cancelled jobs are canceled, everything else failed.
-// The context check catches failures that are really disconnects in
-// disguise — e.g. a streaming write to a connection the client already
-// closed surfaces as a stream error before the next per-batch ctx check.
-func (s *Server) countJobError(ctx context.Context, herr *httpError) {
-	if herr.status == statusClientClosedRequest || ctx.Err() != nil {
-		s.stats[statCanceled].Add(1)
-	} else {
-		s.stats[statFailed].Add(1)
-	}
+// The work implementation: a job's units are its shot batches.
+
+func (j *job) units() int                      { return j.numBatches() }
+func (j *job) peak() int64                     { return j.estPeak }
+func (j *job) counters() (unit, completed int) { return statBatches, statCompleted }
+
+func (j *job) lease(from, to int) *ShardRequest {
+	return &ShardRequest{Job: *j.wire, From: from, To: to}
 }
 
-// batchResult is one executed batch, engine-agnostic: local batches come
-// from tqsim.RunPlanContext, remote ones from a worker's ShardBatch.
-type batchResult struct {
-	index              int
-	seed               uint64
-	outcomes           int
-	counts             map[uint64]int
-	backend, structure string
-}
-
-// runJob executes the job's batches — sharded across the worker pool when
-// distributed, sequentially in-process otherwise — and merges histograms.
-// onBatch, when non-nil, observes each batch result as it completes (the
-// streaming hook); in distributed mode completion order is not
-// deterministic, batch contents and the merge are.
-func (s *Server) runJob(ctx context.Context, j *job, distributed bool, onBatch func(*batchResult) error) (*JobResponse, *httpError) {
-	start := time.Now()
-	var (
-		merged             map[uint64]int
-		outcomes           int
-		backend, structure string
-		herr               *httpError
-	)
-	if distributed {
-		merged, outcomes, backend, structure, herr = s.runDistributed(ctx, j, onBatch)
-	} else {
-		merged, outcomes, backend, structure, herr = s.runBatches(ctx, j, 0, j.numBatches(), onBatch)
-	}
-	if herr != nil {
-		return nil, herr
-	}
-	return &JobResponse{
-		Circuit:     j.circuit.Name,
-		Width:       j.circuit.NumQubits,
-		Backend:     backend,
-		Structure:   structure,
-		Outcomes:    outcomes,
-		Batches:     j.numBatches(),
-		Counts:      countsJSON(merged),
-		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
-		Decision:    decisionJSON(j.decision),
-		PlanHit:     j.planHit,
-		Distributed: distributed,
-	}, nil
-}
-
-// runBatches executes batches [from, to) in-process, threading ctx into the
+// run executes batches [from, to) in-process, threading ctx into the
 // executor so a client disconnect (or a coordinator re-leasing this shard)
 // stops in-flight trajectory work instead of computing results nobody will
-// read. Returns the merged histogram over the executed range.
-func (s *Server) runBatches(ctx context.Context, j *job, from, to int, onBatch func(*batchResult) error) (map[uint64]int, int, string, string, *httpError) {
-	merged := make(map[uint64]int)
-	outcomes := 0
-	backend, structure := "", ""
+// read.
+func (j *job) run(ctx context.Context, from, to int, emit func(*ShardBatch) *httpError) *httpError {
 	// Boundary-snapshot sets for this range's (at most two) batch sizes,
 	// assembled from the cross-job cache. A nil map value remembers an
 	// assembly failure so it isn't retried per batch.
 	var prefixBySize map[int]*tqsim.PrefixSnapshots
 	for i := from; i < to; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, "", "", errf(statusClientClosedRequest, "cancelled before batch %d: %v", i, err)
+			return errf(statusClientClosedRequest, "cancelled before batch %d: %v", i, err)
 		}
 		cp := j.planFor(i)
 		opt := j.opt
@@ -1098,11 +971,11 @@ func (s *Server) runBatches(ctx context.Context, j *job, from, to int, onBatch f
 		// a no-fire segment adopts the cached ideal state the executor
 		// would have recomputed, RNG consumption unchanged.
 		var prefix *tqsim.PrefixSnapshots
-		if s.snapCache != nil && opt.Backend == "statevec" && j.noise.PauliOnly() {
+		if j.snaps != nil && opt.Backend == "statevec" && j.noise.PauliOnly() {
 			size := j.batchShots(i)
 			p, ok := prefixBySize[size]
 			if !ok {
-				p, _ = s.snapCache.ForPlan(cp.plan) // nil on error: run unprefixed
+				p, _ = j.snaps.ForPlan(cp.plan) // nil on error: run unprefixed
 				if prefixBySize == nil {
 					prefixBySize = make(map[int]*tqsim.PrefixSnapshots, 2)
 				}
@@ -1113,99 +986,82 @@ func (s *Server) runBatches(ctx context.Context, j *job, from, to int, onBatch f
 		res, err := tqsim.RunPlanPrefixed(ctx, cp.plan, j.noise, opt, prefix)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, 0, "", "", errf(statusClientClosedRequest, "batch %d cancelled: %v", i, err)
+				return errf(statusClientClosedRequest, "batch %d cancelled: %v", i, err)
 			}
-			return nil, 0, "", "", errf(http.StatusUnprocessableEntity, "batch %d: %v", i, err)
+			return errf(http.StatusUnprocessableEntity, "batch %d: %v", i, err)
 		}
-		s.stats[statBatches].Add(1)
-		metrics.MergeCounts(merged, res.Counts)
-		outcomes += res.Outcomes
-		backend = res.BackendName
-		structure = res.Structure
-		if onBatch != nil {
-			if err := onBatch(&batchResult{
-				index: i, seed: opt.Seed, outcomes: res.Outcomes, counts: res.Counts,
-				backend: res.BackendName, structure: res.Structure,
-			}); err != nil {
-				return nil, 0, "", "", errf(http.StatusInternalServerError, "stream: %v", err)
-			}
+		if herr := emit(&ShardBatch{
+			Batch:     i,
+			Seed:      opt.Seed,
+			Outcomes:  res.Outcomes,
+			Counts:    countsJSON(res.Counts),
+			Backend:   res.BackendName,
+			Structure: res.Structure,
+			counts:    res.Counts,
+		}); herr != nil {
+			return herr
 		}
 	}
-	return merged, outcomes, backend, structure, nil
+	return nil
 }
 
-// runStreaming writes the NDJSON stream: a plan header, one line per
-// batch, and a final done line with the merged histogram. A non-empty
-// storeKey records the finished job in the result store. start is the
-// request receipt time, for the completed-request latency histogram.
-func (s *Server) runStreaming(ctx context.Context, w http.ResponseWriter, j *job, distributed bool, storeKey string, start time.Time) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	emit := func(line *batchLine) error {
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
-	// A failed plan-header emit means the client is already gone: abort
-	// before admitting any batch work. The job books as canceled (the
-	// client disconnected, the request wasn't bad) and nothing runs —
-	// previously the emit error was discarded and the whole job executed
-	// into a dead connection.
-	if err := emit(&batchLine{
+func (j *job) header(bool) any {
+	return &batchLine{
 		Type:      "plan",
 		Batches:   j.numBatches(),
 		Structure: j.planFor(0).plan.Structure(),
 		Backend:   j.decision.Backend,
 		Decision:  decisionJSON(j.decision),
-	}); err != nil {
-		s.stats[statCanceled].Add(1)
-		return
 	}
-	var rec *jobRecorder
-	if storeKey != "" {
-		rec = &jobRecorder{}
-	}
-	resp, herr := s.runJob(ctx, j, distributed, func(br *batchResult) error {
-		if rec != nil {
-			rec.observe(br)
+}
+
+func (j *job) record(sb *ShardBatch) (any, *httpError) {
+	counts := sb.counts
+	if counts == nil { // a worker's batch: only the wire histogram exists
+		counts = make(map[uint64]int, len(sb.Counts))
+		for k, v := range sb.Counts {
+			key, err := strconv.ParseUint(k, 10, 64)
+			if err != nil {
+				return nil, errf(http.StatusBadGateway, "worker returned non-numeric outcome key %q", k)
+			}
+			counts[key] = v
 		}
-		return emit(&batchLine{
-			Type:   "batch",
-			Batch:  br.index,
-			Shots:  br.outcomes,
-			Seed:   br.seed,
-			Counts: countsJSON(br.counts),
-		})
-	})
-	if herr != nil {
-		s.countJobError(ctx, herr)
-		_ = emit(&batchLine{Type: "error", Error: herr.msg})
-		return
 	}
-	s.stats[statCompleted].Add(1)
-	s.recordLatency(start)
-	if storeKey != "" {
-		s.storeJob(storeKey, resp, rec)
+	metrics.MergeCounts(j.merged, counts)
+	j.outcomes += sb.Outcomes
+	if sb.Backend != "" {
+		j.backend, j.structure = sb.Backend, sb.Structure
 	}
-	_ = emit(&batchLine{
+	return &batchLine{Type: "batch", Batch: sb.Batch, Shots: sb.Outcomes, Seed: sb.Seed, Counts: sb.Counts}, nil
+}
+
+func (j *job) finish(elapsedMS float64, distributed bool) (body, done any) {
+	resp := &JobResponse{
+		Circuit:     j.circuit.Name,
+		Width:       j.circuit.NumQubits,
+		Backend:     j.backend,
+		Structure:   j.structure,
+		Outcomes:    j.outcomes,
+		Batches:     j.numBatches(),
+		Counts:      countsJSON(j.merged),
+		ElapsedMS:   elapsedMS,
+		Decision:    decisionJSON(j.decision),
+		PlanHit:     j.planHit,
+		Distributed: distributed,
+	}
+	return resp, &batchLine{
 		Type:      "done",
 		Batches:   resp.Batches,
 		Outcomes:  resp.Outcomes,
 		Counts:    resp.Counts,
 		ElapsedMS: resp.ElapsedMS,
-	})
+	}
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if herr := decodeBody(w, r, &req); herr != nil {
+		s.fail(w, herr)
 		return
 	}
 	j, herr := s.prepare(&req)
@@ -1234,20 +1090,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "worker": s.cfg.WorkerMode})
 }
 
-func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
-	drainRequest(r)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"backends": append([]string{tqsim.AutoBackend}, tqsim.Backends()...),
-	})
-}
-
 // Snapshot returns the current counters (also served at /v1/stats).
 func (s *Server) Snapshot() Stats {
 	s.memMu.Lock()
 	inUse := s.memInUse
 	s.memMu.Unlock()
 	s.planMu.Lock()
-	planEntries := s.planCache.len()
+	planEntries, planEvicted := s.planCache.Len(), s.planCache.Evicted()
 	s.planMu.Unlock()
 	st := Stats{
 		JobsCompleted:     s.stats[statCompleted].Load(),
@@ -1261,7 +1110,7 @@ func (s *Server) Snapshot() Stats {
 		SweepPointsRun:    s.stats[statSweepPoints].Load(),
 		PlanCacheHits:     s.stats[statPlanHits].Load(),
 		PlanCacheMisses:   s.stats[statPlanMisses].Load(),
-		PlanCacheEvicted:  s.stats[statPlanEvicted].Load(),
+		PlanCacheEvicted:  planEvicted,
 		PlanCacheEntries:  planEntries,
 		MemoryInUseBytes:  inUse,
 		Draining:          s.Draining(),
@@ -1275,9 +1124,13 @@ func (s *Server) Snapshot() Stats {
 		WorkersRevived:    s.stats[statWorkersRevived].Load(),
 	}
 	if s.pool != nil {
-		st.WorkersAlive = s.aliveWorkers()
-		st.WorkersTotal = len(s.pool.snapshot())
 		st.Workers = s.workerStats()
+		st.WorkersTotal = len(st.Workers)
+		for _, ws := range st.Workers {
+			if ws.State == workerAlive {
+				st.WorkersAlive++
+			}
+		}
 	}
 	st.ResultsHits = s.stats[statResultsHits].Load()
 	st.ResultsMisses = s.stats[statResultsMisses].Load()
@@ -1292,20 +1145,23 @@ func (s *Server) Snapshot() Stats {
 	}
 	if n := s.reqLat.Count(); n > 0 {
 		st.LatencyCount = n
-		st.LatencyMeanMS = latMS(s.reqLat.Mean())
-		st.LatencyP50MS = latMS(s.reqLat.Quantile(0.50))
-		st.LatencyP95MS = latMS(s.reqLat.Quantile(0.95))
-		st.LatencyP99MS = latMS(s.reqLat.Quantile(0.99))
+		st.LatencyMeanMS = millis(s.reqLat.Mean())
+		st.LatencyP50MS = millis(s.reqLat.Quantile(0.50))
+		st.LatencyP95MS = millis(s.reqLat.Quantile(0.95))
+		st.LatencyP99MS = millis(s.reqLat.Quantile(0.99))
 	}
 	return st
 }
 
-// latMS renders a histogram duration as fractional milliseconds.
-func latMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+// millis renders a duration as the wire's fractional milliseconds.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	drainRequest(r)
-	writeJSON(w, http.StatusOK, s.Snapshot())
+// view serves a body-less GET endpoint: the current value of v as JSON.
+func view(v func() any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		drainRequest(r)
+		writeJSON(w, http.StatusOK, v())
+	}
 }
 
 // countsJSON renders a histogram with decimal string keys. Response bytes

@@ -5,7 +5,7 @@ package serve
 // planner estimates the sweep engine computed during Prepare, and executes
 // it with the engine's cross-point reuse — streaming one NDJSON line per
 // point by default. A coordinator shards point ranges across its worker
-// pool through the same lease machinery as job batches (runLeased); point
+// pool through the same pipeline and lease machinery as job batches; point
 // i's histogram is a pure function of (spec, i) at the derived seed
 // rng.SeedAt(seed, i), so the reassembled sweep is byte-identical to a
 // single-process run whatever the worker count, lease placement or failure
@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"time"
 
 	"tqsim"
 	"tqsim/internal/sweep"
@@ -84,6 +83,11 @@ type sweepJob struct {
 	wire    *SweepRequest // spec with host-derived planner inputs pinned
 	estPeak int64
 	stream  bool
+
+	// The response under construction: record folds points in, finish
+	// renders it.
+	results         []SweepPointJSON
+	ops, prefixHits int64
 }
 
 // prepareSweep validates and plans a sweep request. The two planner inputs
@@ -104,6 +108,12 @@ func (s *Server) prepareSweep(req *SweepRequest) (*sweepJob, *httpError) {
 				"shots %d exceeds the server limit %d", n, s.cfg.MaxShots)
 		}
 	}
+	// The grid size is a product of axis lengths: checked before Prepare,
+	// which plans every distinct cell.
+	if n := req.Spec.GridSize(); n > s.cfg.MaxSweepPoints {
+		return nil, errf(http.StatusRequestEntityTooLarge,
+			"sweep expands to %d points, above the server limit %d", n, s.cfg.MaxSweepPoints)
+	}
 	prep, err := tqsim.PrepareSweep(&req.Spec)
 	if err != nil {
 		var pe *sweep.PlanError
@@ -113,22 +123,13 @@ func (s *Server) prepareSweep(req *SweepRequest) (*sweepJob, *httpError) {
 		}
 		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
-	n := prep.NumPoints()
-	if n > s.cfg.MaxSweepPoints {
-		return nil, errf(http.StatusRequestEntityTooLarge,
-			"sweep expands to %d points, above the server limit %d", n, s.cfg.MaxSweepPoints)
-	}
 
 	// Admission: one point's peak times the in-process point concurrency
 	// (points beyond it never run simultaneously here; distributed points
-	// reserve on the workers that run them).
-	conc := prep.Spec().Concurrency
-	if conc < 1 {
-		conc = 1
-	}
-	if conc > n {
-		conc = n
-	}
+	// reserve on the workers that run them). Placement divides worker
+	// budgets by the same scaled estimate — conservative: each lease may
+	// run up to Concurrency points at once.
+	conc := min(max(prep.Spec().Concurrency, 1), prep.NumPoints())
 	sj := &sweepJob{
 		prep:    prep,
 		estPeak: prep.MaxEstPeakBytes() * int64(conc),
@@ -154,7 +155,8 @@ func (s *Server) prepareSweep(req *SweepRequest) (*sweepJob, *httpError) {
 // grid, re-run every planner decision, and rebuild the lazily built
 // ideal-prefix snapshots the previous lease already paid for. Safe to
 // share: a Prepared is immutable after Prepare apart from sync.Once-guarded
-// lazy state, so concurrent leases may run ranges of one instance.
+// lazy state, so concurrent leases may run ranges of one instance — each
+// through its own copy of the sweepJob around it.
 func (s *Server) preparedSweepForLease(req *SweepRequest) (*sweepJob, *httpError) {
 	// Key by the pinned wire spec: the coordinator sends every lease of a
 	// sweep with the identical (already-pinned) spec, so re-pinning here is
@@ -165,151 +167,49 @@ func (s *Server) preparedSweepForLease(req *SweepRequest) (*sweepJob, *httpError
 	}
 	key := string(raw)
 	s.sweepMu.Lock()
-	sj, ok := s.sweepPreps.get(key)
+	sj, ok := s.sweepPreps.Get(key)
 	s.sweepMu.Unlock()
-	if ok {
-		return sj, nil
+	if !ok {
+		var herr *httpError
+		if sj, herr = s.prepareSweep(req); herr != nil {
+			return nil, herr
+		}
+		s.sweepMu.Lock()
+		s.sweepPreps.Add(key, sj, 0)
+		s.sweepMu.Unlock()
 	}
-	sj, herr := s.prepareSweep(req)
-	if herr != nil {
-		return nil, herr
-	}
-	s.sweepMu.Lock()
-	s.sweepPreps.add(key, sj)
-	s.sweepMu.Unlock()
-	return sj, nil
+	own := *sj
+	return &own, nil
 }
 
 func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	if s.Draining() {
-		s.rejectDraining(w)
-		return
-	}
-	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	sj, herr := s.prepareSweep(&req)
-	if herr != nil {
-		s.stats[statFailed].Add(1)
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	// Store lookup before the queue, as on the job path: a stored sweep
-	// replays without a slot, without budget, and without running a point.
-	key := ""
-	if s.results != nil {
-		if k, ok := sweepResultKey(sj); ok {
-			key = k
-			if blob, hit := s.results.Get(key); hit && s.replaySweep(w, sj, blob) {
-				s.stats[statResultsHits].Add(1)
-				s.stats[statSweepsCompleted].Add(1)
-				s.recordLatency(start)
-				return
-			}
-			s.stats[statResultsMisses].Add(1)
+	s.serve(w, r, func() (*submission, *httpError) {
+		var req SweepRequest
+		if herr := decodeBody(w, r, &req); herr != nil {
+			return nil, herr
 		}
-	}
-	ctx := r.Context()
-	if err := s.acquire(ctx); err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.stats[statQueueFull].Add(1)
-			writeError(w, http.StatusTooManyRequests, "queue full")
-			return
+		sj, herr := s.prepareSweep(&req)
+		if herr != nil {
+			return nil, herr
 		}
-		// Client gone while queued: canceled, nothing to write.
-		s.stats[statCanceled].Add(1)
-		return
-	}
-	defer s.release()
-
-	// Multi-point sweeps shard across the worker pool when one is
-	// configured; memory is reserved locally only when executing locally.
-	distributed := s.pool != nil && sj.prep.NumPoints() > 1
-	if !distributed {
-		if herr := s.reserveMemory(sj.estPeak); herr != nil {
-			writeError(w, herr.status, herr.msg)
-			return
-		}
-		defer s.releaseMemory(sj.estPeak)
-	}
-
-	if sj.stream {
-		s.runSweepStreaming(ctx, w, sj, distributed, key, start)
-		return
-	}
-	resp, herr := s.runSweep(ctx, sj, distributed, nil)
-	if herr != nil {
-		s.countJobError(ctx, herr)
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	s.stats[statSweepsCompleted].Add(1)
-	s.recordLatency(start)
-	if key != "" {
-		s.storeSweep(key, resp)
-	}
-	writeJSON(w, http.StatusOK, resp)
+		return whole(sj, sj.stream), nil
+	})
 }
 
-// runSweep executes the sweep — locally or sharded — collecting the wire
-// form of every point. onPoint, when non-nil, observes each point as it
-// completes (the streaming hook).
-func (s *Server) runSweep(ctx context.Context, sj *sweepJob, distributed bool, onPoint func(*SweepPointJSON) error) (*SweepResponse, *httpError) {
-	start := time.Now()
-	resp := &SweepResponse{Points: sj.prep.NumPoints(), Distributed: distributed}
-	record := func(pj *SweepPointJSON) *httpError {
-		resp.Results = append(resp.Results, *pj)
-		resp.Ops += pj.Ops
-		resp.PrefixHits += pj.PrefixHits
-		s.stats[statSweepPoints].Add(1)
-		if onPoint != nil {
-			if err := onPoint(pj); err != nil {
-				return errf(http.StatusInternalServerError, "stream: %v", err)
-			}
-		}
-		return nil
-	}
+// The work implementation: a sweep's units are its grid points.
 
-	onUnit := func(sb *ShardBatch, _ bool) *httpError {
-		return record(s.sweepPointFromWire(sj, sb))
-	}
-	var herr *httpError
-	if distributed {
-		herr = s.runLeased(ctx, leasedWork{
-			units: sj.prep.NumPoints(),
-			// The concurrency-scaled estimate: placement divides worker
-			// budgets by it (conservative — each lease may run up to
-			// Concurrency points at once), and the local fallback reserves
-			// it before runSweepRange runs that many points concurrently.
-			estPeak: sj.estPeak,
-			wire: func(from, to int) *ShardRequest {
-				return &ShardRequest{Sweep: sj.wire, From: from, To: to}
-			},
-			runLocal: func(ctx context.Context, from, to int, emit func(*ShardBatch) *httpError) *httpError {
-				return s.runSweepRange(ctx, sj, from, to, emit)
-			},
-		}, onUnit)
-	} else {
-		herr = s.runSweepRange(ctx, sj, 0, sj.prep.NumPoints(), func(sb *ShardBatch) *httpError {
-			return onUnit(sb, false)
-		})
-	}
-	if herr != nil {
-		return nil, herr
-	}
-	sort.Slice(resp.Results, func(i, j int) bool { return resp.Results[i].Index < resp.Results[j].Index })
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	return resp, nil
+func (sj *sweepJob) units() int                      { return sj.prep.NumPoints() }
+func (sj *sweepJob) peak() int64                     { return sj.estPeak }
+func (sj *sweepJob) counters() (unit, completed int) { return statSweepPoints, statSweepsCompleted }
+
+func (sj *sweepJob) lease(from, to int) *ShardRequest {
+	return &ShardRequest{Sweep: sj.wire, From: from, To: to}
 }
 
-// runSweepRange executes points [from, to) in-process through the prepared
-// sweep, emitting each point in wire form. Emit failures keep their own
-// status (a vanished streaming client books as canceled, not failed).
-func (s *Server) runSweepRange(ctx context.Context, sj *sweepJob, from, to int, emit func(*ShardBatch) *httpError) *httpError {
-	var eherr *httpError
+// run executes points [from, to) in-process through the prepared sweep,
+// emitting each point in wire form. Emit failures keep their own status (a
+// vanished streaming client books as canceled, not failed).
+func (sj *sweepJob) run(ctx context.Context, from, to int, emit func(*ShardBatch) *httpError) *httpError {
 	_, err := tqsim.RunPreparedSweep(ctx, sj.prep, from, to, func(pr *tqsim.SweepPointResult) error {
 		sb := &ShardBatch{
 			Batch:      pr.Index,
@@ -320,36 +220,39 @@ func (s *Server) runSweepRange(ctx context.Context, sj *sweepJob, from, to int, 
 			Structure:  pr.Structure,
 			Ops:        pr.GateApplications,
 			PrefixHits: pr.PrefixReuseHits,
-			ElapsedMS:  float64(pr.Elapsed.Microseconds()) / 1000,
+			ElapsedMS:  millis(pr.Elapsed),
 		}
 		if pr.HasFidelity {
 			f := pr.Fidelity
 			sb.Fidelity = &f
 		}
-		if h := emit(sb); h != nil {
-			eherr = h
-			return errors.New(h.msg)
+		if herr := emit(sb); herr != nil {
+			return herr
 		}
 		return nil
 	})
-	if eherr != nil {
-		return eherr
+	var herr *httpError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &herr):
+		return herr
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return errf(statusClientClosedRequest, "sweep cancelled: %v", err)
 	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return errf(statusClientClosedRequest, "sweep cancelled: %v", err)
-		}
-		return errf(http.StatusUnprocessableEntity, "sweep: %v", err)
-	}
-	return nil
+	return errf(http.StatusUnprocessableEntity, "sweep: %v", err)
 }
 
-// sweepPointFromWire rebuilds a point's wire form from a ShardBatch plus
-// the coordinator's own expansion (points are deterministic in the spec, so
-// the metadata never crosses the wire).
-func (s *Server) sweepPointFromWire(sj *sweepJob, sb *ShardBatch) *SweepPointJSON {
+func (sj *sweepJob) header(distributed bool) any {
+	return &sweepLine{Type: "sweep", Points: sj.prep.NumPoints(), Distributed: distributed}
+}
+
+// record rebuilds the point's wire form from its ShardBatch plus this
+// server's own expansion (points are deterministic in the spec, so the
+// coordinates never cross the wire).
+func (sj *sweepJob) record(sb *ShardBatch) (any, *httpError) {
 	pt := sj.prep.Point(sb.Batch)
-	return &SweepPointJSON{
+	pj := &SweepPointJSON{
 		Index:      sb.Batch,
 		Circuit:    sj.prep.Circuit(sb.Batch).Name,
 		Noise:      pt.Noise.Label(),
@@ -366,50 +269,27 @@ func (s *Server) sweepPointFromWire(sj *sweepJob, sb *ShardBatch) *SweepPointJSO
 		Fidelity:   sb.Fidelity,
 		ElapsedMS:  sb.ElapsedMS,
 	}
+	sj.results = append(sj.results, *pj)
+	sj.ops += sb.Ops
+	sj.prefixHits += sb.PrefixHits
+	return &sweepLine{Type: "point", SweepPointJSON: pj}, nil
 }
 
-// runSweepStreaming writes the NDJSON stream: a sweep header, one line per
-// point in completion order, and a final done line with totals. A
-// non-empty storeKey records the finished sweep in the result store; start
-// is the request receipt time for the latency histogram.
-func (s *Server) runSweepStreaming(ctx context.Context, w http.ResponseWriter, sj *sweepJob, distributed bool, storeKey string, start time.Time) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	emit := func(line *sweepLine) error {
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+func (sj *sweepJob) finish(elapsedMS float64, distributed bool) (body, done any) {
+	sort.Slice(sj.results, func(i, k int) bool { return sj.results[i].Index < sj.results[k].Index })
+	resp := &SweepResponse{
+		Points:      sj.prep.NumPoints(),
+		Results:     sj.results,
+		Ops:         sj.ops,
+		PrefixHits:  sj.prefixHits,
+		ElapsedMS:   elapsedMS,
+		Distributed: distributed,
 	}
-	// Header emit failure = client already gone: abort before any point
-	// runs (the same contract as the job stream's plan header).
-	if err := emit(&sweepLine{Type: "sweep", Points: sj.prep.NumPoints(), Distributed: distributed}); err != nil {
-		s.stats[statCanceled].Add(1)
-		return
-	}
-	resp, herr := s.runSweep(ctx, sj, distributed, func(pj *SweepPointJSON) error {
-		return emit(&sweepLine{Type: "point", SweepPointJSON: pj})
-	})
-	if herr != nil {
-		s.countJobError(ctx, herr)
-		_ = emit(&sweepLine{Type: "error", Error: herr.msg})
-		return
-	}
-	s.stats[statSweepsCompleted].Add(1)
-	s.recordLatency(start)
-	if storeKey != "" {
-		s.storeSweep(storeKey, resp)
-	}
-	_ = emit(&sweepLine{
+	return resp, &sweepLine{
 		Type:            "done",
 		Points:          resp.Points,
 		TotalOps:        resp.Ops,
 		TotalPrefixHits: resp.PrefixHits,
 		TotalElapsedMS:  resp.ElapsedMS,
-	})
+	}
 }

@@ -8,148 +8,39 @@ package serve
 // tqsimd that additionally accepts leases, so it can also be probed,
 // queried for stats, and even used directly while serving a pool.
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"net/http"
-)
+import "net/http"
 
-// handleShard executes one leased batch range and returns the per-batch
-// histograms. Capacity problems answer 503 (busy) or 413 (the job can
-// never fit this worker) — the coordinator re-leases elsewhere; both are
-// planner-arithmetic rejections, mirroring direct job admission.
+// handleShard executes one leased unit range — job batches or sweep points
+// — and returns the per-unit histograms. The worker re-plans the wire
+// request: planning and grid expansion are deterministic in the (pinned)
+// request, so coordinator and worker always agree on the units, their seeds
+// and each one's resolved engine. Capacity problems answer 503 (busy) or
+// 413 (the work can never fit this worker) and the coordinator re-leases
+// elsewhere; r.Context() threads its cancellation into the executor, so
+// when it abandons the lease the in-flight trajectory work here stops too.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.WorkerMode {
 		writeError(w, http.StatusNotFound, "not a worker: start tqsimd with -worker to accept shard leases")
 		return
 	}
-	if s.Draining() {
-		s.rejectDraining(w)
-		return
-	}
-	var sr ShardRequest
-	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad shard body: "+err.Error())
-		return
-	}
-	if sr.Sweep != nil {
-		s.handleSweepShard(w, r, &sr)
-		return
-	}
-	sr.Job.Stream = false
-	j, herr := s.prepare(&sr.Job)
-	if herr != nil {
-		s.stats[statFailed].Add(1)
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	if n := j.numBatches(); sr.From < 0 || sr.To > n || sr.From >= sr.To {
-		s.stats[statFailed].Add(1)
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("lease [%d,%d) outside the job's %d batches", sr.From, sr.To, n))
-		return
-	}
-	if err := s.acquire(r.Context()); err != nil {
-		if errors.Is(err, errQueueFull) {
-			// 503, not the job endpoint's 429: the caller is a coordinator and
-			// should re-lease the range to another worker, not bounce a client.
-			s.stats[statQueueFull].Add(1)
-			writeError(w, http.StatusServiceUnavailable, "worker at capacity; re-lease elsewhere")
-		} else {
-			// The coordinator abandoned the lease while it was queued here.
-			s.stats[statCanceled].Add(1)
+	s.serve(w, r, func() (*submission, *httpError) {
+		var sr ShardRequest
+		if herr := decodeBody(w, r, &sr); herr != nil {
+			return nil, herr
 		}
-		return
-	}
-	defer s.release()
-	if herr := s.reserveMemory(j.estPeak); herr != nil {
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	defer s.releaseMemory(j.estPeak)
-
-	// r.Context() threads coordinator cancellation into the executor: when
-	// the coordinator abandons the lease (client disconnect, job abort),
-	// the in-flight trajectory work here stops too.
-	resp := &ShardResponse{}
-	_, _, backend, structure, herr := s.runBatches(r.Context(), j, sr.From, sr.To, func(br *batchResult) error {
-		resp.Batches = append(resp.Batches, ShardBatch{
-			Batch:     br.index,
-			Seed:      br.seed,
-			Outcomes:  br.outcomes,
-			Counts:    countsJSON(br.counts),
-			Backend:   br.backend,
-			Structure: br.structure,
-		})
-		return nil
+		var wk work
+		var herr *httpError
+		if sr.Sweep != nil {
+			wk, herr = s.preparedSweepForLease(sr.Sweep)
+		} else {
+			wk, herr = s.prepare(&sr.Job)
+		}
+		if herr != nil {
+			return nil, herr
+		}
+		if n := wk.units(); sr.From < 0 || sr.To > n || sr.From >= sr.To {
+			return nil, errf(http.StatusBadRequest, "lease [%d,%d) outside the work's %d units", sr.From, sr.To, n)
+		}
+		return &submission{work: wk, shape: shapeLease, from: sr.From, to: sr.To}, nil
 	})
-	if herr != nil {
-		s.countJobError(r.Context(), herr)
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	resp.Backend, resp.Structure = backend, structure
-	resp.Checksum = ShardChecksum(resp.Batches)
-	s.stats[statCompleted].Add(1)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleSweepShard executes one leased range of sweep points. The worker
-// re-prepares the wire spec — expansion and planning are deterministic in
-// the (pinned) spec, so coordinator and worker always agree on the grid,
-// the per-point seeds, and each point's resolved engine; the per-point
-// histograms it returns are byte-identical to the coordinator running the
-// same points itself.
-func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request, sr *ShardRequest) {
-	sj, herr := s.preparedSweepForLease(sr.Sweep)
-	if herr != nil {
-		s.stats[statFailed].Add(1)
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	if n := sj.prep.NumPoints(); sr.From < 0 || sr.To > n || sr.From >= sr.To {
-		s.stats[statFailed].Add(1)
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("lease [%d,%d) outside the sweep's %d points", sr.From, sr.To, n))
-		return
-	}
-	if err := s.acquire(r.Context()); err != nil {
-		if errors.Is(err, errQueueFull) {
-			s.stats[statQueueFull].Add(1)
-			writeError(w, http.StatusServiceUnavailable, "worker at capacity; re-lease elsewhere")
-		} else {
-			s.stats[statCanceled].Add(1)
-		}
-		return
-	}
-	defer s.release()
-	if herr := s.reserveMemory(sj.estPeak); herr != nil {
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	defer s.releaseMemory(sj.estPeak)
-
-	resp := &ShardResponse{}
-	if herr := s.runSweepRange(r.Context(), sj, sr.From, sr.To, func(sb *ShardBatch) *httpError {
-		resp.Batches = append(resp.Batches, *sb)
-		resp.Backend, resp.Structure = sb.Backend, sb.Structure
-		s.stats[statSweepPoints].Add(1)
-		return nil
-	}); herr != nil {
-		s.countJobError(r.Context(), herr)
-		writeError(w, herr.status, herr.msg)
-		return
-	}
-	resp.Checksum = ShardChecksum(resp.Batches)
-	s.stats[statCompleted].Add(1)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleWorkerInfo serves the capacity advertisement; coordinators poll it
-// as the health check and placement input. The same payload rides inside
-// WorkerAnnounce heartbeats.
-func (s *Server) handleWorkerInfo(w http.ResponseWriter, r *http.Request) {
-	drainRequest(r)
-	writeJSON(w, http.StatusOK, s.workerInfo())
 }

@@ -276,6 +276,27 @@ type Spec struct {
 	ClusterNodes      int     `json:"cluster_nodes,omitempty"`
 }
 
+// GridSize returns how many points the spec's axes expand to — circuits ×
+// noise × shots × partitions × repeats, with the same axis defaults Prepare
+// applies — without resolving a circuit or planning anything, so a server
+// can reject an oversized grid before paying for it. The product saturates
+// at MaxPoints+1: hostile axis lengths cannot overflow it.
+func (s *Spec) GridSize() int {
+	partitions := len(s.Partitions)
+	if s.mode() == "baseline" {
+		partitions = 1
+	}
+	total := 1
+	for _, axis := range []int{len(s.Circuits), len(s.Noise), len(s.Shots), partitions, s.Repeats} {
+		axis = max(axis, 1)
+		if axis > MaxPoints || total*axis > MaxPoints {
+			return MaxPoints + 1
+		}
+		total *= axis
+	}
+	return total
+}
+
 func (s *Spec) dcpOptions() partition.DCPOptions {
 	return partition.DCPOptions{
 		CopyCost:          s.CopyCost,
@@ -516,9 +537,8 @@ func Prepare(spec *Spec) (*Prepared, error) {
 		return nil, err
 	}
 
-	total := len(circuits) * len(s.Noise) * len(s.Shots) * len(s.Partitions) * s.Repeats
-	if total > MaxPoints {
-		return nil, fmt.Errorf("sweep: grid expands to %d points, above the %d cap", total, MaxPoints)
+	if s.GridSize() > MaxPoints {
+		return nil, fmt.Errorf("sweep: grid expands to more than the %d-point cap", MaxPoints)
 	}
 
 	p := &Prepared{

@@ -31,6 +31,14 @@ func TestExpansionOrderAndSeeds(t *testing.T) {
 	if prep.NumPoints() != 8 {
 		t.Fatalf("expanded %d points, want 2 noise × 2 shots × 2 reps = 8", prep.NumPoints())
 	}
+	if got := validSpec().GridSize(); got != 8 {
+		t.Errorf("GridSize() = %d before planning, want the expanded 8", got)
+	}
+	huge := validSpec()
+	huge.Repeats = 1 << 62 // the axis product would overflow int
+	if got := huge.GridSize(); got != MaxPoints+1 {
+		t.Errorf("GridSize() = %d for an overflowing grid, want saturation at MaxPoints+1", got)
+	}
 	// Row-major: noise outermost (single circuit), repeats innermost.
 	want := []struct {
 		noise string
@@ -120,8 +128,8 @@ func TestPlanDedupeBookkeeping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bp.NumPoints() != 8 {
-		t.Errorf("baseline sweep expanded %d points, want 8 (partitions collapsed)", bp.NumPoints())
+	if bp.NumPoints() != 8 || b.GridSize() != 8 {
+		t.Errorf("baseline sweep expanded %d points (GridSize %d), want 8 (partitions collapsed)", bp.NumPoints(), b.GridSize())
 	}
 	for i := 0; i < bp.NumPoints(); i++ {
 		if got := bp.Point(i).Partition.Label(); got != "DCP" {

@@ -96,7 +96,7 @@ func sweepRunner(ctx context.Context, req *sweep.RunRequest) (*sweep.RunOutput, 
 	if req.Observable != nil {
 		return runSweepExpectation(ctx, req, opt)
 	}
-	res, err := runPlanPrefixed(ctx, req.Plan, req.Noise, opt, req.Prefix)
+	res, err := RunPlanPrefixed(ctx, req.Plan, req.Noise, opt, req.Prefix)
 	if err != nil {
 		return nil, err
 	}

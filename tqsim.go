@@ -380,7 +380,7 @@ func RunPlan(p *Plan, m *NoiseModel, opt Options) (*TreeResult, error) {
 // for a fixed chosen backend the histogram remains a pure function of
 // (circuit, noise, shots, seed).
 func RunPlanContext(ctx context.Context, p *Plan, m *NoiseModel, opt Options) (*TreeResult, error) {
-	return runPlanPrefixed(ctx, p, m, opt, nil)
+	return RunPlanPrefixed(ctx, p, m, opt, nil)
 }
 
 // RunPlanPrefixed is RunPlanContext with an optional shared ideal-prefix
@@ -393,27 +393,6 @@ func RunPlanContext(ctx context.Context, p *Plan, m *NoiseModel, opt Options) (*
 // noise, where a no-fire segment's state is bitwise the cached boundary
 // state.
 func RunPlanPrefixed(ctx context.Context, p *Plan, m *NoiseModel, opt Options, prefix *PrefixSnapshots) (*TreeResult, error) {
-	return runPlanPrefixed(ctx, p, m, opt, prefix)
-}
-
-// NewSnapshotCache returns a SnapshotCache holding at most maxBytes of
-// boundary states (LRU-evicted beyond it; maxBytes <= 0 is unbounded).
-// tqsimd constructs one per daemon (-snapshot-cache-mb) and threads it into
-// every eligible job and sweep.
-func NewSnapshotCache(maxBytes int64) *SnapshotCache {
-	return core.NewSnapshotCache(maxBytes)
-}
-
-// CircuitDigest returns the circuit's structural sha256 identity: width
-// plus the full gate list (kinds, operand qubits, parameter bits, explicit
-// matrix bytes). Total where QASM serialization is not (raw unitaries have
-// no QASM 2.0 form), and collision-resistant where a name/shape fallback is
-// not — the identity tqsimd keys its plan cache and result store by.
-func CircuitDigest(c *Circuit) string { return c.Digest() }
-
-// runPlanPrefixed is RunPlanPrefixed's internal form (kept separate so the
-// facade's own callers read uniformly).
-func runPlanPrefixed(ctx context.Context, p *Plan, m *NoiseModel, opt Options, prefix *core.PrefixSnapshots) (*TreeResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -448,6 +427,21 @@ func runPlanPrefixed(ctx context.Context, p *Plan, m *NoiseModel, opt Options, p
 	}
 	return ex.Run(p)
 }
+
+// NewSnapshotCache returns a SnapshotCache holding at most maxBytes of
+// boundary states (LRU-evicted beyond it; maxBytes <= 0 is unbounded).
+// tqsimd constructs one per daemon (-snapshot-cache-mb) and threads it into
+// every eligible job and sweep.
+func NewSnapshotCache(maxBytes int64) *SnapshotCache {
+	return core.NewSnapshotCache(maxBytes)
+}
+
+// CircuitDigest returns the circuit's structural sha256 identity: width
+// plus the full gate list (kinds, operand qubits, parameter bits, explicit
+// matrix bytes). Total where QASM serialization is not (raw unitaries have
+// no QASM 2.0 form), and collision-resistant where a name/shape fallback is
+// not — the identity tqsimd keys its plan cache and result store by.
+func CircuitDigest(c *Circuit) string { return c.Digest() }
 
 // denseWidthCheck fails with a diagnosis when a circuit is about to reach
 // the dense executor at a width it cannot allocate — instead of letting
