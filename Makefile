@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race fuzz-smoke bench-kernels bench-sweep bench bench-trajectory bench-compare ci docs-check
+.PHONY: build vet lint test race fuzz-smoke bench-kernels bench-sweep bench benchmark ci docs-check
 
 build:
 	$(GO) build ./...
@@ -55,21 +55,10 @@ bench-sweep:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
-# Performance trajectory: measure kernels, sweep reuse, serve quantiles
-# and the saturation knee; write BENCH_$(PR).json and gate against the
-# highest-numbered committed BENCH_*.json with noise-tolerant thresholds
-# (exit 1 on regression). Bump PR per stacked change: make bench-trajectory PR=9
-PR ?= 10
-bench-trajectory:
-	$(GO) run ./cmd/benchreport -pr $(PR) -check -against auto
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): five
+# workloads, end-to-end metrics and output checks on every run. Exits
+# non-zero when a check fails; it measures, it does not gate on speed.
+benchmark:
+	bash benchmark/run.sh -seed 1
 
-# Benchstat-style before/after table of two committed trajectory points
-# (per-kernel amps/s ratios plus the sweep/serve/knee metrics). Defaults to
-# the two highest-numbered BENCH_*.json: make bench-compare, or
-# make bench-compare A=BENCH_5.json B=BENCH_9.json
-A ?= $(shell ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -2 | head -1)
-B ?= $(shell ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)
-bench-compare:
-	$(GO) run ./cmd/benchreport -diff $(A) $(B)
-
-ci: build vet lint race fuzz-smoke bench-sweep bench-trajectory docs-check
+ci: build vet lint race fuzz-smoke bench-sweep benchmark docs-check

@@ -156,7 +156,7 @@ func BenchmarkFig12_FusionBackend(b *testing.B) {
 	var last *Comparison
 	for i := 0; i < b.N; i++ {
 		opt := benchOptions(uint64(i))
-		opt.UseFusionBackend = true
+		opt.Backend = "fusion"
 		cmp, err := Compare(c, m, 600, opt)
 		if err != nil {
 			b.Fatal(err)
@@ -430,12 +430,12 @@ func BenchmarkKernels(b *testing.B) {
 // --- Kernel microbenchmarks (BenchmarkKernels_*) ---
 //
 // Raw per-gate-class kernel throughput, reported as amps/s (amplitudes
-// visited per second, dim * iterations / elapsed). These are the numbers the
-// BENCH_*.json trajectory tracks for the state-vector hot path: every
-// tree-run speedup figure bottoms out here. Widths cover the sub-threshold
-// serial regime (q10), the parallel regime (q20), and a cache-pressure
-// point (q22, 64 MiB state). Qubit positions cover both the low-target
-// contiguous-run path and the high-target strided path.
+// visited per second, dim * iterations / elapsed). Every tree-run speedup
+// figure bottoms out here (the benchmark/ statevec probes report the same
+// kernels per run). Widths cover the sub-threshold serial regime (q10), the
+// parallel regime (q20), and a cache-pressure point (q22, 64 MiB state).
+// Qubit positions cover both low targets (strided progressions over tiles)
+// and high targets (contiguous runs).
 
 // benchKernel times g applied repeatedly to a w-qubit state.
 func benchKernel(b *testing.B, w int, g gate.Gate) {

@@ -69,7 +69,7 @@ func runSuiteComparison(cfg config, backend bool, row func(class string, cmp *tq
 	opt := expOptions(cfg)
 	if backend {
 		// fig12 studies the fusion engine specifically; it overrides any
-		// -backend selection (Options.Backend wins over UseFusionBackend).
+		// -backend selection.
 		opt.Backend = "fusion"
 	}
 	for _, b := range tqsim.BenchmarkSuite(maxQ) {
@@ -247,7 +247,7 @@ func runFig16(cfg config) {
 		counting, c.Len(), dcPlan.Structure(), shots, reps)
 	fmt.Printf("%-6s %10s %10s %9s\n", "Model", "BaseFid", "TQSimFid", "Diff")
 	for _, name := range []string{"DC", "DCR", "TR", "TRR", "AD", "ADR", "PD", "PDR", "ALL"} {
-		m := tqsim.NoiseByName(name)
+		m := mustNoise(name)
 		var baseFs, tqFs []float64
 		for rep := 0; rep < reps; rep++ {
 			seed := tqsim.SweepSeed(cfg.seed, 977+2*rep)

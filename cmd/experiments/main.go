@@ -129,3 +129,15 @@ func usage() {
 	}
 	fmt.Fprintln(os.Stderr, "  all      every experiment")
 }
+
+// mustNoise resolves a noise-model name from an experiment table; a name
+// outside the vocabulary stops the run instead of simulating the ideal
+// circuit under the wrong label.
+func mustNoise(name string) *tqsim.NoiseModel {
+	m, err := tqsim.LookupNoise(name)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
+	return m
+}

@@ -35,7 +35,7 @@ func runPlanner(cfg config) {
 	fmt.Printf("%-18s %2s %-6s %-10s %-24s %s\n",
 		"circuit", "n", "noise", "clifford", "decision", "why")
 	for _, c := range cells {
-		m := tqsim.NoiseByName(c.noise)
+		m := mustNoise(c.noise)
 		opt := tqsim.Options{Seed: cfg.seed, CopyCost: 20}
 		d, err := tqsim.Explain(c.circuit, m, shots, opt)
 		cliff := "—"

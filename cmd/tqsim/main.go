@@ -51,7 +51,6 @@ func main() {
 		backendName = flag.String("backend", "", "execution engine: auto, "+strings.Join(tqsim.Backends(), ", ")+" (default: auto for tqsim/compare, statevec for baseline)")
 		explain     = flag.Bool("explain", false, "print the planner's engine decision (chosen + rejected candidates) before running")
 		nodes       = flag.Int("nodes", 0, "cluster backend shard count (power of two; 0 = default)")
-		fusionFlag  = flag.Bool("fusion", false, "use the gate-fusion backend (deprecated: -backend fusion)")
 		topK        = flag.Int("top", 8, "top outcomes to print")
 		list        = flag.Bool("list", false, "list the benchmark suite and exit")
 		sweepPath   = flag.String("sweep", "", "run a parameter/noise sweep from a JSON spec file (tqsim.SweepSpec)")
@@ -76,13 +75,15 @@ func main() {
 		fatal(fmt.Errorf("unknown backend %q (have auto, %s)",
 			*backendName, strings.Join(tqsim.Backends(), ", ")))
 	}
-	model := tqsim.NoiseByName(*noiseName)
+	model, err := tqsim.LookupNoise(*noiseName)
+	if err != nil {
+		fatal(err)
+	}
 	opt := tqsim.Options{
-		Seed:             *seed,
-		CopyCost:         *copyCost,
-		Backend:          *backendName,
-		ClusterNodes:     *nodes,
-		UseFusionBackend: *fusionFlag,
+		Seed:         *seed,
+		CopyCost:     *copyCost,
+		Backend:      *backendName,
+		ClusterNodes: *nodes,
 	}
 	if opt.CopyCost == 0 {
 		opt.CopyCost = tqsim.ProfileCopyCost(min(c.NumQubits, 14), 200)

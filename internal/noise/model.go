@@ -359,12 +359,34 @@ func Combine(name string, models ...*Model) *Model {
 	return out
 }
 
-// ByName constructs one of the paper's nine Figure-16 model variants:
-// DC, DCR, TR, TRR, AD, ADR, PD, PDR, ALL (case-insensitive).
-func ByName(name string) *Model {
-	base := strings.ToUpper(strings.TrimSpace(name))
-	readout := false
-	if base == "ALL" {
+// Lookup resolves a model name: the paper's nine Figure-16 variants DC, DCR,
+// TR, TRR, AD, ADR, PD, PDR and ALL, or ideal/none/"" for no noise (a nil
+// model). Names are matched case-insensitively; the returned model's Name is
+// the canonical spelling ("ideal" for nil), which is what cache and store
+// keys should carry. ok is false for any other name — this is the one
+// vocabulary every entry point (tqsim, experiments, tqsimd jobs and sweeps)
+// accepts.
+func Lookup(name string) (m *Model, ok bool) {
+	switch strings.ToUpper(strings.TrimSpace(name)) {
+	case "", "IDEAL", "NONE":
+		return nil, true
+	case "DC":
+		return NewSycamore(), true
+	case "DCR":
+		return NewSycamore().WithReadout(DefaultReadoutError), true
+	case "TR":
+		return NewThermalRelaxation(DefaultT1, DefaultT2, DefaultGateTime), true
+	case "TRR":
+		return NewThermalRelaxation(DefaultT1, DefaultT2, DefaultGateTime).WithReadout(DefaultReadoutError), true
+	case "AD":
+		return NewAmplitudeDamping(DefaultDampingRatio), true
+	case "ADR":
+		return NewAmplitudeDamping(DefaultDampingRatio).WithReadout(DefaultReadoutError), true
+	case "PD":
+		return NewPhaseDamping(DefaultDampingRatio), true
+	case "PDR":
+		return NewPhaseDamping(DefaultDampingRatio).WithReadout(DefaultReadoutError), true
+	case "ALL":
 		all := Combine("ALL",
 			NewSycamore(),
 			NewThermalRelaxation(DefaultT1, DefaultT2, DefaultGateTime),
@@ -372,31 +394,15 @@ func ByName(name string) *Model {
 			NewPhaseDamping(DefaultDampingRatio),
 		)
 		all.Readout = &Readout{P01: DefaultReadoutError, P10: DefaultReadoutError}
-		return all
+		return all, true
 	}
-	if strings.HasSuffix(base, "R") && base != "TR" {
-		readout = true
-		base = strings.TrimSuffix(base, "R")
-	}
-	// "TRR" arrives here as "TR" with readout=true; plain "TR" skipped above.
-	var m *Model
-	switch base {
-	case "DC":
-		m = NewSycamore()
-	case "TR":
-		m = NewThermalRelaxation(DefaultT1, DefaultT2, DefaultGateTime)
-	case "AD":
-		m = NewAmplitudeDamping(DefaultDampingRatio)
-	case "PD":
-		m = NewPhaseDamping(DefaultDampingRatio)
-	case "IDEAL", "NONE", "":
-		return nil
-	default:
-		return nil
-	}
-	if readout {
-		m = m.WithReadout(DefaultReadoutError)
-	}
+	return nil, false
+}
+
+// ByName is Lookup for callers that have already validated the name: an
+// unknown name returns nil, indistinguishable from ideal.
+func ByName(name string) *Model {
+	m, _ := Lookup(name)
 	return m
 }
 

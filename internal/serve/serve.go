@@ -468,8 +468,8 @@ type JobRequest struct {
 	QASM string `json:"qasm,omitempty"`
 	// Circuit names a benchmark-suite circuit (e.g. "qft_n12") instead.
 	Circuit string `json:"circuit,omitempty"`
-	// Noise names the model: DC (default), DCR, TR, TRR, AD, ADR, PD, PDR,
-	// ALL, or "ideal".
+	// Noise names the model, case-insensitively: DC (default), DCR, TR,
+	// TRR, AD, ADR, PD, PDR, ALL, or ideal/none (noise.Lookup's vocabulary).
 	Noise string `json:"noise,omitempty"`
 	// Shots is the requested sample count (required, positive).
 	Shots int `json:"shots"`
@@ -570,11 +570,6 @@ type batchLine struct {
 	Error     string         `json:"error,omitempty"`
 }
 
-var knownNoise = map[string]bool{
-	"": true, "ideal": true, "DC": true, "DCR": true, "TR": true, "TRR": true,
-	"AD": true, "ADR": true, "PD": true, "PDR": true, "ALL": true,
-}
-
 // job is a validated, planned request ready to execute.
 type job struct {
 	circuit *tqsim.Circuit
@@ -654,9 +649,17 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 		return nil, errf(http.StatusRequestEntityTooLarge,
 			"shots %d exceeds the server limit %d", req.Shots, s.cfg.MaxShots)
 	}
-	if !knownNoise[req.Noise] {
-		return nil, errf(http.StatusBadRequest, "unknown noise model %q", req.Noise)
+	noiseName := req.Noise
+	if noiseName == "" {
+		noiseName = "DC"
 	}
+	m, err := tqsim.LookupNoise(noiseName) // nil for "ideal"
+	if err != nil {
+		return nil, errf(http.StatusBadRequest, "%v", err)
+	}
+	// The canonical spelling, not the client's, goes into the wire request
+	// and with it into plan, store and lease keys: "dc" and "DC" are one job.
+	noiseName = m.Name()
 	mode := req.Mode
 	if mode == "" {
 		mode = "tqsim"
@@ -674,7 +677,6 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 	}
 
 	var c *tqsim.Circuit
-	var err error
 	if req.QASM != "" {
 		c, err = tqsim.ParseQASM("job", req.QASM)
 		if err != nil {
@@ -683,12 +685,6 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 	} else if c = tqsim.BenchmarkByName(req.Circuit); c == nil {
 		return nil, errf(http.StatusBadRequest, "unknown suite circuit %q", req.Circuit)
 	}
-
-	noiseName := req.Noise
-	if noiseName == "" {
-		noiseName = "DC"
-	}
-	m := tqsim.NoiseByName(noiseName) // nil for "ideal"
 
 	j := &job{
 		circuit:    c,

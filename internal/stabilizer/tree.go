@@ -9,6 +9,7 @@
 package stabilizer
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -28,7 +29,21 @@ const MaxTreeQubits = 64
 // circuit must be Clifford-only and the model ideal or purely depolarizing
 // (plus optional readout flips); anything else returns an error — callers
 // fall back to the dense executor with the hybrid Backend adapter.
+//
+// This walker is a second implementation of core.Executor's tree walk and is
+// kept on purpose: the dense executor allocates one state vector per level,
+// so it cannot run the 30–64-qubit widths this one exists for. What the two
+// share is what must not diverge: core.SubtreeSpan's node numbering, the
+// noise model's channel sampling, and the cancellation rule.
 func RunTree(plan *partition.Plan, m *noise.Model, seed uint64, parallelism int) (*core.Result, error) {
+	return RunTreeContext(context.Background(), plan, m, seed, parallelism)
+}
+
+// RunTreeContext is RunTree with the dense executor's cancellation rule:
+// every worker checks ctx once per tree node (a flat plan is one node per
+// shot, so a multi-million-shot job stops promptly), and a cancelled run
+// returns ctx.Err() and no result — never a partial histogram.
+func RunTreeContext(ctx context.Context, plan *partition.Plan, m *noise.Model, seed uint64, parallelism int) (*core.Result, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
@@ -113,6 +128,9 @@ func RunTree(plan *partition.Plan, m *noise.Model, seed uint64, parallelism int)
 				gates := subs[level].Gates
 				blockLen := core.SubtreeSpan(plan.Arities, level)
 				for child := 0; child < arity; child++ {
+					if ctx.Err() != nil {
+						return
+					}
 					seq := seqBase + uint64(child)*blockLen
 					t := levelTab[level]
 					t.CopyFrom(parent)
@@ -130,6 +148,9 @@ func RunTree(plan *partition.Plan, m *noise.Model, seed uint64, parallelism int)
 			arity0 := plan.Arities[0]
 			gates0 := subs[0].Gates
 			for child := w; child < arity0; child += workers {
+				if ctx.Err() != nil {
+					return
+				}
 				seq := 1 + uint64(child)*subtreeNodes
 				t := levelTab[0]
 				t.CopyFrom(root)
@@ -146,6 +167,9 @@ func RunTree(plan *partition.Plan, m *noise.Model, seed uint64, parallelism int)
 		}(w)
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	for i := range shards {
 		for k, v := range shards[i].counts {
 			res.Counts[k] += v

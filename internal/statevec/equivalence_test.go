@@ -83,13 +83,7 @@ func checkGate(t *testing.T, st *State, g gate.Gate) {
 	want := naiveApply(st.Amplitudes(), g.Qubits, g.Matrix())
 	got := st.Clone()
 	got.Apply(g)
-	for i, w := range want {
-		d := got.Amplitude(uint64(i)) - w
-		if real(d)*real(d)+imag(d)*imag(d) > equivTol*equivTol {
-			t.Fatalf("%v on %d qubits: amplitude %d: got %v want %v",
-				g, st.NumQubits(), i, got.Amplitude(uint64(i)), w)
-		}
-	}
+	compareAmps(t, got, want, "%v on %d qubits", g, st.NumQubits())
 }
 
 // TestKernelEquivalence exercises every gate kind at randomized positions on

@@ -1,21 +1,34 @@
 // Package statevec implements the Schrödinger-style state-vector engine the
-// whole simulator runs on: 2^n amplitudes, in-place gate kernels with fast
-// paths for the common gates, goroutine-parallel application for large
-// registers, outcome sampling, and the inner-product machinery the fidelity
-// metrics need.
+// whole simulator runs on: 2^n amplitudes, in-place gate kernels,
+// goroutine-parallel application for large registers, outcome sampling, and
+// the inner-product machinery the fidelity metrics need.
 //
 // Memory layout: amplitudes are stored structure-of-arrays — two parallel
 // []float64 planes (re, im) carved from one allocation — rather than
 // []complex128. The split planes turn every kernel inner loop into
 // independent float64 stream operations (unit-stride loads/multiplies/adds
-// with no interleaved real/imag shuffling), which is what lets the 4-wide
-// unrolled loops below keep the FPU pipeline full, and lets gates with real
-// matrices (H, RY, X-rotations' real parts, fused real products) skip the
-// imaginary half of the arithmetic entirely. Numerics are pinned: each SoA
-// kernel evaluates the same products in the same summation order as the
-// complex128 code it replaced, so results are bit-identical up to the sign
-// of zeros (real fast paths drop exact-zero terms, which can flip -0 to +0;
-// probabilities, norms and histograms are unaffected).
+// with no interleaved real/imag shuffling), and let gates with real matrices
+// (H, RY, fused real products) skip the imaginary half of the arithmetic
+// entirely.
+//
+// Kernels: every gate kind is written against one enumerator, forStreams. A
+// k-qubit gate acts on groups of 2^k amplitudes whose base index has the
+// gate bits clear; forStreams validates the qubits, decides serial versus
+// pooled execution, and hands the kernel arithmetic progressions of bases —
+// contiguous runs when the lowest gate qubit is high enough, strided
+// progressions over small cache-blocked tiles otherwise. The kernel itself
+// is its masks plus calls into a few stream primitives (mixReal, mixCplx,
+// scale, scaleReal, swapStreams, mix4Real, mix4Cplx, mix8). ApplyPhaseRun
+// (a subset-product table walked with the index) and Prob1 (a reduction)
+// are different algorithms and keep their own loops.
+//
+// Numerics are pinned: each primitive evaluates complex products term by
+// term and sums rows left to right in one fixed association, whatever the
+// qubit positions, stride or worker split, so amplitudes are bit-identical
+// from run to run and release to release (internal/core's golden digests
+// hold them). Real fast paths drop exact-zero terms, which can turn -0 into
+// +0 relative to the complex formula; probabilities, norms and histograms
+// are unaffected.
 //
 // Convention: basis index bit i is qubit i (little-endian). For a multi-qubit
 // gate, the first entry of Gate.Qubits is the least significant bit of the
@@ -396,536 +409,339 @@ func (s *State) SampleMany(k int, r *rng.RNG) []uint64 {
 	return out
 }
 
-// minRunLen is the shortest contiguous run worth iterating via subslices;
-// below it the per-run slicing overhead exceeds the per-index bit-expansion
-// it replaces, so kernels fall back to index arithmetic.
-const minRunLen = 8
+// The gate kernels (see the package comment): forStreams hands a kernel's
+// body arithmetic progressions of bases (base, base+stride, ...,
+// base+(n-1)*stride), and the body adds its gate masks and calls the stream
+// primitives. mixReal, mixCplx, scale, scaleReal and swapStreams each have
+// one slice loop for stride 1 and one indexed loop otherwise; the 4x4 and
+// 8x8 mixes gather and scatter by index at any stride.
 
-// Apply1Q applies the 2x2 matrix m to qubit t.
-func (s *State) Apply1Q(t int, m qmath.Matrix) {
-	if m.N != 2 {
-		panic("statevec: Apply1Q needs a 2x2 matrix")
-	}
-	s.apply1q(t, m.Data[0], m.Data[1], m.Data[2], m.Data[3])
+const (
+	// minRunBits: a progression should be able to run for 2^minRunBits
+	// bases before a gate qubit interrupts it. A gate whose lowest qubit is
+	// at least this high gets contiguous runs (stride 1). Otherwise the
+	// gate qubits below a long enough stretch of free index bits are
+	// absorbed into tiles, and a progression steps from tile to tile.
+	minRunBits = 4
+	// blockAmps bounds the span of a strided progression so that the passes
+	// over one stretch of tiles (one per setting of the tiles' free bits)
+	// find its cache lines still in L1.
+	blockAmps = 1 << 10
+)
+
+// streamPlan is the base-index layout of one gate application. It stays a
+// small by-value struct so that building one per gate allocates nothing.
+type streamPlan struct {
+	groups    int    // 2^(n-k) bases: the length of the parallel loop
+	runTiles  int    // consecutive tiles between interruptions by a gate qubit
+	maxTiles  int    // longest progression handed to the body
+	tileShift uint8  // log2 amplitudes per tile; 0 when runs are contiguous
+	freeBits  uint8  // log2 bases per tile
+	k, nLow   uint8  // gate qubits, and how many of them lie inside a tile
+	pos       [3]int // the gate qubits, ascending
 }
 
-// ApplyDiag1Q applies the diagonal matrix diag(d0, d1) to qubit t through
-// the subspace-only kernel. Noise channels use it to apply phase flips,
-// projectors, and damping no-jump operators without building a matrix.
-func (s *State) ApplyDiag1Q(t int, d0, d1 complex128) {
-	if t < 0 || t >= s.n {
-		panic(fmt.Sprintf("statevec: qubit %d out of range", t))
+// checkQubit panics unless q names a qubit of the register.
+func (s *State) checkQubit(q int) {
+	if q < 0 || q >= s.n {
+		panic(fmt.Sprintf("statevec: qubit %d out of range", q))
 	}
-	s.applyDiag1q(t, d0, d1)
 }
 
-// ApplyX applies Pauli-X to qubit t through the swap fast path.
-func (s *State) ApplyX(t int) {
-	if t < 0 || t >= s.n {
-		panic(fmt.Sprintf("statevec: qubit %d out of range", t))
+// planStreams validates the gate qubits (in range, distinct, at most three)
+// and lays out their bases.
+func (s *State) planStreams(qubits []int) streamPlan {
+	k := len(qubits)
+	p := streamPlan{groups: len(s.re) >> uint(k), maxTiles: len(s.re), k: uint8(k)}
+	if k < 1 || k > len(p.pos) {
+		panic(fmt.Sprintf("statevec: unsupported arity %d", k))
 	}
-	s.applyX(t)
+	for i, q := range qubits {
+		s.checkQubit(q)
+		j := i
+		for ; j > 0 && p.pos[j-1] > q; j-- {
+			p.pos[j] = p.pos[j-1]
+		}
+		if j > 0 && p.pos[j-1] == q {
+			panic(fmt.Sprintf("statevec: qubit %d repeated", q))
+		}
+		p.pos[j] = q
+	}
+	// Progressions run along the lowest stretch of at least minRunBits free
+	// index bits, or the longest stretch if none is that long; everything
+	// below the stretch is the tile.
+	longest := -1
+	for i, from := 0, 0; i <= k && longest < minRunBits; i++ {
+		to := s.n
+		if i < k {
+			to = p.pos[i]
+		}
+		if to-from > longest {
+			longest, p.tileShift, p.nLow = to-from, uint8(from), uint8(i)
+		}
+		from = to + 1
+	}
+	p.freeBits = p.tileShift - p.nLow
+	p.runTiles = 1 << uint(longest)
+	if p.tileShift > 0 {
+		p.maxTiles = max(1, blockAmps>>p.tileShift)
+	}
+	return p
 }
 
-// ApplyCPhase multiplies amplitudes with both the qubit-a and qubit-b bits
-// set by phase — the CZ/CP fast path, exported for the fusion backend's
-// single-gate flushes.
-func (s *State) ApplyCPhase(a, b int, phase complex128) {
-	if a == b || a < 0 || b < 0 || a >= s.n || b >= s.n {
-		panic(fmt.Sprintf("statevec: bad qubit pair (%d,%d)", a, b))
+// run hands the body every base of groups [start, end). Parallel chunks cut
+// the group range anywhere; a tile belongs to the chunk its first group
+// falls in, so chunks still partition the tiles.
+func (p streamPlan) run(start, end int, body func(base, n, stride int)) {
+	perTile, stride := 1<<p.freeBits, 1<<p.tileShift
+	first, last := (start+perTile-1)>>p.freeBits, (end+perTile-1)>>p.freeBits
+	low, high := p.pos[:p.nLow], p.pos[p.nLow:p.k]
+	for t := first; t < last; {
+		n := min(p.runTiles-t&(p.runTiles-1), last-t, p.maxTiles)
+		base := insertZeroBits(t<<p.tileShift, high)
+		body(base, n, stride)
+		for f := 1; f < perTile; f++ {
+			body(base|insertZeroBits(f, low), n, stride)
+		}
+		t += n
 	}
-	s.applyCPhase(a, b, phase)
 }
 
-// apply1q visits the dim/2 (i0, i0|2^t) amplitude pairs in ascending order.
-// Low targets iterate contiguous adjacent pairs; high targets iterate runs
-// of 2^t consecutive amplitudes per subslice pair. Matrices with no
-// imaginary part (H, RY, fused real products) dispatch to a real-plane
-// kernel that does half the arithmetic of the complex one.
-func (s *State) apply1q(t int, m00, m01, m10, m11 complex128) {
-	if t < 0 || t >= s.n {
-		panic(fmt.Sprintf("statevec: qubit %d out of range", t))
-	}
-	if imag(m00) == 0 && imag(m01) == 0 && imag(m10) == 0 && imag(m11) == 0 {
-		s.apply1qReal(t, real(m00), real(m01), real(m10), real(m11))
+// forStreams calls body with progressions that together visit every index
+// whose gate bits are clear exactly once. It owns the serial-or-pooled
+// decision for every gate kernel: below ParallelThreshold groups the caller
+// runs them all (and the per-gate cost is one closure, the body); above it
+// the pool's workers claim chunks of the group range. Bodies must be safe to
+// run concurrently on disjoint progressions.
+func (s *State) forStreams(body func(base, n, stride int), qubits ...int) {
+	p := s.planStreams(qubits)
+	if p.groups < ParallelThreshold {
+		p.run(0, p.groups, body)
 		return
 	}
-	s.apply1qCplx(t, m00, m01, m10, m11)
+	getPool().run(p.groups, func(_, start, end int) { p.run(start, end, body) })
 }
 
-// apply1qReal is the real-matrix 1q kernel: the re and im planes transform
-// independently (re' = M·re, im' = M·im), so each inner loop streams two
-// float64 arrays with four multiplies per element — half the flops of the
-// complex kernel, and the main lever behind the H-kernel throughput target.
-func (s *State) apply1qReal(t int, m00, m01, m10, m11 float64) {
-	mask := 1 << uint(t)
-	half := len(s.re) / 2
-	re, im := s.re, s.im
-	switch {
-	case t == 0:
-		parallelFor(half, func(start, end int) {
-			for i := 2 * start; i < 2*end; i += 2 {
-				a0, a1 := re[i], re[i+1]
-				re[i] = m00*a0 + m01*a1
-				re[i+1] = m10*a0 + m11*a1
-			}
-			for i := 2 * start; i < 2*end; i += 2 {
-				a0, a1 := im[i], im[i+1]
-				im[i] = m00*a0 + m01*a1
-				im[i+1] = m10*a0 + m11*a1
-			}
-		})
-	case mask < minRunLen:
-		parallelFor(half, func(start, end int) {
-			for i := start; i < end; i++ {
-				i0 := (i>>uint(t))<<uint(t+1) | i&(mask-1)
-				i1 := i0 | mask
-				a0, a1 := re[i0], re[i1]
-				re[i0] = m00*a0 + m01*a1
-				re[i1] = m10*a0 + m11*a1
-				b0, b1 := im[i0], im[i1]
-				im[i0] = m00*b0 + m01*b1
-				im[i1] = m10*b0 + m11*b1
-			}
-		})
-	default:
-		parallelFor(half, func(start, end int) {
-			for j := start; j < end; {
-				off := j & (mask - 1)
-				base := (j >> uint(t)) << uint(t+1)
-				run := mask - off
-				if run > end-j {
-					run = end - j
-				}
-				lo, hi := base+off, base+off+mask
-				mix1qRealRun(re[lo:lo+run], re[hi:hi+run], m00, m01, m10, m11)
-				mix1qRealRun(im[lo:lo+run], im[hi:hi+run], m00, m01, m10, m11)
-				j += run
-			}
-		})
+// insertZeroBits expands i by inserting zero bits at the (sorted ascending)
+// positions given, producing an index with those bits clear.
+func insertZeroBits(i int, sortedPositions []int) int {
+	for _, p := range sortedPositions {
+		i = (i>>uint(p))<<uint(p+1) | i&(1<<uint(p)-1)
+	}
+	return i
+}
+
+// mixReal applies the real 2x2 matrix to n amplitude pairs of one plane,
+// (p[i0], p[i1]) and onwards in steps of stride.
+func mixReal(p []float64, i0, i1, n, stride int, m00, m01, m10, m11 float64) {
+	if stride == 1 {
+		lo, hi := p[i0:i0+n], p[i1:i1+n]
+		hi = hi[:len(lo)]
+		for j := range lo {
+			a, b := lo[j], hi[j]
+			lo[j] = m00*a + m01*b
+			hi[j] = m10*a + m11*b
+		}
+		return
+	}
+	for ; n > 0; n-- {
+		a, b := p[i0], p[i1]
+		p[i0] = m00*a + m01*b
+		p[i1] = m10*a + m11*b
+		i0 += stride
+		i1 += stride
 	}
 }
 
-// mix1qRealRun applies a real 2x2 to one plane's (lo, hi) streams, 4-wide
-// unrolled and branch-free. Elements are independent, so unrolling does not
-// change floating-point results.
-func mix1qRealRun(lo, hi []float64, m00, m01, m10, m11 float64) {
-	hi = hi[:len(lo)]
-	k := 0
-	for ; k+4 <= len(lo); k += 4 {
-		a0, b0 := lo[k], hi[k]
-		a1, b1 := lo[k+1], hi[k+1]
-		a2, b2 := lo[k+2], hi[k+2]
-		a3, b3 := lo[k+3], hi[k+3]
-		lo[k] = m00*a0 + m01*b0
-		hi[k] = m10*a0 + m11*b0
-		lo[k+1] = m00*a1 + m01*b1
-		hi[k+1] = m10*a1 + m11*b1
-		lo[k+2] = m00*a2 + m01*b2
-		hi[k+2] = m10*a2 + m11*b2
-		lo[k+3] = m00*a3 + m01*b3
-		hi[k+3] = m10*a3 + m11*b3
-	}
-	for ; k < len(lo); k++ {
-		a, b := lo[k], hi[k]
-		lo[k] = m00*a + m01*b
-		hi[k] = m10*a + m11*b
-	}
-}
-
-// apply1qCplx is the general complex 1q kernel. Each output component is
-// evaluated as (m0·a0) + (m1·a1) with complex products expanded term by
-// term, matching the complex128 arithmetic of the previous layout bit for
-// bit.
-func (s *State) apply1qCplx(t int, m00, m01, m10, m11 complex128) {
+// mixCplx applies the complex 2x2 matrix to n amplitude pairs. Each output
+// is (m0·a0) + (m1·a1) with the complex products expanded term by term; the
+// association is pinned.
+func mixCplx(re, im []float64, i0, i1, n, stride int, m00, m01, m10, m11 complex128) {
 	m00r, m00i := real(m00), imag(m00)
 	m01r, m01i := real(m01), imag(m01)
 	m10r, m10i := real(m10), imag(m10)
 	m11r, m11i := real(m11), imag(m11)
-	mask := 1 << uint(t)
-	half := len(s.re) / 2
-	re, im := s.re, s.im
-	mix := func(i0, i1 int) {
+	if stride == 1 {
+		rlo, ilo := re[i0:i0+n], im[i0:i0+n]
+		rhi, ihi := re[i1:i1+n], im[i1:i1+n]
+		ilo, rhi, ihi = ilo[:len(rlo)], rhi[:len(rlo)], ihi[:len(rlo)]
+		for j := range rlo {
+			a0r, a0i := rlo[j], ilo[j]
+			a1r, a1i := rhi[j], ihi[j]
+			rlo[j] = (m00r*a0r - m00i*a0i) + (m01r*a1r - m01i*a1i)
+			ilo[j] = (m00r*a0i + m00i*a0r) + (m01r*a1i + m01i*a1r)
+			rhi[j] = (m10r*a0r - m10i*a0i) + (m11r*a1r - m11i*a1i)
+			ihi[j] = (m10r*a0i + m10i*a0r) + (m11r*a1i + m11i*a1r)
+		}
+		return
+	}
+	for ; n > 0; n-- {
 		a0r, a0i := re[i0], im[i0]
 		a1r, a1i := re[i1], im[i1]
 		re[i0] = (m00r*a0r - m00i*a0i) + (m01r*a1r - m01i*a1i)
 		im[i0] = (m00r*a0i + m00i*a0r) + (m01r*a1i + m01i*a1r)
 		re[i1] = (m10r*a0r - m10i*a0i) + (m11r*a1r - m11i*a1i)
 		im[i1] = (m10r*a0i + m10i*a0r) + (m11r*a1i + m11i*a1r)
-	}
-	switch {
-	case t == 0:
-		parallelFor(half, func(start, end int) {
-			for i := 2 * start; i < 2*end; i += 2 {
-				mix(i, i+1)
-			}
-		})
-	case mask < minRunLen:
-		parallelFor(half, func(start, end int) {
-			for i := start; i < end; i++ {
-				i0 := (i>>uint(t))<<uint(t+1) | i&(mask-1)
-				mix(i0, i0|mask)
-			}
-		})
-	default:
-		parallelFor(half, func(start, end int) {
-			for j := start; j < end; {
-				off := j & (mask - 1)
-				base := (j >> uint(t)) << uint(t+1)
-				run := mask - off
-				if run > end-j {
-					run = end - j
-				}
-				lo, hi := base+off, base+off+mask
-				rlo := re[lo : lo+run : lo+run]
-				ilo := im[lo : lo+run : lo+run]
-				rhi := re[hi : hi+run : hi+run]
-				ihi := im[hi : hi+run : hi+run]
-				for k := range rlo {
-					a0r, a0i := rlo[k], ilo[k]
-					a1r, a1i := rhi[k], ihi[k]
-					rlo[k] = (m00r*a0r - m00i*a0i) + (m01r*a1r - m01i*a1i)
-					ilo[k] = (m00r*a0i + m00i*a0r) + (m01r*a1i + m01i*a1r)
-					rhi[k] = (m10r*a0r - m10i*a0i) + (m11r*a1r - m11i*a1i)
-					ihi[k] = (m10r*a0i + m10i*a0r) + (m11r*a1i + m11i*a1r)
-				}
-				j += run
-			}
-		})
+		i0 += stride
+		i1 += stride
 	}
 }
 
-// scaleRun multiplies one run of amplitudes by the complex scalar (dr, di),
-// 4-wide unrolled.
-func scaleRun(re, im []float64, dr, di float64) {
-	im = im[:len(re)]
-	k := 0
-	for ; k+4 <= len(re); k += 4 {
-		r0, i0 := re[k], im[k]
-		r1, i1 := re[k+1], im[k+1]
-		r2, i2 := re[k+2], im[k+2]
-		r3, i3 := re[k+3], im[k+3]
-		re[k] = r0*dr - i0*di
-		im[k] = r0*di + i0*dr
-		re[k+1] = r1*dr - i1*di
-		im[k+1] = r1*di + i1*dr
-		re[k+2] = r2*dr - i2*di
-		im[k+2] = r2*di + i2*dr
-		re[k+3] = r3*dr - i3*di
-		im[k+3] = r3*di + i3*dr
-	}
-	for ; k < len(re); k++ {
-		r, i := re[k], im[k]
-		re[k] = r*dr - i*di
-		im[k] = r*di + i*dr
-	}
-}
-
-// scaleRunReal multiplies one run by a real scalar: each plane scales
-// independently.
-func scaleRunReal(re, im []float64, d float64) {
-	for k := range re {
-		re[k] *= d
-	}
-	for k := range im {
-		im[k] *= d
-	}
-}
-
-// scaleHalf multiplies the half-space where qubit t equals the chosen bit by
-// d, visiting only those dim/2 amplitudes in contiguous runs.
-func (s *State) scaleHalf(t int, one bool, d complex128) {
-	mask := 1 << uint(t)
-	sel := 0
-	if one {
-		sel = mask
-	}
-	dr, di := real(d), imag(d)
-	realD := di == 0
-	half := len(s.re) / 2
-	re, im := s.re, s.im
-	if t == 0 {
-		parallelFor(half, func(start, end int) {
-			if realD {
-				for i := 2*start + sel; i < 2*end; i += 2 {
-					re[i] *= dr
-					im[i] *= dr
-				}
-				return
-			}
-			for i := 2*start + sel; i < 2*end; i += 2 {
-				r, ii := re[i], im[i]
-				re[i] = r*dr - ii*di
-				im[i] = r*di + ii*dr
-			}
-		})
+// scale multiplies n amplitudes from index i by the complex scalar (dr, di).
+func scale(re, im []float64, i, n, stride int, dr, di float64) {
+	if stride == 1 {
+		sr, si := re[i:i+n], im[i:i+n]
+		si = si[:len(sr)]
+		for j := range sr {
+			r, v := sr[j], si[j]
+			sr[j] = r*dr - v*di
+			si[j] = r*di + v*dr
+		}
 		return
 	}
-	parallelFor(half, func(start, end int) {
-		for j := start; j < end; {
-			off := j & (mask - 1)
-			base := (j>>uint(t))<<uint(t+1) | sel
-			run := mask - off
-			if run > end-j {
-				run = end - j
-			}
-			lo := base + off
-			if realD {
-				scaleRunReal(re[lo:lo+run], im[lo:lo+run], dr)
-			} else {
-				scaleRun(re[lo:lo+run], im[lo:lo+run], dr, di)
-			}
-			j += run
-		}
-	})
+	for ; n > 0; n-- {
+		r, v := re[i], im[i]
+		re[i] = r*dr - v*di
+		im[i] = r*di + v*dr
+		i += stride
+	}
 }
 
-// applyDiag1q multiplies the qubit-t zero and one amplitudes by d0 and d1.
-// Identity halves are skipped entirely (phase gates touch dim/2 amplitudes,
-// not dim). When both halves are scaled and the target is low enough that
-// runs are sub-cache-line, a single fused pass avoids fetching every line
-// twice.
-func (s *State) applyDiag1q(t int, d0, d1 complex128) {
+// scaleReal multiplies n amplitudes from index i by the real scalar d: each
+// plane scales independently.
+func scaleReal(re, im []float64, i, n, stride int, d float64) {
+	if stride == 1 {
+		sr, si := re[i:i+n], im[i:i+n]
+		for j := range sr {
+			sr[j] *= d
+		}
+		for j := range si {
+			si[j] *= d
+		}
+		return
+	}
+	for ; n > 0; n-- {
+		re[i] *= d
+		im[i] *= d
+		i += stride
+	}
+}
+
+// scaleBy picks the real scalar path when d has no imaginary part.
+func scaleBy(re, im []float64, i, n, stride int, d complex128) {
+	if imag(d) == 0 {
+		scaleReal(re, im, i, n, stride, real(d))
+		return
+	}
+	scale(re, im, i, n, stride, real(d), imag(d))
+}
+
+// swapStreams exchanges n elements of one plane between the streams that
+// start at i0 and i1.
+func swapStreams(p []float64, i0, i1, n, stride int) {
+	if stride == 1 {
+		a, b := p[i0:i0+n], p[i1:i1+n]
+		b = b[:len(a)]
+		for j := range a {
+			a[j], b[j] = b[j], a[j]
+		}
+		return
+	}
+	for ; n > 0; n-- {
+		p[i0], p[i1] = p[i1], p[i0]
+		i0 += stride
+		i1 += stride
+	}
+}
+
+// Apply1Q applies the 2x2 matrix m to qubit t, mixing the dim/2 (i0, i0|2^t)
+// amplitude pairs. A matrix with no imaginary part (H, RY, fused real
+// products) transforms the re and im planes independently (re' = M·re,
+// im' = M·im) at half the arithmetic of the complex mix.
+func (s *State) Apply1Q(t int, m qmath.Matrix) {
+	if m.N != 2 {
+		panic("statevec: Apply1Q needs a 2x2 matrix")
+	}
+	m00, m01, m10, m11 := m.Data[0], m.Data[1], m.Data[2], m.Data[3]
+	mask := 1 << uint(t)
+	re, im := s.re, s.im
+	if imag(m00) == 0 && imag(m01) == 0 && imag(m10) == 0 && imag(m11) == 0 {
+		r00, r01, r10, r11 := real(m00), real(m01), real(m10), real(m11)
+		s.forStreams(func(base, n, stride int) {
+			mixReal(re, base, base|mask, n, stride, r00, r01, r10, r11)
+			mixReal(im, base, base|mask, n, stride, r00, r01, r10, r11)
+		}, t)
+		return
+	}
+	s.forStreams(func(base, n, stride int) {
+		mixCplx(re, im, base, base|mask, n, stride, m00, m01, m10, m11)
+	}, t)
+}
+
+// ApplyDiag1Q multiplies the qubit-t zero and one amplitudes by d0 and d1 —
+// the phase gates, and the phase flips, projectors and damping no-jump
+// operators of the noise channels, without building a matrix. An identity
+// half is skipped entirely (phase gates touch dim/2 amplitudes, not dim),
+// and a lone real scalar takes the real path; when both halves scale, both
+// are multiplied as complex numbers in one pass.
+func (s *State) ApplyDiag1Q(t int, d0, d1 complex128) {
+	mask := 1 << uint(t)
+	re, im := s.re, s.im
 	switch {
+	case d0 == 1 && d1 == 1:
+		s.checkQubit(t)
 	case d0 == 1:
-		if d1 != 1 {
-			s.scaleHalf(t, true, d1)
-		}
+		s.forStreams(func(base, n, stride int) { scaleBy(re, im, base|mask, n, stride, d1) }, t)
 	case d1 == 1:
-		s.scaleHalf(t, false, d0)
-	case 1<<uint(t) < minRunLen:
-		mask := 1 << uint(t)
-		d0r, d0i := real(d0), imag(d0)
-		d1r, d1i := real(d1), imag(d1)
-		half := len(s.re) / 2
-		re, im := s.re, s.im
-		scale2 := func(i0, i1 int) {
-			r0, i0v := re[i0], im[i0]
-			re[i0] = r0*d0r - i0v*d0i
-			im[i0] = r0*d0i + i0v*d0r
-			r1, i1v := re[i1], im[i1]
-			re[i1] = r1*d1r - i1v*d1i
-			im[i1] = r1*d1i + i1v*d1r
-		}
-		if t == 0 {
-			parallelFor(half, func(start, end int) {
-				for i := 2 * start; i < 2*end; i += 2 {
-					scale2(i, i+1)
-				}
-			})
-			return
-		}
-		parallelFor(half, func(start, end int) {
-			for i := start; i < end; i++ {
-				i0 := (i>>uint(t))<<uint(t+1) | i&(mask-1)
-				scale2(i0, i0|mask)
-			}
-		})
+		s.forStreams(func(base, n, stride int) { scaleBy(re, im, base, n, stride, d0) }, t)
 	default:
-		// Both halves scaled, long runs: one fused pass with two sequential
-		// streams (2^t apart) so every cache line is loaded exactly once.
-		mask := 1 << uint(t)
-		d0r, d0i := real(d0), imag(d0)
-		d1r, d1i := real(d1), imag(d1)
-		half := len(s.re) / 2
-		re, im := s.re, s.im
-		parallelFor(half, func(start, end int) {
-			for j := start; j < end; {
-				off := j & (mask - 1)
-				base := (j >> uint(t)) << uint(t+1)
-				run := mask - off
-				if run > end-j {
-					run = end - j
-				}
-				lo, hi := base+off, base+off+mask
-				scaleRun(re[lo:lo+run], im[lo:lo+run], d0r, d0i)
-				scaleRun(re[hi:hi+run], im[hi:hi+run], d1r, d1i)
-				j += run
-			}
-		})
+		s.forStreams(func(base, n, stride int) {
+			scale(re, im, base, n, stride, real(d0), imag(d0))
+			scale(re, im, base|mask, n, stride, real(d1), imag(d1))
+		}, t)
 	}
 }
 
-// swapRun exchanges two equal-length runs on one plane, 4-wide unrolled.
-func swapRun(a, b []float64) {
-	b = b[:len(a)]
-	k := 0
-	for ; k+4 <= len(a); k += 4 {
-		a[k], b[k] = b[k], a[k]
-		a[k+1], b[k+1] = b[k+1], a[k+1]
-		a[k+2], b[k+2] = b[k+2], a[k+2]
-		a[k+3], b[k+3] = b[k+3], a[k+3]
-	}
-	for ; k < len(a); k++ {
-		a[k], b[k] = b[k], a[k]
-	}
-}
-
-// applyX swaps pair amplitudes — the Pauli-X fast path.
-func (s *State) applyX(t int) {
+// ApplyX applies Pauli-X to qubit t: the pair amplitudes trade places.
+func (s *State) ApplyX(t int) {
 	mask := 1 << uint(t)
-	half := len(s.re) / 2
 	re, im := s.re, s.im
-	switch {
-	case t == 0:
-		parallelFor(half, func(start, end int) {
-			for i := 2 * start; i < 2*end; i += 2 {
-				re[i], re[i+1] = re[i+1], re[i]
-				im[i], im[i+1] = im[i+1], im[i]
-			}
-		})
-	case mask < minRunLen:
-		parallelFor(half, func(start, end int) {
-			for i := start; i < end; i++ {
-				i0 := (i>>uint(t))<<uint(t+1) | i&(mask-1)
-				i1 := i0 | mask
-				re[i0], re[i1] = re[i1], re[i0]
-				im[i0], im[i1] = im[i1], im[i0]
-			}
-		})
-	default:
-		parallelFor(half, func(start, end int) {
-			for j := start; j < end; {
-				off := j & (mask - 1)
-				base := (j >> uint(t)) << uint(t+1)
-				run := mask - off
-				if run > end-j {
-					run = end - j
-				}
-				lo, hi := base+off, base+off+mask
-				swapRun(re[lo:lo+run], re[hi:hi+run])
-				swapRun(im[lo:lo+run], im[hi:hi+run])
-				j += run
-			}
-		})
-	}
+	s.forStreams(func(base, n, stride int) {
+		swapStreams(re, base, base|mask, n, stride)
+		swapStreams(im, base, base|mask, n, stride)
+	}, t)
 }
 
-// twoBitMasks returns the expansion masks for enumerating indices with the
-// (distinct) qubit-a and qubit-b bits clear: expand(j) spreads j across the
-// remaining bit positions.
-func twoBitMasks(a, b int) (lowMask, midMask int) {
-	if a > b {
-		a, b = b, a
-	}
-	lowMask = 1<<uint(a) - 1
-	midMask = (1<<uint(b-1) - 1) &^ lowMask
-	return lowMask, midMask
-}
-
-// applyCX applies CNOT with the given control and target. Only the
-// control=1 quarter of the index space is enumerated — each swap pair once,
-// via two-zero-bit insertion, with no branch in the inner loop.
+// applyCX applies CNOT with the given control and target: within the
+// control=1 quarter of the index space, the target pair trades places.
 func (s *State) applyCX(ctl, tgt int) {
-	cmask := 1 << uint(ctl)
-	tmask := 1 << uint(tgt)
-	lowMask, midMask := twoBitMasks(ctl, tgt)
-	quarter := len(s.re) / 4
+	on := 1 << uint(ctl)
+	flipped := on | 1<<uint(tgt)
 	re, im := s.re, s.im
-	if lowMask+1 < minRunLen {
-		parallelFor(quarter, func(start, end int) {
-			for j := start; j < end; j++ {
-				base := j&lowMask | (j&midMask)<<1 | (j&^(lowMask|midMask))<<2
-				i0 := base | cmask
-				i1 := i0 | tmask
-				re[i0], re[i1] = re[i1], re[i0]
-				im[i0], im[i1] = im[i1], im[i0]
-			}
-		})
-		return
-	}
-	// Below the lower of the two qubits, compressed indices map to
-	// consecutive amplitudes: swap two contiguous streams per run.
-	parallelFor(quarter, func(start, end int) {
-		for j := start; j < end; {
-			off := j & lowMask
-			base := off | (j&midMask)<<1 | (j&^(lowMask|midMask))<<2 | cmask
-			run := lowMask + 1 - off
-			if run > end-j {
-				run = end - j
-			}
-			swapRun(re[base:base+run], re[base+tmask:base+tmask+run])
-			swapRun(im[base:base+run], im[base+tmask:base+tmask+run])
-			j += run
-		}
-	})
+	s.forStreams(func(base, n, stride int) {
+		swapStreams(re, base|on, base|flipped, n, stride)
+		swapStreams(im, base|on, base|flipped, n, stride)
+	}, ctl, tgt)
 }
 
 // applySwap exchanges qubits a and b: amplitudes whose (a,b) bits read 01
-// and 10 trade places, the 00 and 11 quarters are untouched. A pure
-// permutation — no arithmetic — enumerated over one quarter of the index
-// space like applyCX.
+// and 10 trade places, the 00 and 11 quarters are untouched.
 func (s *State) applySwap(a, b int) {
-	amask := 1 << uint(a)
-	bmask := 1 << uint(b)
-	lowMask, midMask := twoBitMasks(a, b)
-	quarter := len(s.re) / 4
+	amask, bmask := 1<<uint(a), 1<<uint(b)
 	re, im := s.re, s.im
-	if lowMask+1 < minRunLen {
-		parallelFor(quarter, func(start, end int) {
-			for j := start; j < end; j++ {
-				base := j&lowMask | (j&midMask)<<1 | (j&^(lowMask|midMask))<<2
-				i0 := base | amask
-				i1 := base | bmask
-				re[i0], re[i1] = re[i1], re[i0]
-				im[i0], im[i1] = im[i1], im[i0]
-			}
-		})
-		return
-	}
-	// Below the lower of the two qubits, compressed indices map to
-	// consecutive amplitudes: swap two contiguous streams per run.
-	parallelFor(quarter, func(start, end int) {
-		for j := start; j < end; {
-			off := j & lowMask
-			base := off | (j&midMask)<<1 | (j&^(lowMask|midMask))<<2
-			run := lowMask + 1 - off
-			if run > end-j {
-				run = end - j
-			}
-			swapRun(re[base+amask:base+amask+run], re[base+bmask:base+bmask+run])
-			swapRun(im[base+amask:base+amask+run], im[base+bmask:base+bmask+run])
-			j += run
-		}
-	})
+	s.forStreams(func(base, n, stride int) {
+		swapStreams(re, base|amask, base|bmask, n, stride)
+		swapStreams(im, base|amask, base|bmask, n, stride)
+	}, a, b)
 }
 
-// applyCPhase multiplies amplitudes with both bits set by phase, enumerating
-// only that quarter of the index space.
-func (s *State) applyCPhase(a, b int, phase complex128) {
+// ApplyCPhase multiplies amplitudes with both the qubit-a and qubit-b bits
+// set by phase — the CZ/CP kernel, which touches only that quarter of the
+// index space.
+func (s *State) ApplyCPhase(a, b int, phase complex128) {
 	both := 1<<uint(a) | 1<<uint(b)
-	lowMask, midMask := twoBitMasks(a, b)
-	pr, pi := real(phase), imag(phase)
-	realP := pi == 0
-	quarter := len(s.re) / 4
 	re, im := s.re, s.im
-	if lowMask+1 < minRunLen {
-		parallelFor(quarter, func(start, end int) {
-			for j := start; j < end; j++ {
-				i := j&lowMask | (j&midMask)<<1 | (j&^(lowMask|midMask))<<2 | both
-				r, ii := re[i], im[i]
-				re[i] = r*pr - ii*pi
-				im[i] = r*pi + ii*pr
-			}
-		})
-		return
-	}
-	parallelFor(quarter, func(start, end int) {
-		for j := start; j < end; {
-			off := j & lowMask
-			base := off | (j&midMask)<<1 | (j&^(lowMask|midMask))<<2 | both
-			run := lowMask + 1 - off
-			if run > end-j {
-				run = end - j
-			}
-			if realP {
-				scaleRunReal(re[base:base+run], im[base:base+run], pr)
-			} else {
-				scaleRun(re[base:base+run], im[base:base+run], pr, pi)
-			}
-			j += run
-		}
-	})
+	s.forStreams(func(base, n, stride int) { scaleBy(re, im, base|both, n, stride, phase) }, a, b)
 }
 
 // ApplyPhaseRun applies a fused run of controlled-phase gates sharing one
@@ -942,9 +758,7 @@ func (s *State) ApplyPhaseRun(anchor int, qubits []int, phases []complex128) {
 	if len(qubits) == 0 {
 		return
 	}
-	if anchor < 0 || anchor >= s.n {
-		panic(fmt.Sprintf("statevec: qubit %d out of range", anchor))
-	}
+	s.checkQubit(anchor)
 	for _, q := range qubits {
 		if q < 0 || q >= s.n || q == anchor {
 			panic(fmt.Sprintf("statevec: bad phase-run qubit %d", q))
@@ -1055,16 +869,14 @@ func (s *State) ApplyPhaseRun(anchor int, qubits []int, phases []complex128) {
 					for off := amask; off < blockLen; off += 2 * amask {
 						if amask < 16 {
 							// Short stretches: an inlined scale beats the
-							// call + reslice overhead of the run helpers.
+							// call overhead of the stream primitives.
 							for i := base + off; i < base+off+amask; i++ {
 								r, ii := re[i], im[i]
 								re[i] = r*vr - ii*vi
 								im[i] = r*vi + ii*vr
 							}
-						} else if vi == 0 {
-							scaleRunReal(re[base+off:base+off+amask], im[base+off:base+off+amask], vr)
 						} else {
-							scaleRun(re[base+off:base+off+amask], im[base+off:base+off+amask], vr, vi)
+							scaleBy(re, im, base+off, amask, 1, complex(vr, vi))
 						}
 					}
 				}
@@ -1144,10 +956,8 @@ func (s *State) ApplyPhaseRun(anchor int, qubits []int, phases []complex128) {
 						re[i] = r*vr - ii*vi
 						im[i] = r*vi + ii*vr
 					}
-				} else if vi == 0 {
-					scaleRunReal(re[base:base+blockLen], im[base:base+blockLen], vr)
 				} else {
-					scaleRun(re[base:base+blockLen], im[base:base+blockLen], vr, vi)
+					scaleBy(re, im, base, blockLen, 1, complex(vr, vi))
 				}
 			}
 			if j&(sb-1) == sb-1 {
@@ -1162,28 +972,69 @@ func (s *State) ApplyPhaseRun(anchor int, qubits []int, phases []complex128) {
 }
 
 // ApplyDiag2Q applies the diagonal 4x4 diag(d00, d01, d10, d11) to qubits
-// (q0, q1), q0 the low bit of the diagonal's basis index, in one pass.
-// Fused same-pair blocks whose product collapses to a diagonal (e.g. the
-// CX·RZ·CX ZZ-interaction pattern) route here instead of the dense kernel.
+// (q0, q1), q0 the low bit of the diagonal's basis index. Fused same-pair
+// blocks whose product collapses to a diagonal (e.g. the CX·RZ·CX
+// ZZ-interaction pattern) route here instead of the dense kernel. Unit
+// entries leave their quarter of the index space untouched.
 func (s *State) ApplyDiag2Q(q0, q1 int, d00, d01, d10, d11 complex128) {
-	if q0 == q1 || q0 < 0 || q1 < 0 || q0 >= s.n || q1 >= s.n {
-		panic(fmt.Sprintf("statevec: bad qubit pair (%d,%d)", q0, q1))
-	}
-	dr := [4]float64{real(d00), real(d01), real(d10), real(d11)}
-	di := [4]float64{imag(d00), imag(d01), imag(d10), imag(d11)}
-	skip := [4]bool{d00 == 1, d01 == 1, d10 == 1, d11 == 1}
+	m0, m1 := 1<<uint(q0), 1<<uint(q1)
+	slots := [4]int{0, m0, m1, m0 | m1}
+	d := [4]complex128{d00, d01, d10, d11}
 	re, im := s.re, s.im
-	parallelFor(len(re), func(start, end int) {
-		for i := start; i < end; i++ {
-			sel := i>>uint(q0)&1 | (i>>uint(q1)&1)<<1
-			if skip[sel] {
-				continue
+	s.forStreams(func(base, n, stride int) {
+		for sel, off := range slots {
+			if d[sel] != 1 {
+				scale(re, im, base|off, n, stride, real(d[sel]), imag(d[sel]))
 			}
-			r, ii := re[i], im[i]
-			re[i] = r*dr[sel] - ii*di[sel]
-			im[i] = r*di[sel] + ii*dr[sel]
 		}
-	})
+	}, q0, q1)
+}
+
+// mix4Real applies the real 4x4 matrix m (row-major) to one plane's slot
+// streams at base, base|m0, base|m1 and base|m0|m1. Rows sum left to right,
+// ((t0+t1)+t2)+t3; the association is pinned.
+func mix4Real(p []float64, base, m0, m1, n, stride int, m *[16]float64) {
+	for i := base; n > 0; n, i = n-1, i+stride {
+		i1, i2, i3 := i|m0, i|m1, i|m0|m1
+		a0, a1, a2, a3 := p[i], p[i1], p[i2], p[i3]
+		p[i] = ((m[0]*a0 + m[1]*a1) + m[2]*a2) + m[3]*a3
+		p[i1] = ((m[4]*a0 + m[5]*a1) + m[6]*a2) + m[7]*a3
+		p[i2] = ((m[8]*a0 + m[9]*a1) + m[10]*a2) + m[11]*a3
+		p[i3] = ((m[12]*a0 + m[13]*a1) + m[14]*a2) + m[15]*a3
+	}
+}
+
+// mix4Cplx is the complex 4x4 mix over the same four slot streams, each
+// complex product expanded term by term and the row summed ((t0+t1)+t2)+t3.
+func mix4Cplx(re, im []float64, base, m0, m1, n, stride int, mr, mi *[16]float64) {
+	for i := base; n > 0; n, i = n-1, i+stride {
+		i1, i2, i3 := i|m0, i|m1, i|m0|m1
+		a0r, a0i := re[i], im[i]
+		a1r, a1i := re[i1], im[i1]
+		a2r, a2i := re[i2], im[i2]
+		a3r, a3i := re[i3], im[i3]
+		re[i] = ((mr[0]*a0r - mi[0]*a0i) + (mr[1]*a1r - mi[1]*a1i) + (mr[2]*a2r - mi[2]*a2i)) + (mr[3]*a3r - mi[3]*a3i)
+		im[i] = ((mr[0]*a0i + mi[0]*a0r) + (mr[1]*a1i + mi[1]*a1r) + (mr[2]*a2i + mi[2]*a2r)) + (mr[3]*a3i + mi[3]*a3r)
+		re[i1] = ((mr[4]*a0r - mi[4]*a0i) + (mr[5]*a1r - mi[5]*a1i) + (mr[6]*a2r - mi[6]*a2i)) + (mr[7]*a3r - mi[7]*a3i)
+		im[i1] = ((mr[4]*a0i + mi[4]*a0r) + (mr[5]*a1i + mi[5]*a1r) + (mr[6]*a2i + mi[6]*a2r)) + (mr[7]*a3i + mi[7]*a3r)
+		re[i2] = ((mr[8]*a0r - mi[8]*a0i) + (mr[9]*a1r - mi[9]*a1i) + (mr[10]*a2r - mi[10]*a2i)) + (mr[11]*a3r - mi[11]*a3i)
+		im[i2] = ((mr[8]*a0i + mi[8]*a0r) + (mr[9]*a1i + mi[9]*a1r) + (mr[10]*a2i + mi[10]*a2r)) + (mr[11]*a3i + mi[11]*a3r)
+		re[i3] = ((mr[12]*a0r - mi[12]*a0i) + (mr[13]*a1r - mi[13]*a1i) + (mr[14]*a2r - mi[14]*a2i)) + (mr[15]*a3r - mi[15]*a3i)
+		im[i3] = ((mr[12]*a0i + mi[12]*a0r) + (mr[13]*a1i + mi[13]*a1r) + (mr[14]*a2i + mi[14]*a2r)) + (mr[15]*a3i + mi[15]*a3r)
+	}
+}
+
+// splitMatrix separates a gate matrix's entries into real and imaginary
+// parts and reports whether every imaginary part is zero.
+func splitMatrix(data []complex128, mr, mi []float64) (allReal bool) {
+	allReal = true
+	for i, v := range data {
+		mr[i], mi[i] = real(v), imag(v)
+		if mi[i] != 0 {
+			allReal = false
+		}
+	}
+	return allReal
 }
 
 // Apply2Q applies the 4x4 matrix m to qubits (q0, q1), q0 the low bit of
@@ -1192,226 +1043,69 @@ func (s *State) Apply2Q(q0, q1 int, m qmath.Matrix) {
 	if m.N != 4 {
 		panic("statevec: Apply2Q needs a 4x4 matrix")
 	}
-	if q0 == q1 || q0 < 0 || q1 < 0 || q0 >= s.n || q1 >= s.n {
-		panic(fmt.Sprintf("statevec: bad qubit pair (%d,%d)", q0, q1))
-	}
 	var mr, mi [16]float64
-	allReal := true
-	for i, v := range m.Data {
-		mr[i], mi[i] = real(v), imag(v)
-		if mi[i] != 0 {
-			allReal = false
-		}
-	}
-	m0 := 1 << uint(q0)
-	m1 := 1 << uint(q1)
-	// Iterate over indices with both bits clear by inserting two zero bits.
-	lowMask, midMask := twoBitMasks(q0, q1)
-	quarter := len(s.re) / 4
+	allReal := splitMatrix(m.Data, mr[:], mi[:])
+	m0, m1 := 1<<uint(q0), 1<<uint(q1)
 	re, im := s.re, s.im
-	// mix transforms the four basis slots at absolute indices i00..i11,
-	// expanding each complex product term by term with the same ((t0+t1)+t2)+t3
-	// association as the complex128 kernel.
-	mix := func(i00, i01, i10, i11 int) {
-		a0r, a0i := re[i00], im[i00]
-		a1r, a1i := re[i01], im[i01]
-		a2r, a2i := re[i10], im[i10]
-		a3r, a3i := re[i11], im[i11]
-		re[i00] = ((mr[0]*a0r - mi[0]*a0i) + (mr[1]*a1r - mi[1]*a1i) + (mr[2]*a2r - mi[2]*a2i)) + (mr[3]*a3r - mi[3]*a3i)
-		im[i00] = ((mr[0]*a0i + mi[0]*a0r) + (mr[1]*a1i + mi[1]*a1r) + (mr[2]*a2i + mi[2]*a2r)) + (mr[3]*a3i + mi[3]*a3r)
-		re[i01] = ((mr[4]*a0r - mi[4]*a0i) + (mr[5]*a1r - mi[5]*a1i) + (mr[6]*a2r - mi[6]*a2i)) + (mr[7]*a3r - mi[7]*a3i)
-		im[i01] = ((mr[4]*a0i + mi[4]*a0r) + (mr[5]*a1i + mi[5]*a1r) + (mr[6]*a2i + mi[6]*a2r)) + (mr[7]*a3i + mi[7]*a3r)
-		re[i10] = ((mr[8]*a0r - mi[8]*a0i) + (mr[9]*a1r - mi[9]*a1i) + (mr[10]*a2r - mi[10]*a2i)) + (mr[11]*a3r - mi[11]*a3i)
-		im[i10] = ((mr[8]*a0i + mi[8]*a0r) + (mr[9]*a1i + mi[9]*a1r) + (mr[10]*a2i + mi[10]*a2r)) + (mr[11]*a3i + mi[11]*a3r)
-		re[i11] = ((mr[12]*a0r - mi[12]*a0i) + (mr[13]*a1r - mi[13]*a1i) + (mr[14]*a2r - mi[14]*a2i)) + (mr[15]*a3r - mi[15]*a3i)
-		im[i11] = ((mr[12]*a0i + mi[12]*a0r) + (mr[13]*a1i + mi[13]*a1r) + (mr[14]*a2i + mi[14]*a2r)) + (mr[15]*a3i + mi[15]*a3r)
-	}
-	mixReal := func(p []float64, i00, i01, i10, i11 int) {
-		a0, a1, a2, a3 := p[i00], p[i01], p[i10], p[i11]
-		p[i00] = ((mr[0]*a0 + mr[1]*a1) + mr[2]*a2) + mr[3]*a3
-		p[i01] = ((mr[4]*a0 + mr[5]*a1) + mr[6]*a2) + mr[7]*a3
-		p[i10] = ((mr[8]*a0 + mr[9]*a1) + mr[10]*a2) + mr[11]*a3
-		p[i11] = ((mr[12]*a0 + mr[13]*a1) + mr[14]*a2) + mr[15]*a3
-	}
-	if lowMask+1 < minRunLen {
-		// Low qubit too low for worthwhile runs: per-index bit expansion.
-		parallelFor(quarter, func(start, end int) {
-			for j := start; j < end; j++ {
-				base := j&lowMask | (j&midMask)<<1 | (j&^(lowMask|midMask))<<2
-				if allReal {
-					mixReal(re, base, base|m0, base|m1, base|m0|m1)
-					mixReal(im, base, base|m0, base|m1, base|m0|m1)
-					continue
-				}
-				mix(base, base|m0, base|m1, base|m0|m1)
-			}
-		})
+	if allReal {
+		s.forStreams(func(base, n, stride int) {
+			mix4Real(re, base, m0, m1, n, stride, &mr)
+			mix4Real(im, base, m0, m1, n, stride, &mr)
+		}, q0, q1)
 		return
 	}
-	// Consecutive compressed indices below the low qubit map to consecutive
-	// amplitude indices, so the four basis slots become four contiguous
-	// streams of up to 2^low elements each.
-	parallelFor(quarter, func(start, end int) {
-		for j := start; j < end; {
-			off := j & lowMask
-			base := off | (j&midMask)<<1 | (j&^(lowMask|midMask))<<2
-			run := lowMask + 1 - off
-			if run > end-j {
-				run = end - j
-			}
-			if allReal {
-				for k := 0; k < run; k++ {
-					mixReal(re, base+k, base+m0+k, base+m1+k, base+m0+m1+k)
-				}
-				for k := 0; k < run; k++ {
-					mixReal(im, base+k, base+m0+k, base+m1+k, base+m0+m1+k)
+	s.forStreams(func(base, n, stride int) {
+		mix4Cplx(re, im, base, m0, m1, n, stride, &mr, &mi)
+	}, q0, q1)
+}
+
+// mix8 applies the 8x8 matrix to the eight slot streams at base|offs[b]:
+// gather, multiply, scatter. Row sums accumulate left to right from zero;
+// the association is pinned. A matrix with no imaginary part (mi == nil)
+// skips half the products.
+func mix8(re, im []float64, base, n, stride int, offs *[8]int, mr, mi *[64]float64) {
+	for i := base; n > 0; n, i = n-1, i+stride {
+		var vr, vi [8]float64
+		for b, off := range offs {
+			vr[b], vi[b] = re[i|off], im[i|off]
+		}
+		for row, off := range offs {
+			var ar, ai float64
+			if mi == nil {
+				for col, m := range mr[row*8 : row*8+8] {
+					ar += m * vr[col]
+					ai += m * vi[col]
 				}
 			} else {
-				for k := 0; k < run; k++ {
-					mix(base+k, base+m0+k, base+m1+k, base+m0+m1+k)
+				for col, m := range mr[row*8 : row*8+8] {
+					ar += m*vr[col] - mi[row*8+col]*vi[col]
+					ai += m*vi[col] + mi[row*8+col]*vr[col]
 				}
 			}
-			j += run
+			re[i|off], im[i|off] = ar, ai
 		}
-	})
+	}
 }
 
 // Apply3Q applies the 8x8 matrix m to qubits (q0, q1, q2), q0 the low bit.
-// Unlike the previous serial scatter/gather implementation, the kernel is
-// parallel and, for high-enough low qubits, iterates eight contiguous
-// streams per run — so a fused 3-qubit block costs one cache-friendly pass
-// over the state.
 func (s *State) Apply3Q(q0, q1, q2 int, m qmath.Matrix) {
 	if m.N != 8 {
 		panic("statevec: Apply3Q needs an 8x8 matrix")
 	}
-	qs := [3]int{q0, q1, q2}
-	var masks [3]int
-	for i, q := range qs {
-		if q < 0 || q >= s.n {
-			panic(fmt.Sprintf("statevec: qubit %d out of range", q))
-		}
-		masks[i] = 1 << uint(q)
-	}
 	var mr, mi [64]float64
-	allReal := true
-	for i, v := range m.Data {
-		mr[i], mi[i] = real(v), imag(v)
-		if mi[i] != 0 {
-			allReal = false
-		}
+	cplx := &mi
+	if splitMatrix(m.Data, mr[:], mi[:]) {
+		cplx = nil
 	}
-	sorted := qs
-	if sorted[0] > sorted[1] {
-		sorted[0], sorted[1] = sorted[1], sorted[0]
-	}
-	if sorted[1] > sorted[2] {
-		sorted[1], sorted[2] = sorted[2], sorted[1]
-	}
-	if sorted[0] > sorted[1] {
-		sorted[0], sorted[1] = sorted[1], sorted[0]
-	}
-	// Basis-slot offsets: bit k of the slot selects masks[k].
+	// Basis-slot offsets: bit k of the slot selects qubit k's mask.
 	var offs [8]int
-	for b := 0; b < 8; b++ {
-		o := 0
-		if b&1 != 0 {
-			o |= masks[0]
-		}
-		if b&2 != 0 {
-			o |= masks[1]
-		}
-		if b&4 != 0 {
-			o |= masks[2]
-		}
-		offs[b] = o
+	for b := range offs {
+		offs[b] = b&1<<uint(q0) | b>>1&1<<uint(q1) | b>>2&1<<uint(q2)
 	}
-	eighth := len(s.re) / 8
 	re, im := s.re, s.im
-	// mixAt gathers the eight slot amplitudes at base, applies the 8x8, and
-	// scatters. Row sums accumulate left to right from zero, matching the
-	// previous complex128 loop's association.
-	mixAt := func(base int) {
-		var vr, vi [8]float64
-		for b := 0; b < 8; b++ {
-			vr[b] = re[base+offs[b]]
-			vi[b] = im[base+offs[b]]
-		}
-		for row := 0; row < 8; row++ {
-			var ar, ai float64
-			mrow := row * 8
-			for col := 0; col < 8; col++ {
-				ar += mr[mrow+col]*vr[col] - mi[mrow+col]*vi[col]
-				ai += mr[mrow+col]*vi[col] + mi[mrow+col]*vr[col]
-			}
-			re[base+offs[row]] = ar
-			im[base+offs[row]] = ai
-		}
-	}
-	mixAtReal := func(base int) {
-		var vr, vi [8]float64
-		for b := 0; b < 8; b++ {
-			vr[b] = re[base+offs[b]]
-			vi[b] = im[base+offs[b]]
-		}
-		for row := 0; row < 8; row++ {
-			var ar, ai float64
-			mrow := row * 8
-			for col := 0; col < 8; col++ {
-				ar += mr[mrow+col] * vr[col]
-				ai += mr[mrow+col] * vi[col]
-			}
-			re[base+offs[row]] = ar
-			im[base+offs[row]] = ai
-		}
-	}
-	lowMask := 1<<uint(sorted[0]) - 1
-	sortedSlice := sorted[:]
-	if lowMask+1 < minRunLen {
-		parallelFor(eighth, func(start, end int) {
-			for j := start; j < end; j++ {
-				base := int(insertZeroBits(uint64(j), sortedSlice))
-				if allReal {
-					mixAtReal(base)
-				} else {
-					mixAt(base)
-				}
-			}
-		})
-		return
-	}
-	// Runs: compressed indices below the lowest qubit map to consecutive
-	// amplitudes, so the eight slots are eight contiguous streams per run.
-	parallelFor(eighth, func(start, end int) {
-		for j := start; j < end; {
-			off := j & lowMask
-			base := int(insertZeroBits(uint64(j-off), sortedSlice)) + off
-			run := lowMask + 1 - off
-			if run > end-j {
-				run = end - j
-			}
-			if allReal {
-				for k := 0; k < run; k++ {
-					mixAtReal(base + k)
-				}
-			} else {
-				for k := 0; k < run; k++ {
-					mixAt(base + k)
-				}
-			}
-			j += run
-		}
-	})
-}
-
-// insertZeroBits expands i by inserting zero bits at the (sorted ascending)
-// positions given, producing an index with those bits clear.
-func insertZeroBits(i uint64, sortedPositions []int) uint64 {
-	for _, p := range sortedPositions {
-		lower := i & (uint64(1)<<uint(p) - 1)
-		i = (i>>uint(p))<<uint(p+1) | lower
-	}
-	return i
+	s.forStreams(func(base, n, stride int) {
+		mix8(re, im, base, n, stride, &offs, &mr, cplx)
+	}, q0, q1, q2)
 }
 
 // Apply applies a gate instance, choosing a fast path when one exists.
@@ -1420,28 +1114,28 @@ func (s *State) Apply(g gate.Gate) {
 	case gate.KindI:
 		return
 	case gate.KindX:
-		s.applyX(g.Qubits[0])
+		s.ApplyX(g.Qubits[0])
 	case gate.KindZ:
-		s.applyDiag1q(g.Qubits[0], 1, -1)
+		s.ApplyDiag1Q(g.Qubits[0], 1, -1)
 	case gate.KindS:
-		s.applyDiag1q(g.Qubits[0], 1, 1i)
+		s.ApplyDiag1Q(g.Qubits[0], 1, 1i)
 	case gate.KindSdg:
-		s.applyDiag1q(g.Qubits[0], 1, -1i)
+		s.ApplyDiag1Q(g.Qubits[0], 1, -1i)
 	case gate.KindT:
-		s.applyDiag1q(g.Qubits[0], 1, cmplx.Exp(1i*math.Pi/4))
+		s.ApplyDiag1Q(g.Qubits[0], 1, cmplx.Exp(1i*math.Pi/4))
 	case gate.KindTdg:
-		s.applyDiag1q(g.Qubits[0], 1, cmplx.Exp(-1i*math.Pi/4))
+		s.ApplyDiag1Q(g.Qubits[0], 1, cmplx.Exp(-1i*math.Pi/4))
 	case gate.KindP:
-		s.applyDiag1q(g.Qubits[0], 1, cmplx.Exp(complex(0, g.Params[0])))
+		s.ApplyDiag1Q(g.Qubits[0], 1, cmplx.Exp(complex(0, g.Params[0])))
 	case gate.KindRZ:
 		t := g.Params[0] / 2
-		s.applyDiag1q(g.Qubits[0], cmplx.Exp(complex(0, -t)), cmplx.Exp(complex(0, t)))
+		s.ApplyDiag1Q(g.Qubits[0], cmplx.Exp(complex(0, -t)), cmplx.Exp(complex(0, t)))
 	case gate.KindCX:
 		s.applyCX(g.Qubits[0], g.Qubits[1])
 	case gate.KindCZ:
-		s.applyCPhase(g.Qubits[0], g.Qubits[1], -1)
+		s.ApplyCPhase(g.Qubits[0], g.Qubits[1], -1)
 	case gate.KindCP:
-		s.applyCPhase(g.Qubits[0], g.Qubits[1], cmplx.Exp(complex(0, g.Params[0])))
+		s.ApplyCPhase(g.Qubits[0], g.Qubits[1], cmplx.Exp(complex(0, g.Params[0])))
 	case gate.KindSWAP:
 		s.applySwap(g.Qubits[0], g.Qubits[1])
 	default:

@@ -67,13 +67,6 @@ type NoisePoint struct {
 	P2 float64 `json:"p2,omitempty"`
 }
 
-// knownNoise lists the valid canonical Name values (ByName's vocabulary);
-// lookups normalize case the same way noise.ByName does.
-var knownNoise = map[string]bool{
-	"": true, "IDEAL": true, "NONE": true, "DC": true, "DCR": true, "TR": true,
-	"TRR": true, "AD": true, "ADR": true, "PD": true, "PDR": true, "ALL": true,
-}
-
 // Model constructs the noise model (nil = ideal).
 func (np NoisePoint) Model() *noise.Model {
 	if np.Name != "" {
@@ -85,13 +78,13 @@ func (np NoisePoint) Model() *noise.Model {
 	return noise.NewDepolarizing(np.P1, np.P2)
 }
 
-// Label renders the axis value for reports and cache keys, canonicalized
-// the way noise.ByName resolves names so "dc" and "DC" share one cache
-// entry.
+// Label renders the axis value for reports and cache keys. Prepare has
+// already replaced a named point's Name by its canonical spelling, so "dc"
+// and "DC" share one cache entry.
 func (np NoisePoint) Label() string {
 	switch {
 	case np.Name != "":
-		return strings.ToUpper(strings.TrimSpace(np.Name))
+		return np.Name
 	case np.P1 == 0 && np.P2 == 0:
 		return "ideal"
 	default:
@@ -99,17 +92,23 @@ func (np NoisePoint) Label() string {
 	}
 }
 
-func (np NoisePoint) validate() error {
+// canonical validates the point and returns it with a named model's Name in
+// noise.Lookup's canonical spelling.
+func (np NoisePoint) canonical() (NoisePoint, error) {
 	if np.Name != "" && (np.P1 != 0 || np.P2 != 0) {
-		return fmt.Errorf("noise point %q also sets p1/p2; use one or the other", np.Name)
-	}
-	if !knownNoise[strings.ToUpper(strings.TrimSpace(np.Name))] {
-		return fmt.Errorf("unknown noise model %q", np.Name)
+		return np, fmt.Errorf("noise point %q also sets p1/p2; use one or the other", np.Name)
 	}
 	if np.P1 < 0 || np.P1 > 1 || np.P2 < 0 || np.P2 > 1 {
-		return fmt.Errorf("depolarizing rates must be in [0,1], got p1=%g p2=%g", np.P1, np.P2)
+		return np, fmt.Errorf("depolarizing rates must be in [0,1], got p1=%g p2=%g", np.P1, np.P2)
 	}
-	return nil
+	if np.Name != "" {
+		m, ok := noise.Lookup(np.Name)
+		if !ok {
+			return np, fmt.Errorf("unknown noise model %q", np.Name)
+		}
+		np.Name = m.Name()
+	}
+	return np, nil
 }
 
 // PartitionSpec is one value on the partitioner axis.
@@ -526,11 +525,14 @@ func Prepare(spec *Spec) (*Prepared, error) {
 			return nil, fmt.Errorf("sweep: shots must be positive, got %d", n)
 		}
 	}
-	for _, np := range s.Noise {
-		if err := np.validate(); err != nil {
+	points := make([]NoisePoint, len(s.Noise))
+	for i, np := range s.Noise {
+		var err error
+		if points[i], err = np.canonical(); err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
 	}
+	s.Noise = points // canonical names reach plan, store and lease keys
 
 	circuits, err := resolveCircuits(&s)
 	if err != nil {

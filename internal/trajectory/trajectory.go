@@ -7,6 +7,13 @@
 // (internal/core), so measured speedups isolate the effect of computational
 // reuse rather than implementation differences — mirroring the paper's
 // methodology of implementing both on the same backend.
+//
+// The tree executor can also run the flat (shots,) plan, so this package is
+// a second implementation of that case and is kept on purpose: it is the
+// independent per-shot oracle — one loop, no plan, no node numbering, no
+// reuse hooks — that the benchmark's reference path and the core and
+// stabilizer tests compare the executor against. It is not a faster path
+// and nothing should be optimized into it that the executor does not have.
 package trajectory
 
 import (

@@ -122,8 +122,21 @@ func SycamoreNoise() *NoiseModel { return noise.NewSycamore() }
 // DepolarizingNoise returns a depolarizing model at the given rates.
 func DepolarizingNoise(p1, p2 float64) *NoiseModel { return noise.NewDepolarizing(p1, p2) }
 
-// NoiseByName builds one of the paper's nine Figure-16 model variants (DC,
-// DCR, TR, TRR, AD, ADR, PD, PDR, ALL); unknown names return nil (ideal).
+// LookupNoise resolves a noise-model name, case-insensitively: one of the
+// paper's nine Figure-16 variants (DC, DCR, TR, TRR, AD, ADR, PD, PDR, ALL),
+// or ideal/none/"" for no noise (a nil model). The model's Name is the
+// canonical spelling. Any other name is an error, so a typo cannot silently
+// simulate the ideal circuit.
+func LookupNoise(name string) (*NoiseModel, error) {
+	m, ok := noise.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown noise model %q (have ideal, DC, DCR, TR, TRR, AD, ADR, PD, PDR, ALL)", name)
+	}
+	return m, nil
+}
+
+// NoiseByName is LookupNoise for names known to be valid: an unknown name
+// returns nil, the ideal model.
 func NoiseByName(name string) *NoiseModel { return noise.ByName(name) }
 
 // Options tunes a simulation run.
@@ -156,10 +169,6 @@ type Options struct {
 	// ClusterNodes sets the shard count for the cluster backend (a power
 	// of two; 0 selects the default). Ignored by other backends.
 	ClusterNodes int
-	// UseFusionBackend runs on the gate-fusion backend instead of the
-	// plain state-vector backend. Deprecated: set Backend to "fusion";
-	// Backend wins when both are set.
-	UseFusionBackend bool
 	// Parallelism sets worker counts: shot-level for the baseline and
 	// first-level-subtree for TQSim trees (0 = sequential). Histograms are
 	// seed-deterministic at any parallelism.
@@ -178,17 +187,13 @@ func (o Options) backendName() string {
 	if o.Backend != "" {
 		return o.Backend
 	}
-	if o.UseFusionBackend {
-		return "fusion"
-	}
 	return "statevec"
 }
 
 // autoDefault promotes the zero-value backend to planner dispatch — the
-// RunTQSim/RunBackend default. The deprecated UseFusionBackend flag keeps
-// its explicit meaning.
+// RunTQSim/RunBackend default.
 func (o Options) autoDefault() Options {
-	if o.Backend == "" && !o.UseFusionBackend {
+	if o.Backend == "" {
 		o.Backend = AutoBackend
 	}
 	return o
@@ -374,11 +379,11 @@ func RunPlan(p *Plan, m *NoiseModel, opt Options) (*TreeResult, error) {
 // cancelled the run stops and returns ctx.Err() instead of a result.
 // Cancellation is checked once per tree node on the dense engines (a node
 // is a full subcircuit instance, so in-flight trajectory work stops within
-// one O(2^n) segment); the polynomial-time routes (stabilizer tableau
-// tree, densmat) check only between runs, since their whole execution
-// costs less than one dense node. Completed runs are unaffected by ctx:
-// for a fixed chosen backend the histogram remains a pure function of
-// (circuit, noise, shots, seed).
+// one O(2^n) segment) and on the stabilizer tableau tree (a flat Clifford
+// plan is one node per shot); densmat checks only before it starts, since
+// its whole execution costs less than one dense node. Completed runs are
+// unaffected by ctx: for a fixed chosen backend the histogram remains a pure
+// function of (circuit, noise, shots, seed).
 func RunPlanContext(ctx context.Context, p *Plan, m *NoiseModel, opt Options) (*TreeResult, error) {
 	return RunPlanPrefixed(ctx, p, m, opt, nil)
 }
@@ -408,7 +413,7 @@ func RunPlanPrefixed(ctx context.Context, p *Plan, m *NoiseModel, opt Options, p
 		return runDensmat(p, m, opt)
 	}
 	if name == "stabilizer" && m.PauliOnly() && stabilizer.IsClifford(p.Circuit) {
-		return stabilizer.RunTree(p, m, opt.Seed, opt.Parallelism)
+		return stabilizer.RunTreeContext(ctx, p, m, opt.Seed, opt.Parallelism)
 	}
 	if err := denseWidthCheck(p.Circuit, name, m); err != nil {
 		return nil, err

@@ -58,7 +58,7 @@ func TestPlanStructureAndRunPlan(t *testing.T) {
 
 func TestFusionBackendOption(t *testing.T) {
 	c := workloads.QSC(6, 4, 2)
-	res, err := RunTQSim(c, SycamoreNoise(), 400, Options{Seed: 7, UseFusionBackend: true, CopyCost: 5})
+	res, err := RunTQSim(c, SycamoreNoise(), 400, Options{Seed: 7, Backend: "fusion", CopyCost: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
