@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race fuzz-smoke bench-kernels bench-sweep bench benchmark ci docs-check
+.PHONY: build vet lint test race fuzz-smoke bench-kernels bench benchmark ci docs-check
 
 build:
 	$(GO) build ./...
@@ -45,12 +45,6 @@ fuzz-smoke:
 bench-kernels:
 	$(GO) test -run xxx -bench 'BenchmarkKernels_' -benchtime 1s .
 
-# Cross-point reuse benchmark: the same noise-grid sweep with prefix reuse
-# on vs off; the reported gateops/sweep ratio is the work reduction (the
-# run errors if reuse stops reducing work).
-bench-sweep:
-	$(GO) test -run xxx -bench BenchmarkSweepReuse -benchtime 1x -v .
-
 # Full figure/table benchmark sweep (slow).
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
@@ -61,4 +55,4 @@ bench:
 benchmark:
 	bash benchmark/run.sh -seed 1
 
-ci: build vet lint race fuzz-smoke bench-sweep benchmark docs-check
+ci: build vet lint race fuzz-smoke benchmark docs-check

@@ -121,6 +121,48 @@ func TestAutoHonorsMemoryClampedParallelism(t *testing.T) {
 	}
 }
 
+// TestRunPeakEqualsDecisionEstimate: the planner's estimate and the run's
+// reported peak come from one function, so they agree for the decision that
+// was executed — with quiet-segment reuse on (no budget, or one it fits),
+// dropped (a budget with room for the workers' states only), and on a
+// noise model that never reuses — and the peak stays inside any budget.
+func TestRunPeakEqualsDecisionEstimate(t *testing.T) {
+	c := tqsim.QFTCircuit(10)
+	const state = int64(16 << 10)
+	plan := tqsim.PlanStructure(c, []int{12, 3, 2})
+	perWorker := int64(plan.Levels()+1) * state
+	for _, tc := range []struct {
+		noise            string
+		workers          int
+		budget, wantPeak int64
+	}{
+		{"DC", 2, 0, 2*perWorker + (3+2*2)*state},
+		{"DC", 2, 2*perWorker + (3+2*2)*state, 2*perWorker + (3+2*2)*state},
+		{"DC", 2, 2*perWorker + (3+2*2)*state - 1, 2 * perWorker},
+		{"DC", 4, 3 * perWorker, 3 * perWorker}, // a worker shed, no room for reuse
+		{"TR", 2, 0, 2 * perWorker},
+	} {
+		m := tqsim.NoiseByName(tc.noise)
+		opt := tqsim.Options{Seed: 3, Backend: tqsim.AutoBackend, Parallelism: tc.workers, MemoryBudgetBytes: tc.budget}
+		d, err := tqsim.DecidePlan(plan, m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tqsim.RunPlan(plan, m, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Backend != "statevec" || res.PeakStateBytes != d.EstPeakBytes || res.PeakStateBytes != tc.wantPeak {
+			t.Errorf("%s, %d workers, budget %d: %s ran with peak %d, decision estimated %d, want %d",
+				tc.noise, tc.workers, tc.budget, d.Backend, res.PeakStateBytes, d.EstPeakBytes, tc.wantPeak)
+		}
+		if reused := res.PrefixReuseHits+res.SiblingReuseHits > 0; reused != (tc.wantPeak > int64(d.Parallelism)*perWorker) {
+			t.Errorf("%s, %d workers, budget %d: reuse hits %v disagree with the reported peak %d",
+				tc.noise, tc.workers, tc.budget, reused, res.PeakStateBytes)
+		}
+	}
+}
+
 // TestAutoErrorNamesEstimatedBytes: when no engine is viable the error must
 // carry the hpcmodel state-vector estimate, matching denseWidthCheck's
 // diagnostic style.

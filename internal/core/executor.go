@@ -28,18 +28,23 @@ type Result struct {
 	// StateCopies counts full state-vector copies between tree nodes —
 	// the overhead DCP balances against reuse (Section 3.6).
 	StateCopies int64
-	// PeakStateBytes is the peak amplitude memory held concurrently: one
-	// state per tree level plus the working copy (Section 3.4's
-	// memory-for-time trade).
+	// PeakStateBytes is the peak amplitude memory held concurrently, as
+	// DensePeakBytes computes it: one state per tree level plus the working
+	// copy per worker (Section 3.4's memory-for-time trade), plus the spine
+	// and quiet-child states when the run reuses quiet segments.
 	PeakStateBytes int64
 	// Nodes is the number of subcircuit-instance nodes executed.
 	Nodes int64
-	// PrefixReuseHits counts nodes served from shared ideal-prefix
-	// snapshots: their segment drew no firing noise channel from a parent
-	// still on the ideal trajectory, so the gate work was skipped entirely
-	// and the cached boundary state stood in (see PrefixSnapshots). Always
-	// zero when Executor.Prefix is nil.
+	// PrefixReuseHits counts nodes served from the ideal spine, the run's
+	// own or a supplied one: their segment drew no firing noise channel from
+	// a parent still on the ideal trajectory, so the copy and the gate work
+	// were skipped and the boundary state stood in (see PrefixSnapshots).
 	PrefixReuseHits int64
+	// SiblingReuseHits counts nodes served from their parent's quiet child:
+	// off the spine, the second and later children of one parent whose
+	// segments fire nothing skip the copy and the gate work and share the
+	// state the first of them computed.
+	SiblingReuseHits int64
 	// Elapsed is the wall-clock duration.
 	Elapsed time.Duration
 	// Structure echoes the plan's arity tuple, e.g. "(16,2,2)".
@@ -67,15 +72,24 @@ type Executor struct {
 	// and no result — partial histograms are never exposed, because a
 	// partially executed tree is not a sample from any defined distribution.
 	Context context.Context
-	// Prefix, when non-nil and matching the plan, enables ideal-prefix
-	// reuse: a node whose parent is still on the ideal trajectory dry-runs
-	// its segment's noise draws (noise.Model.SegmentFires, RNG-identical to
-	// the real path) and, when no channel fires, skips the gate work and
-	// adopts the shared boundary snapshot. Histograms are byte-identical
-	// with or without it — only the work accounting changes. The hook is
-	// consulted only for the plain dense backend under Pauli-only noise;
-	// shadow, buffering and sharded backends ignore it.
+	// Prefix, when non-nil and matching the plan, is a pre-built ideal spine
+	// for quiet-segment reuse (see runTree): the run adopts it instead of
+	// computing its own, which saves one ideal pass over the circuit and
+	// nothing else. Histograms are byte-identical with or without it. It is
+	// consulted exactly when the run would build a spine itself: the plain
+	// dense backend under non-ideal Pauli-only noise.
 	Prefix *PrefixSnapshots
+	// MemoryBudgetBytes is the caller's cap on peak amplitude memory (0 =
+	// unlimited). Worker counts are shed by the planner before the run; the
+	// executor consults the cap only to drop quiet-segment reuse when its
+	// extra states would not fit (DensePeakBytes).
+	MemoryBudgetBytes int64
+	// FullWalk makes the run execute every node even where quiet-segment
+	// reuse applies: no spine, no quiet children, plan-exact accounting,
+	// the same histogram. It is the reference side of a sweep's A/B work
+	// measurement (sweep.Spec.NoReuse) and is reachable from nowhere else —
+	// no Options field sets it.
+	FullWalk bool
 }
 
 // cancelled reports whether the executor's context (if any) is done.
@@ -149,15 +163,42 @@ func SubtreeSpan(arities []int, level int) uint64 {
 	return span
 }
 
-// DensePeakBytes returns the dense executor's peak amplitude memory for a
-// tree run: one state per level plus the working copy, per worker. The
-// planner's admission estimates and the executor's reported PeakStateBytes
-// both come from here, and the per-state term comes from the allocator's
-// own layout constant (statevec.StateBytes), so a job admitted on the
-// estimate cannot observe a different number at run time — even across
-// amplitude-layout changes.
-func DensePeakBytes(workers, levels, numQubits int) int64 {
-	return int64(workers) * int64(levels+1) * statevec.StateBytes(numQubits)
+// QuietReuse reports whether a dense tree run on the named backend under m
+// reuses quiet segments: plain dense kernels (shadow backends keep their own
+// cheap representation; buffering and sharded backends apply gates through
+// other code paths than the spine is built with) under a non-ideal model
+// whose firing decisions are state-independent (Pauli-only). An ideal run
+// walks the full tree, so its accounting stays plan-exact.
+func QuietReuse(backend string, m *noise.Model) bool {
+	return backend == PlainBackend{}.Name() && quietNoise(m)
+}
+
+// quietNoise is QuietReuse's condition on the model.
+func quietNoise(m *noise.Model) bool { return !m.Ideal() && m.PauliOnly() }
+
+// DensePeakBytes is the dense executor's memory rule: the peak amplitude
+// memory of a tree run, and whether the run reuses quiet segments. The base
+// footprint is one state per level plus the working copy, per worker. A
+// reusable run (QuietReuse) adds the ideal spine — one state per level, held
+// once whatever the worker count — and one quiet-child state per worker for
+// every level below the first, unless that would overrun a positive budget:
+// then reuse is dropped and the base footprint stands, even where the base
+// alone is over budget (shedding workers is the planner's job). The
+// planner's estimates, sweep and serve admission and the executor's reported
+// PeakStateBytes all come from here, and the per-state term comes from the
+// allocator's own layout constant (statevec.StateBytes), so a job admitted
+// on the estimate cannot observe a different number at run time.
+func DensePeakBytes(workers, levels, numQubits int, reusable bool, budget int64) (peak int64, reuse bool) {
+	state := statevec.StateBytes(numQubits)
+	peak = int64(workers) * int64(levels+1) * state
+	if !reusable {
+		return peak, false
+	}
+	with := peak + int64(levels+workers*(levels-1))*state
+	if budget > 0 && with > budget {
+		return peak, false
+	}
+	return with, true
 }
 
 // treeWorkers returns the worker count a tree run will use for the plan:
@@ -178,6 +219,29 @@ func (e *Executor) treeWorkers(plan *partition.Plan) int {
 // across workers; node RNG streams are keyed by deterministic DFS sequence
 // numbers, so results are identical to the serial walk.
 //
+// Quiet-segment reuse. Under a Pauli-only model a channel's firing decision
+// is a fixed-probability draw that never reads the state, so every node
+// dry-runs its segment's draws first (noise.Model.SegmentFires on a copy of
+// the node stream, RNG-identical to the real path). A segment that fires
+// nothing is quiet: its output is the parent state with the segment's gates
+// applied and no noise kernel, so it depends on the parent alone and every
+// quiet child of one parent has the bitwise-same state. The walk computes
+// that state at most once per parent:
+//
+//   - a parent on the ideal spine (the root, or a quiet child of a spine
+//     node) hands its quiet children the spine's boundary state — Prefix when
+//     it matches the plan, otherwise a set the run builds itself, once for
+//     all workers, its gate work and copies booked once;
+//   - off the spine, the first quiet child computes quiet[level] from the
+//     parent with the same kernels in the same order as runSegment, and its
+//     later quiet siblings adopt that state.
+//
+// A quiet node adopts the advanced probe stream, so its subtree and its leaf
+// draw exactly what they would have drawn after running the segment; nodes
+// are still visited in DFS order, so leaves arrive in the same order with
+// the same bits. DensePeakBytes decides whether an eligible run reuses at
+// all; a FullWalk run never does.
+//
 // leafFor is called once per worker, before that worker starts, and must
 // return the worker's private leaf observer. Each observer runs on exactly
 // one goroutine with no cross-worker synchronization — callers accumulate
@@ -193,29 +257,22 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 	n := plan.Circuit.NumQubits
 	levels := plan.Levels()
 	rootRNG := rng.New(e.Seed)
-
-	// subtreeNodes is the node count of one subtree hanging off a level-0
-	// node — used to pre-assign deterministic DFS sequence numbers to
-	// parallel workers.
-	subtreeNodes := SubtreeSpan(plan.Arities, 0)
-
 	workers := e.treeWorkers(plan)
-	res.PeakStateBytes = DensePeakBytes(workers, levels, n)
 
-	// Ideal-prefix reuse applies only where its correctness argument holds:
-	// plain dense kernels (shadow backends keep their own cheap
-	// representation; buffering and sharded backends apply gates through
-	// other code paths than the snapshots were built with) under a noise
-	// model whose firing decisions are state-independent (Pauli-only).
 	_, plain := be.(PlainBackend)
-	usePrefix := plain && e.Prefix.Matches(plan) && e.Noise.PauliOnly()
-	if usePrefix {
-		// The shared snapshots are held once, not per worker.
-		res.PeakStateBytes += e.Prefix.Bytes()
+	var reuse bool
+	res.PeakStateBytes, reuse = DensePeakBytes(workers, levels, n,
+		plain && quietNoise(e.Noise) && !e.FullWalk, e.MemoryBudgetBytes)
+	spine := e.Prefix
+	if reuse && !spine.Matches(plan) {
+		var spineOps int64
+		spine, spineOps = buildSpine(plan)
+		res.GateApplications += spineOps
+		res.StateCopies += int64(levels)
 	}
 
 	type shard struct {
-		ops, copies, nodes, prefixHits int64
+		ops, copies, nodes, prefixHits, siblingHits int64
 	}
 	shards := make([]shard, workers)
 	var wg sync.WaitGroup
@@ -236,71 +293,75 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 			for i := range levelState {
 				levelState[i] = statevec.NewZero(n)
 			}
+			// quiet[L] holds the quiet child of the level-L parent being
+			// walked; allocated on first use (level 0's parent is the root,
+			// which is on the spine, so quiet[0] never is).
+			quiet := make([]*statevec.State, levels)
 			root := statevec.NewZero(n)
 			if shadow, ok := be.(StateShadow); ok {
 				shadow.BindZero(root)
 			}
-			// runNode executes one tree node and returns the node's state
-			// plus whether it is still on the ideal trajectory. When the
-			// parent is ideal and the segment's noise dry-run fires nothing,
-			// the node's state is the shared boundary snapshot — no copy, no
-			// gate work; the probe RNG (advanced exactly as a no-fire
-			// trajectory would) replaces the node stream. Otherwise the node
-			// runs normally from the parent state with the untouched stream.
-			runNode := func(level int, parent *statevec.State, parentIdeal bool, r *rng.RNG, gates []gate.Gate) (*statevec.State, bool) {
-				if usePrefix && parentIdeal {
-					probe := *r
-					if fired, ok := e.Noise.SegmentFires(gates, &probe); ok && !fired {
-						*r = probe
-						sh.nodes++
-						sh.prefixHits++
-						return e.Prefix.states[level], true
-					}
+			// quietSegment dry-runs the segment's noise draws on a copy of the
+			// node stream; a segment that fires nothing adopts the advanced
+			// copy, a firing one keeps the untouched stream for runSegment.
+			quietSegment := func(gates []gate.Gate, r *rng.RNG) bool {
+				if !reuse {
+					return false
 				}
-				st := levelState[level]
-				copyState(be, st, parent)
-				sh.copies++
-				sh.nodes++
-				sh.ops += e.runSegment(st, be, gates, r)
-				return st, false
+				probe := *r
+				if fired, _ := e.Noise.SegmentFires(gates, &probe); fired {
+					return false
+				}
+				*r = probe
+				return true
 			}
-			var walk func(level int, parent *statevec.State, parentIdeal bool, seqBase uint64)
-			walk = func(level int, parent *statevec.State, parentIdeal bool, seqBase uint64) {
-				arity := plan.Arities[level]
+			// walk runs children first, first+stride, ... of one level-`level`
+			// parent, each with its whole subtree. Child i's subtree
+			// (including its own node) spans a fixed block of DFS sequence
+			// numbers starting at seqBase + i*blockLen.
+			var walk func(level int, parent *statevec.State, onSpine bool, seqBase uint64, first, stride int)
+			walk = func(level int, parent *statevec.State, onSpine bool, seqBase uint64, first, stride int) {
 				gates := subs[level].Gates
-				// Child i's subtree (including its own node) spans a fixed
-				// block of DFS sequence numbers.
 				blockLen := SubtreeSpan(plan.Arities, level)
-				for child := 0; child < arity; child++ {
+				quietReady := false
+				for child := first; child < plan.Arities[level]; child += stride {
 					if e.cancelled() {
 						return
 					}
 					seq := seqBase + uint64(child)*blockLen
 					r := rootRNG.SplitAt(seq)
-					st, ideal := runNode(level, parent, parentIdeal, r, gates)
+					st, childOnSpine := levelState[level], false
+					sh.nodes++
+					switch {
+					case !quietSegment(gates, r):
+						copyState(be, st, parent)
+						sh.copies++
+						sh.ops += e.runSegment(st, be, gates, r)
+					case onSpine:
+						st, childOnSpine = spine.states[level], true
+						sh.prefixHits++
+					case quietReady:
+						st = quiet[level]
+						sh.siblingHits++
+					default:
+						if quiet[level] == nil {
+							quiet[level] = statevec.NewZero(n)
+						}
+						st = quiet[level]
+						st.CopyFrom(parent)
+						sh.copies++
+						sh.ops += applyIdeal(st, gates)
+						quietReady = true
+					}
 					if level == levels-1 {
 						onLeaf(st, be, r)
 					} else {
-						walk(level+1, st, ideal, seq+1)
+						walk(level+1, st, childOnSpine, seq+1, 0, 1)
 					}
 				}
 			}
 			// Worker w handles level-0 children w, w+workers, ...
-			arity0 := plan.Arities[0]
-			gates0 := subs[0].Gates
-			for child := w; child < arity0; child += workers {
-				if e.cancelled() {
-					return
-				}
-				seq := 1 + uint64(child)*subtreeNodes
-				r := rootRNG.SplitAt(seq)
-				st, ideal := runNode(0, root, true, r, gates0)
-				if levels == 1 {
-					onLeaf(st, be, r)
-				} else {
-					walk(1, st, ideal, seq+1)
-				}
-			}
+			walk(0, root, true, 1, w, workers)
 		}(w)
 	}
 	wg.Wait()
@@ -312,6 +373,7 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 		res.StateCopies += sh.copies
 		res.Nodes += sh.nodes
 		res.PrefixReuseHits += sh.prefixHits
+		res.SiblingReuseHits += sh.siblingHits
 	}
 	return nil
 }

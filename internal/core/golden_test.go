@@ -4,10 +4,16 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"runtime/debug"
+	"slices"
 	"testing"
 
+	"tqsim/internal/core"
 	"tqsim/internal/fusion"
+	"tqsim/internal/noise"
+	"tqsim/internal/partition"
 	"tqsim/internal/statevec"
 	"tqsim/internal/workloads"
 )
@@ -86,6 +92,96 @@ func TestGoldenAmplitudeDigests(t *testing.T) {
 		b.Flush(fused)
 		if got := planeDigest(fused); got != g.fusion {
 			t.Errorf("%s fusion digest %s, want %s", g.circuit, got, g.fusion)
+		}
+	}
+}
+
+// histogramDigest hashes a histogram as its "outcome:count" lines in
+// ascending outcome order.
+func histogramDigest(counts map[uint64]int) string {
+	keys := make([]uint64, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	h := sha256.New()
+	for _, k := range keys {
+		fmt.Fprintf(h, "%d:%d\n", k, counts[k])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// raceDetector reports whether the test binary was built with -race (the
+// toolchain records the flag in the binary's build settings).
+func raceDetector() bool {
+	info, _ := debug.ReadBuildInfo()
+	return info != nil && slices.Contains(info.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// TestGoldenHistogramDigests pins the executor's sampled outcomes against
+// the parent of the quiet-segment-reuse change, not only against a sibling
+// engine in the same tree: the constants were produced by this test at
+// commit 6fb73ce, where every run walked every node, and are not to be
+// regenerated to make an executor change pass. The inputs are the repository
+// benchmark's — tree_wide's at its full 150 shots (the plan is (61,3); fewer
+// shots plan flat), tree_narrow's at a tenth, both parallelism-check trees,
+// sweep_grid's four noise points — plus one deeper tree and one flat
+// (96) plan, RunBackend's shape. A nil structure means the DCP plan at the
+// default options; each case runs serially and on two workers. Under the race
+// detector the 16-qubit cases are skipped: a digest comparison gains nothing
+// from it, the smaller cases walk the same concurrent code, and 1 MiB states
+// cost two minutes there.
+func TestGoldenHistogramDigests(t *testing.T) {
+	golden := []struct {
+		circuit   string
+		m         *noise.Model
+		shots     int
+		structure []int // explicit arities; nil plans with DCP at shots
+		seed      uint64
+		digest    string
+	}{
+		{"qpe_n16", noise.NewDepolarizing(0.0002, 0.001), 150, nil, 1,
+			"9eb4c85aea011967d29f120cca88f611d5b5853704cc04865af387165a3b1711"},
+		{"qpe_n16", noise.NewDepolarizing(0.0002, 0.001), 0, []int{8, 3}, 1,
+			"007334b5210baa5d644d591c07e6c7b93b3f0e25b7e6171411ce8e06a465f521"},
+		{"qpe_n9_0", noise.NewSycamore(), 2000, nil, 1,
+			"577143825041ba1533e30c72be286e1f062dd39914c33a6cd9500a414adaa455"},
+		{"qpe_n9_0", noise.NewSycamore(), 0, []int{300, 3, 2}, 1,
+			"76a5f537936a9c967196bc365569cf66c6ce0f1c542710933f93c23688577850"},
+		{"qft_n12", noise.NewDepolarizing(0.0002, 0.001), 250, nil, 1,
+			"55653166d6aced5bc175fd60d06c378c93081a579c00a6be41fe1f2c97ae8251"},
+		{"qft_n12", noise.NewDepolarizing(0.0005, 0.002), 250, nil, 2,
+			"0b20d9695a995ac0308edc20f11d0c48bcf1568543dc2399a7098fb45b5d788c"},
+		{"qft_n12", noise.NewDepolarizing(0.001, 0.005), 250, nil, 3,
+			"6512e09be1058c4f3fd8645a5f79952b40c4c77c731ad44e059c1e68425fec7d"},
+		{"qft_n12", noise.NewDepolarizing(0.002, 0.008), 250, nil, 4,
+			"56e35fe963e22e069095baf73233a1bdb397292b3db7dc11ff965a02b6e1e868"},
+		{"qft_n12", noise.NewDepolarizing(0.001, 0.005), 0, []int{16, 4, 2}, 6,
+			"80ae816ee64970e70ca8fd9b6d641c139c2544c5c3bff462b4b25372de017be4"},
+		{"qft_n12", noise.NewDepolarizing(0.001, 0.005), 0, []int{96}, 5,
+			"fe3edef6a04984eee4fc03273d287614d950735352ab0e7598fb65c3e387b717"},
+	}
+	for _, g := range golden {
+		c := workloads.ByName(g.circuit)
+		if c == nil {
+			t.Fatalf("suite circuit %q missing", g.circuit)
+		}
+		if raceDetector() && c.NumQubits >= 16 {
+			continue
+		}
+		plan := partition.Dynamic(c, g.m, g.shots, partition.DCPOptions{})
+		if g.structure != nil {
+			plan = partition.FromStructure(c, g.structure)
+		}
+		for _, workers := range []int{1, 2} {
+			res, err := (&core.Executor{Noise: g.m, Seed: g.seed, Parallelism: workers}).Run(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := histogramDigest(res.Counts); got != g.digest {
+				t.Errorf("%s %s seed %d on %d workers: histogram digest %s, want %s",
+					g.circuit, plan.Structure(), g.seed, workers, got, g.digest)
+			}
 		}
 	}
 }

@@ -9,16 +9,17 @@ import (
 	"tqsim/internal/statevec"
 )
 
-// PrefixSnapshots caches the noise-free (ideal) state at every subcircuit
-// boundary of a plan. It is the cross-point reuse substrate of the sweep
-// engine: under a Pauli-only noise model a trajectory's state is bitwise
-// equal to the ideal evolution until the first channel actually fires, so a
-// tree node whose parent is still on the ideal trajectory — and whose
-// segment draws no firing channel — needs no gate work at all: its state IS
-// the cached boundary snapshot. The snapshots depend only on (circuit,
-// bounds), so one set serves every noise point, shot count and repeat of a
-// sweep whose plans share the subcircuit boundaries, extending the paper's
-// intra-tree redundancy elimination across sweep points.
+// PrefixSnapshots is the ideal spine of a plan: the noise-free state at
+// every subcircuit boundary. Under a Pauli-only noise model a trajectory's
+// state is bitwise equal to the ideal evolution until the first channel
+// actually fires, so a tree node whose parent is still on the ideal
+// trajectory — and whose segment draws no firing channel — needs no gate
+// work at all: its state IS the boundary snapshot. Every eligible dense run
+// builds one for itself (Executor.runTree); because the snapshots depend
+// only on (circuit, bounds), a caller running many plans over the same
+// boundaries — the noise points and repeats of a sweep, the batches of a
+// tqsimd job — can build the set once and hand it to each run through
+// Executor.Prefix.
 //
 // Snapshots are computed once with the plain dense kernels in the same
 // per-gate order the executor applies them, so a snapshot is bitwise equal
@@ -44,17 +45,39 @@ func NewPrefixSnapshots(plan *partition.Plan) (*PrefixSnapshots, error) {
 	if n > statevec.MaxQubits {
 		return nil, fmt.Errorf("core: %d qubits exceeds the %d-qubit dense snapshot limit", n, statevec.MaxQubits)
 	}
+	ps, _ := buildSpine(plan)
+	return ps, nil
+}
+
+// buildSpine computes the snapshots of a validated plan of dense width and
+// returns the kernel applications that cost: the executor books them when a
+// run builds its own spine.
+func buildSpine(plan *partition.Plan) (*PrefixSnapshots, int64) {
+	n := plan.Circuit.NumQubits
 	ps := &PrefixSnapshots{n: n, bounds: append([]int(nil), plan.Bounds...)}
 	st := statevec.NewZero(n)
+	var ops int64
 	for _, sc := range plan.Subcircuits() {
-		for _, g := range sc.Gates {
-			if g.Kind != gate.KindI {
-				st.Apply(g)
-			}
-		}
+		ops += applyIdeal(st, sc.Gates)
 		ps.states = append(ps.states, st.Clone())
 	}
-	return ps, nil
+	return ps, ops
+}
+
+// applyIdeal applies a gate segment with no noise, through the plain dense
+// kernels in the per-gate order runSegment uses, and returns the kernel
+// applications. Spine states, cached boundary states and quiet children are
+// all computed here, which is what makes each bitwise equal to the state a
+// trajectory that fires nothing computes.
+func applyIdeal(st *statevec.State, gs []gate.Gate) int64 {
+	var ops int64
+	for _, g := range gs {
+		if g.Kind != gate.KindI {
+			st.Apply(g)
+			ops++
+		}
+	}
+	return ops
 }
 
 // Matches reports whether the snapshots were built for this plan's circuit
@@ -66,20 +89,11 @@ func (ps *PrefixSnapshots) Matches(plan *partition.Plan) bool {
 }
 
 // SnapshotBytes returns the footprint of a prefix-snapshot set for a tree
-// of the given level count and width: one dense state per level. The sweep
-// engine's admission estimates and PrefixSnapshots.Bytes both use it, so a
-// sweep admitted on the estimate observes the same number at run time.
+// of the given level count and width: one dense state per level — what the
+// snapshot cache charges per set. A run's own accounting of the spine is
+// DensePeakBytes'.
 func SnapshotBytes(levels, numQubits int) int64 {
 	return int64(levels) * statevec.StateBytes(numQubits)
-}
-
-// Bytes returns the snapshot memory footprint (levels dense states), the
-// term the sweep engine adds to its admission estimates when reuse is on.
-func (ps *PrefixSnapshots) Bytes() int64 {
-	if ps == nil {
-		return 0
-	}
-	return SnapshotBytes(len(ps.states), ps.n)
 }
 
 // PrefixKey is the cache identity of a plan's snapshots: two plans over the

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tqsim/internal/gate"
 	"tqsim/internal/lru"
 	"tqsim/internal/partition"
 	"tqsim/internal/statevec"
@@ -112,11 +111,7 @@ func (sc *SnapshotCache) ForPlan(plan *partition.Plan) (*PrefixSnapshots, error)
 				st = states[i-1].Clone()
 			}
 		}
-		for _, g := range plan.Circuit.Gates[prev:cut] {
-			if g.Kind != gate.KindI {
-				st.Apply(g)
-			}
-		}
+		applyIdeal(st, plan.Circuit.Gates[prev:cut])
 		states[i] = st.Clone()
 		prev = cut
 	}

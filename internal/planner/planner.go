@@ -77,6 +77,10 @@ type Budget struct {
 	// ClusterNodes requests the sharded engine with that many virtual nodes
 	// (0 = no preference; cluster then only runs if explicitly selected).
 	ClusterNodes int
+	// FullWalk says the run will be a core.Executor.FullWalk one (a sweep's
+	// NoReuse reference), so dense peak estimates leave the quiet-segment
+	// reuse states out. Engine and worker decisions do not read it.
+	FullWalk bool
 }
 
 // Candidate records one engine the planner evaluated.
@@ -185,6 +189,7 @@ type analysis struct {
 	total    int
 	clifford bool
 	pauli    bool
+	model    *noise.Model
 	// denseAmps is 2^n as a float (safe beyond 63 qubits).
 	denseAmps float64
 	// denseCost is the dense-engine tree cost: every gate application and
@@ -206,6 +211,7 @@ func analyze(p *partition.Plan, m *noise.Model, b Budget) analysis {
 		prefix:   CliffordPrefixLen(c),
 		total:    c.Len(),
 		pauli:    m.PauliOnly(),
+		model:    m,
 	}
 	a.clifford = a.prefix == a.total
 	a.denseAmps = hpcmodel.StatevectorBytes(a.n) / hpcmodel.BytesPerAmplitude
@@ -229,26 +235,30 @@ func analyze(p *partition.Plan, m *noise.Model, b Budget) analysis {
 	return a
 }
 
-// densePeakBytes is the dense executor's peak amplitude memory at a worker
-// count — core.DensePeakBytes, the same formula the executor reports, so
+// densePeakBytes is the named dense engine's peak amplitude memory at a
+// worker count — core.DensePeakBytes, the rule the executor itself applies
+// and reports, quiet-segment reuse and its budget test included, so
 // admission estimates and observed PeakStateBytes agree.
-func (a analysis) densePeakBytes(workers int) int64 {
-	return core.DensePeakBytes(workers, a.levels, a.n)
+func (a analysis) densePeakBytes(backend string, workers int, b Budget) int64 {
+	reusable := core.QuietReuse(backend, a.model) && !b.FullWalk
+	peak, _ := core.DensePeakBytes(workers, a.levels, a.n, reusable, b.MemoryBytes)
+	return peak
 }
 
 // fitDense memory-clamps a dense candidate: sheds workers until the peak
-// fits the budget, or reports infeasibility. It mirrors the admission
-// arithmetic tqsimd uses, so service rejections and planner rejections
-// agree.
-func (a analysis) fitDense(b Budget) (workers int, peak int64, ok bool) {
+// fits the budget, or reports infeasibility. DensePeakBytes drops reuse
+// before it lets reuse overrun the budget, so the worker count is decided
+// by the base footprint alone. It mirrors the admission arithmetic tqsimd
+// uses, so service rejections and planner rejections agree.
+func (a analysis) fitDense(backend string, b Budget) (workers int, peak int64, ok bool) {
 	workers = a.workers
-	peak = a.densePeakBytes(workers)
+	peak = a.densePeakBytes(backend, workers, b)
 	if b.MemoryBytes <= 0 {
 		return workers, peak, true
 	}
 	for workers > 1 && peak > b.MemoryBytes {
 		workers--
-		peak = a.densePeakBytes(workers)
+		peak = a.densePeakBytes(backend, workers, b)
 	}
 	return workers, peak, peak <= b.MemoryBytes
 }
@@ -386,7 +396,7 @@ func candHybrid(a analysis, b Budget) Candidate {
 			a.n, statevec.MaxQubits, hpcmodel.FormatBytes(hpcmodel.StatevectorBytes(a.n)))
 		return c
 	}
-	workers, peak, ok := a.fitDense(b)
+	workers, peak, ok := a.fitDense(c.Backend, b)
 	if !ok {
 		c.Reason = overBudget(peak, b)
 		return c
@@ -408,7 +418,7 @@ func candDense(a analysis, b Budget, name string, cost float64, why string) Cand
 			a.n, statevec.MaxQubits, hpcmodel.FormatBytes(hpcmodel.StatevectorBytes(a.n)))
 		return c
 	}
-	workers, peak, ok := a.fitDense(b)
+	workers, peak, ok := a.fitDense(name, b)
 	if !ok {
 		c.Reason = overBudget(peak, b)
 		return c
@@ -480,7 +490,7 @@ func PeakBytes(p *partition.Plan, m *noise.Model, name string, b Budget) int64 {
 	case a.n > statevec.MaxQubits:
 		return infinite
 	default:
-		return a.densePeakBytes(a.workers)
+		return a.densePeakBytes(name, a.workers, b)
 	}
 }
 

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"tqsim"
+	"tqsim/internal/core"
 	"tqsim/internal/hpcmodel"
 	"tqsim/internal/lru"
 	"tqsim/internal/metrics"
@@ -587,6 +588,10 @@ type job struct {
 	// peak for auto jobs, the named engine's for explicit ones.
 	estPeak int64
 	planHit bool
+	// budget is the memory budget the job was planned and admitted under:
+	// the request's, else the server's. Runs carry it into the executor so
+	// its reuse decision is the one the estimate assumed.
+	budget int64
 	// wire is the request to forward in shard leases, with every value that
 	// shapes batch arithmetic pinned to the coordinator's resolution (the
 	// worker must never re-apply its own defaults and diverge).
@@ -690,6 +695,7 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 		circuit:    c,
 		noise:      m,
 		shots:      req.Shots,
+		budget:     req.MemoryBudgetBytes,
 		snaps:      s.snapCache,
 		merged:     make(map[uint64]int),
 		planBySize: make(map[int]*cachedPlan, 2),
@@ -703,6 +709,9 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 			Parallelism:       req.Parallelism,
 			Epsilon:           req.Epsilon,
 		},
+	}
+	if j.budget == 0 {
+		j.budget = s.cfg.MemoryBudgetBytes
 	}
 	j.batchSize = req.BatchShots
 	if j.batchSize == 0 {
@@ -728,7 +737,7 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 		if _, done := j.planBySize[size]; done {
 			continue
 		}
-		cp, hit, herr := s.planBatch(hash, c, m, size, mode, j.opt)
+		cp, hit, herr := s.planBatch(hash, c, m, size, mode, j.opt, j.budget)
 		if herr != nil {
 			return nil, herr
 		}
@@ -744,12 +753,8 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 	if backend == tqsim.AutoBackend {
 		j.estPeak = j.decision.EstPeakBytes
 	} else {
-		budget := j.opt.MemoryBudgetBytes
-		if budget == 0 {
-			budget = s.cfg.MemoryBudgetBytes
-		}
 		j.estPeak = planner.PeakBytes(j.planFor(0).plan, m, backend, planner.Budget{
-			MemoryBytes:  budget,
+			MemoryBytes:  j.budget,
 			Parallelism:  req.Parallelism,
 			ClusterNodes: req.ClusterNodes,
 		})
@@ -766,15 +771,13 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 	if wire.Parallelism == 0 {
 		wire.Parallelism = j.decision.Parallelism
 	}
-	if wire.MemoryBudgetBytes == 0 {
-		wire.MemoryBudgetBytes = s.cfg.MemoryBudgetBytes
-	}
+	wire.MemoryBudgetBytes = j.budget
 	return j, nil
 }
 
 // planBatch returns the cached plan+decision for one batch size, computing
 // and caching it on miss.
-func (s *Server) planBatch(hash string, c *tqsim.Circuit, m *tqsim.NoiseModel, shots int, mode string, opt tqsim.Options) (*cachedPlan, bool, *httpError) {
+func (s *Server) planBatch(hash string, c *tqsim.Circuit, m *tqsim.NoiseModel, shots int, mode string, opt tqsim.Options, budget int64) (*cachedPlan, bool, *httpError) {
 	key := fmt.Sprintf("%s|%d", hash, shots)
 	s.planMu.Lock()
 	cp, ok := s.planCache.Get(key)
@@ -795,9 +798,7 @@ func (s *Server) planBatch(hash string, c *tqsim.Circuit, m *tqsim.NoiseModel, s
 	// explicit backends: its fitDense arithmetic is the single source of
 	// peak-memory truth.
 	budgetOpt := opt
-	if budgetOpt.MemoryBudgetBytes == 0 {
-		budgetOpt.MemoryBudgetBytes = s.cfg.MemoryBudgetBytes
-	}
+	budgetOpt.MemoryBudgetBytes = budget
 	decision, err := tqsim.DecidePlan(plan, m, budgetOpt)
 	if err != nil {
 		s.stats[statMemory].Add(1)
@@ -961,13 +962,13 @@ func (j *job) run(ctx context.Context, from, to int, emit func(*ShardBatch) *htt
 			}
 		}
 		opt.Seed = BatchSeed(j.opt.Seed, i)
-		// Prefix reuse is gated exactly like the executor gates it — dense
-		// plain backend, Pauli-only noise — so a batch never pays for
-		// snapshots an engine would ignore. Reuse is histogram-preserving:
-		// a no-fire segment adopts the cached ideal state the executor
-		// would have recomputed, RNG consumption unchanged.
+		opt.MemoryBudgetBytes = j.budget
+		// The cross-job cache pre-builds the spine exactly where the
+		// executor would build one itself, so a batch never pays for
+		// snapshots an engine would ignore. Histograms are the same either
+		// way: cached states are bitwise the ones the run would compute.
 		var prefix *tqsim.PrefixSnapshots
-		if j.snaps != nil && opt.Backend == "statevec" && j.noise.PauliOnly() {
+		if j.snaps != nil && core.QuietReuse(opt.Backend, j.noise) {
 			size := j.batchShots(i)
 			p, ok := prefixBySize[size]
 			if !ok {

@@ -10,11 +10,11 @@
 //     partition plan and one planner Decision — a plan is built once per
 //     distinct (circuit, noise-if-it-shapes-the-plan, shots, partitioner)
 //     key, not once per point, so repeat and noise axes hit the cache.
-//   - Ideal-prefix reuse: under Pauli-only noise, points over the same plan
-//     boundaries share one set of ideal boundary snapshots
-//     (core.PrefixSnapshots). A tree node whose parent is still on the
-//     ideal trajectory and whose segment draws no firing channel skips its
-//     gate work entirely; only noise-divergent suffixes re-run.
+//   - Spine sharing: the dense executor reuses quiet segments inside every
+//     run (core.Executor), which needs the ideal state at each plan boundary
+//     (core.PrefixSnapshots). Those states depend only on (circuit, bounds),
+//     so points over the same plan boundaries share one set instead of each
+//     run computing its own — one ideal pass saved per point.
 //
 // Determinism contract: point i runs at the derived seed
 // rng.SeedAt(Spec.Seed, i) and its histogram is a pure function of (spec,
@@ -251,9 +251,10 @@ type Spec struct {
 	// Fidelity requests the per-point normalized fidelity versus the
 	// circuit's ideal distribution (computed once per circuit).
 	Fidelity bool `json:"fidelity,omitempty"`
-	// NoReuse disables cross-point prefix reuse (plan dedupe still
-	// applies); per-point histograms are byte-identical either way — the
-	// switch exists for A/B work measurements and regression tests.
+	// NoReuse runs every point as a full tree walk: no ideal spine, shared
+	// or the run's own, and no quiet children (plan dedupe still applies).
+	// Per-point histograms are byte-identical either way — the switch is
+	// the reference side of A/B work measurements and regression tests.
 	NoReuse bool `json:"no_reuse,omitempty"`
 	// Concurrency runs up to this many points in parallel (default 1).
 	// Histograms are unaffected; only completion order changes.
@@ -310,6 +311,7 @@ func (s *Spec) budget() planner.Budget {
 		MemoryBytes:  s.MemoryBudgetBytes,
 		Parallelism:  s.Parallelism,
 		ClusterNodes: s.ClusterNodes,
+		FullWalk:     s.NoReuse,
 	}
 }
 
@@ -355,8 +357,15 @@ type RunRequest struct {
 	// Parallelism and ClusterNodes carry the resolved worker/shard counts.
 	Parallelism  int
 	ClusterNodes int
-	// Prefix, when non-nil, is the shared ideal-prefix snapshot set the
-	// executor may reuse (nil when reuse is off or inapplicable).
+	// MemoryBudgetBytes is the spec's budget, the one the point's planner
+	// estimate was computed under.
+	MemoryBudgetBytes int64
+	// NoReuse is the spec's: the runner must walk the full tree
+	// (core.Executor.FullWalk), as the point's estimate assumed.
+	NoReuse bool
+	// Prefix, when non-nil, is the ideal spine shared across the points of
+	// this plan; nil leaves the executor to build its own (or none: NoReuse,
+	// or an engine or noise model that reuses nothing).
 	Prefix *core.PrefixSnapshots
 	// Observable, when non-nil, switches the point to expectation
 	// estimation.
@@ -396,7 +405,7 @@ type PointResult struct {
 	Counts   map[uint64]int
 	// GateApplications, StateCopies, PrefixReuseHits and PeakStateBytes
 	// carry the executor's work accounting; PrefixReuseHits counts tree
-	// nodes served from the shared ideal-prefix snapshots.
+	// nodes served from the ideal spine, shared or the run's own.
 	GateApplications int64
 	StateCopies      int64
 	PrefixReuseHits  int64
@@ -682,10 +691,10 @@ func (p *Prepared) ensureEntry(planCache map[string]*partition.Plan, pt Point) (
 		e.estPeak = planner.PeakBytes(plan, m, s.Backend, s.budget())
 	}
 
-	// Prefix reuse: plain dense engine, Pauli-only noise, reuse not
-	// disabled. The executor re-checks the same conditions, so a wrong
-	// answer here costs work, never correctness.
-	if !s.NoReuse && e.backend == "statevec" && m.PauliOnly() {
+	// Spine sharing: only where the executor would build a spine anyway,
+	// and sharing is not disabled. The executor re-checks the same
+	// condition, so a wrong answer here costs work, never correctness.
+	if !s.NoReuse && core.QuietReuse(e.backend, m) {
 		e.reusable = true
 		e.prefixKey = fmt.Sprintf("%d|%s", pt.CircuitIndex, core.PrefixKey(plan))
 		if _, ok := p.prefixes[e.prefixKey]; !ok {
@@ -710,20 +719,15 @@ func (p *Prepared) Circuit(i int) *circuit.Circuit {
 // Spec returns the normalized spec (axes defaulted, repeats clamped).
 func (p *Prepared) Spec() *Spec { return &p.spec }
 
-// MaxEstPeakBytes returns the largest single-point admission estimate
-// (planner peak plus the shared snapshot set where reuse applies) — the
-// number services reserve against their memory budget, since points beyond
+// MaxEstPeakBytes returns the largest single-point admission estimate —
+// the planner's, which already holds the spine and quiet-child states of a
+// reusing point whether the spine is shared or the point's own — the number
+// services reserve against their memory budget, since points beyond
 // Concurrency never run simultaneously.
 func (p *Prepared) MaxEstPeakBytes() int64 {
 	var maxPeak int64
 	for _, e := range p.entries {
-		peak := e.estPeak
-		if e.reusable {
-			peak += core.SnapshotBytes(e.plan.Levels(), e.plan.Circuit.NumQubits)
-		}
-		if peak > maxPeak {
-			maxPeak = peak
-		}
+		maxPeak = max(maxPeak, e.estPeak)
 	}
 	return maxPeak
 }
@@ -859,14 +863,16 @@ func (p *Prepared) runPoint(ctx context.Context, runner Runner, i int) (*PointRe
 	pt := p.points[i]
 	e := p.entries[p.keys[i]]
 	req := &RunRequest{
-		Plan:         e.plan,
-		Noise:        pt.Noise.Model(),
-		Mode:         p.spec.mode(),
-		Seed:         pt.Seed,
-		Backend:      e.backend,
-		Parallelism:  e.parallelism,
-		ClusterNodes: e.clusterNodes,
-		Observable:   p.spec.Observable,
+		Plan:              e.plan,
+		Noise:             pt.Noise.Model(),
+		Mode:              p.spec.mode(),
+		Seed:              pt.Seed,
+		Backend:           e.backend,
+		Parallelism:       e.parallelism,
+		ClusterNodes:      e.clusterNodes,
+		Observable:        p.spec.Observable,
+		MemoryBudgetBytes: p.spec.MemoryBudgetBytes,
+		NoReuse:           p.spec.NoReuse,
 	}
 	if e.reusable {
 		req.Prefix = p.prefix(e)

@@ -1,7 +1,8 @@
 package tqsim
 
 import (
-	"tqsim/internal/core"
+	"context"
+
 	"tqsim/internal/observable"
 	"tqsim/internal/trajectory"
 )
@@ -67,19 +68,10 @@ func EstimateExpectationTQSim(c *Circuit, m *NoiseModel, h *Hamiltonian, shots i
 		opt.Backend = "statevec"
 	}
 	// Observables need dense leaf states, so there is no polynomial route
-	// here regardless of backend; diagnose infeasible widths up front.
-	if err := denseWidthCheck(c, opt.backendName(), m); err != nil {
-		return EstimateStats{}, nil, err
-	}
-	be, err := opt.backend()
+	// here regardless of backend; infeasible widths are diagnosed up front.
+	ex, err := opt.executor(context.Background(), c, m, nil)
 	if err != nil {
 		return EstimateStats{}, nil, err
-	}
-	ex := &core.Executor{
-		Backend:     be,
-		Noise:       m,
-		Seed:        opt.Seed,
-		Parallelism: opt.Parallelism,
 	}
 	res, err := ex.RunExpectation(plan, h)
 	if err != nil {

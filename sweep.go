@@ -92,11 +92,14 @@ func sweepRunner(ctx context.Context, req *sweep.RunRequest) (*sweep.RunOutput, 
 		Backend:      req.Backend,
 		Parallelism:  req.Parallelism,
 		ClusterNodes: req.ClusterNodes,
+		// The budget the point was planned and admitted under, so the
+		// executor's reuse decision is the planner's.
+		MemoryBudgetBytes: req.MemoryBudgetBytes,
 	}
 	if req.Observable != nil {
 		return runSweepExpectation(ctx, req, opt)
 	}
-	res, err := RunPlanPrefixed(ctx, req.Plan, req.Noise, opt, req.Prefix)
+	res, err := runPlan(ctx, req.Plan, req.Noise, opt, req.Prefix, req.NoReuse)
 	if err != nil {
 		return nil, err
 	}
@@ -127,21 +130,11 @@ func runSweepExpectation(ctx context.Context, req *sweep.RunRequest, opt Options
 			},
 		}, nil
 	}
-	if err := denseWidthCheck(req.Plan.Circuit, opt.backendName(), req.Noise); err != nil {
-		return nil, err
-	}
-	be, err := opt.backend()
+	ex, err := opt.executor(ctx, req.Plan.Circuit, req.Noise, req.Prefix)
 	if err != nil {
 		return nil, err
 	}
-	ex := &core.Executor{
-		Backend:     be,
-		Noise:       req.Noise,
-		Seed:        opt.Seed,
-		Parallelism: opt.Parallelism,
-		Context:     ctx,
-		Prefix:      req.Prefix,
-	}
+	ex.FullWalk = req.NoReuse
 	er, err := ex.RunExpectation(req.Plan, h)
 	if err != nil {
 		return nil, err

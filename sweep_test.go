@@ -3,9 +3,12 @@ package tqsim_test
 import (
 	"context"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"tqsim"
+	"tqsim/internal/gate"
 )
 
 // sweepTestSpec returns a noise-grid spec over a non-Clifford circuit with
@@ -103,6 +106,10 @@ func TestSweepReuseReducesWork(t *testing.T) {
 	on := sweepTestSpec()
 	off := sweepTestSpec()
 	off.NoReuse = true
+	// A stated worker count, so the planner's estimate and the run agree on
+	// it (unset, an explicit engine runs serially on an estimate for
+	// GOMAXPROCS workers).
+	on.Parallelism, off.Parallelism = 2, 2
 
 	resOn, err := tqsim.RunSweep(on)
 	if err != nil {
@@ -118,6 +125,67 @@ func TestSweepReuseReducesWork(t *testing.T) {
 	if resOn.GateApplications >= resOff.GateApplications {
 		t.Fatalf("reuse on did %d gate applications, reuse off %d — expected a reduction",
 			resOn.GateApplications, resOff.GateApplications)
+	}
+	// The exact relations. NoReuse is a full walk: every node of every
+	// point's tree is copied into and run, none adopted. Sharing changes
+	// nothing a point does except who builds its spine: the same point run
+	// standalone (statevec, non-ideal Pauli noise, so it builds its own)
+	// serves the same nodes from it and books one ideal pass over the
+	// circuit and one copy per plan level more.
+	prep, err := tqsim.PrepareSweep(on)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepOff, err := tqsim.PrepareSweep(off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Admission reserves what the points then report, reuse states or not.
+	var peakOn, peakOff int64
+	for i := range resOn.Points {
+		peakOn = max(peakOn, resOn.Points[i].PeakStateBytes)
+		peakOff = max(peakOff, resOff.Points[i].PeakStateBytes)
+	}
+	if prep.MaxEstPeakBytes() != peakOn || prepOff.MaxEstPeakBytes() != peakOff || peakOff >= peakOn {
+		t.Errorf("admission estimates %d (reuse) and %d (NoReuse), largest reported peaks %d and %d",
+			prep.MaxEstPeakBytes(), prepOff.MaxEstPeakBytes(), peakOn, peakOff)
+	}
+	c := tqsim.BenchmarkByName(on.Circuit)
+	var idealPass int64
+	for _, g := range c.Gates {
+		if g.Kind != gate.KindI {
+			idealPass++
+		}
+	}
+	for i, pOn := range resOn.Points {
+		pOff := resOff.Points[i]
+		var nodes, width, levels int64 = 0, 1, 0
+		for _, a := range strings.Split(strings.Trim(pOff.Structure, "()"), ",") {
+			arity, err := strconv.ParseInt(a, 10, 64)
+			if err != nil {
+				t.Fatalf("point %d: structure %q: %v", i, pOff.Structure, err)
+			}
+			width *= arity
+			nodes += width
+			levels++
+		}
+		if pOff.PrefixReuseHits != 0 || pOff.StateCopies != nodes {
+			t.Errorf("point %d with NoReuse: %d prefix hits, %d copies; want a full walk of %d nodes",
+				i, pOff.PrefixReuseHits, pOff.StateCopies, nodes)
+		}
+		alone, err := tqsim.RunTQSim(c, prep.Point(i).Noise.Model(), pOn.Shots, tqsim.Options{
+			Seed: pOn.Seed, CopyCost: on.CopyCost, Backend: on.Backend, Parallelism: on.Parallelism,
+		})
+		if err != nil {
+			t.Fatalf("standalone point %d: %v", i, err)
+		}
+		if alone.PrefixReuseHits != pOn.PrefixReuseHits ||
+			alone.GateApplications-pOn.GateApplications != idealPass ||
+			alone.StateCopies-pOn.StateCopies != levels {
+			t.Errorf("point %d: standalone %d hits, %d ops, %d copies; shared spine %d hits, %d ops, %d copies; want equal hits, %d ops and %d copies apart",
+				i, alone.PrefixReuseHits, alone.GateApplications, alone.StateCopies,
+				pOn.PrefixReuseHits, pOn.GateApplications, pOn.StateCopies, idealPass, levels)
+		}
 	}
 	t.Logf("gate applications: reuse on %d, off %d (ratio %.3f), prefix hits %d",
 		resOn.GateApplications, resOff.GateApplications,

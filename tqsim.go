@@ -78,8 +78,9 @@ type (
 	// PlannerCandidate is one engine the planner evaluated for a Decision.
 	PlannerCandidate = planner.Candidate
 	// PrefixSnapshots is a read-only set of ideal (noise-free) states at a
-	// plan's subcircuit boundaries — the substrate of ideal-prefix reuse.
-	// Safe to share across concurrent runs; see RunPlanPrefixed.
+	// plan's subcircuit boundaries — the ideal spine of quiet-segment reuse,
+	// which a dense run builds for itself unless handed one. Safe to share
+	// across concurrent runs; see RunPlanPrefixed.
 	PrefixSnapshots = core.PrefixSnapshots
 	// SnapshotCache is a byte-bounded cross-job cache of ideal boundary
 	// states, keyed per boundary by the structural digest of the gate
@@ -151,7 +152,9 @@ type Options struct {
 	// MaxLevels caps the subcircuit count (0 = automatic).
 	MaxLevels int
 	// MemoryBudgetBytes caps concurrent intermediate-state memory
-	// (0 = unlimited).
+	// (0 = unlimited): DCP keeps the tree's levels inside it, the planner
+	// sheds workers to fit it, and the dense executor drops quiet-segment
+	// reuse when the reuse states would not fit.
 	MemoryBudgetBytes int64
 	// Backend selects the gate-execution engine by registry name:
 	// "statevec", "fusion", "stabilizer", "densmat", or "cluster" — see
@@ -388,16 +391,24 @@ func RunPlanContext(ctx context.Context, p *Plan, m *NoiseModel, opt Options) (*
 	return RunPlanPrefixed(ctx, p, m, opt, nil)
 }
 
-// RunPlanPrefixed is RunPlanContext with an optional shared ideal-prefix
-// snapshot set threaded into the dense executor — the reuse hook behind the
-// sweep engine's cross-point reuse and tqsimd's cross-job snapshot cache
-// (SnapshotCache.ForPlan builds a matching set). A nil prefix reproduces
-// RunPlanContext exactly; a matching prefix changes the work accounting
-// (TreeResult.PrefixReuseHits, PeakStateBytes), never the histogram — the
-// executor only consults it on the plain dense backend under Pauli-only
-// noise, where a no-fire segment's state is bitwise the cached boundary
-// state.
+// RunPlanPrefixed is RunPlanContext with an optional pre-built ideal spine
+// for the dense executor's quiet-segment reuse — what the sweep engine
+// shares across points and tqsimd across jobs (SnapshotCache.ForPlan builds
+// a matching set). The executor reuses quiet segments on every eligible run
+// and builds the spine itself when given none, so a nil prefix reproduces
+// RunPlanContext exactly and a matching one only saves that ideal pass: it
+// lowers TreeResult.GateApplications and StateCopies by the spine's cost,
+// never touching the histogram, the reuse hits or PeakStateBytes. It is
+// consulted only where the run would build a spine: the plain dense backend
+// under non-ideal Pauli-only noise.
 func RunPlanPrefixed(ctx context.Context, p *Plan, m *NoiseModel, opt Options, prefix *PrefixSnapshots) (*TreeResult, error) {
+	return runPlan(ctx, p, m, opt, prefix, false)
+}
+
+// runPlan is RunPlanPrefixed plus the one thing no Options field selects:
+// fullWalk, a sweep's NoReuse reference, makes a dense run execute every
+// node (core.Executor.FullWalk).
+func runPlan(ctx context.Context, p *Plan, m *NoiseModel, opt Options, prefix *PrefixSnapshots, fullWalk bool) (*TreeResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -415,22 +426,34 @@ func RunPlanPrefixed(ctx context.Context, p *Plan, m *NoiseModel, opt Options, p
 	if name == "stabilizer" && m.PauliOnly() && stabilizer.IsClifford(p.Circuit) {
 		return stabilizer.RunTreeContext(ctx, p, m, opt.Seed, opt.Parallelism)
 	}
-	if err := denseWidthCheck(p.Circuit, name, m); err != nil {
-		return nil, err
-	}
-	be, err := opt.backend()
+	ex, err := opt.executor(ctx, p.Circuit, m, prefix)
 	if err != nil {
 		return nil, err
 	}
-	ex := &core.Executor{
-		Backend:     be,
-		Noise:       m,
-		Seed:        opt.Seed,
-		Parallelism: opt.Parallelism,
-		Context:     ctx,
-		Prefix:      prefix,
-	}
+	ex.FullWalk = fullWalk
 	return ex.Run(p)
+}
+
+// executor builds the dense tree executor for the options' engine (already
+// resolved, never "auto"): the width diagnosis, the gate-apply backend and
+// the fields every dense entry point sets.
+func (o Options) executor(ctx context.Context, c *Circuit, m *NoiseModel, prefix *PrefixSnapshots) (*core.Executor, error) {
+	if err := denseWidthCheck(c, o.backendName(), m); err != nil {
+		return nil, err
+	}
+	be, err := o.backend()
+	if err != nil {
+		return nil, err
+	}
+	return &core.Executor{
+		Backend:           be,
+		Noise:             m,
+		Seed:              o.Seed,
+		Parallelism:       o.Parallelism,
+		Context:           ctx,
+		Prefix:            prefix,
+		MemoryBudgetBytes: o.MemoryBudgetBytes,
+	}, nil
 }
 
 // NewSnapshotCache returns a SnapshotCache holding at most maxBytes of
@@ -540,7 +563,10 @@ type Comparison struct {
 	// Speedup is BaselineTime / TQSimTime.
 	Speedup float64
 	// WorkRatio is TQSim kernel work over baseline kernel work — the
-	// machine-independent speedup predictor.
+	// machine-independent speedup predictor. The tree side includes the
+	// executor's quiet-segment reuse (and the cost of its spine); the
+	// statevec baseline is the per-shot trajectory simulator, which reuses
+	// nothing.
 	WorkRatio float64
 	// BaselineFidelity and TQSimFidelity are normalized fidelities versus
 	// the ideal distribution (Equation 9).
@@ -557,7 +583,10 @@ type Comparison struct {
 // fidelity agreement. A zero or "auto" Backend is resolved through the
 // planner once, against the DCP plan, and the same concrete engine then
 // runs both sides — comparing a statevec baseline against a tableau tree
-// would measure an engine swap, not the tree reuse.
+// would measure an engine swap, not the tree reuse. What the tree side
+// reuses is everything the executor does: the shared prefixes of the plan
+// and, on statevec under Pauli noise, quiet segments inside the run. The
+// statevec baseline stays the independent per-shot simulator.
 func Compare(c *Circuit, m *NoiseModel, shots int, opt Options) (*Comparison, error) {
 	opt = opt.autoDefault()
 	if opt.backendName() == AutoBackend {
