@@ -131,14 +131,17 @@ func TestRunPeakEqualsDecisionEstimate(t *testing.T) {
 	const state = int64(16 << 10)
 	plan := tqsim.PlanStructure(c, []int{12, 3, 2})
 	perWorker := int64(plan.Levels()+1) * state
+	// Reuse adds the spine — 3 boundaries and 2·3 interior checkpoints, held
+	// once — and 2 quiet-child states per worker.
+	withReuse := 2*perWorker + (9+2*2)*state
 	for _, tc := range []struct {
 		noise            string
 		workers          int
 		budget, wantPeak int64
 	}{
-		{"DC", 2, 0, 2*perWorker + (3+2*2)*state},
-		{"DC", 2, 2*perWorker + (3+2*2)*state, 2*perWorker + (3+2*2)*state},
-		{"DC", 2, 2*perWorker + (3+2*2)*state - 1, 2 * perWorker},
+		{"DC", 2, 0, withReuse},
+		{"DC", 2, withReuse, withReuse},
+		{"DC", 2, withReuse - 1, 2 * perWorker},
 		{"DC", 4, 3 * perWorker, 3 * perWorker}, // a worker shed, no room for reuse
 		{"TR", 2, 0, 2 * perWorker},
 	} {

@@ -154,9 +154,9 @@ func main() {
 				fatal(err)
 			}
 		}
-		fmt.Printf("tqsim %s: %d outcomes, %d kernel ops, %d copies, %d spine + %d sibling reuse hits of %d nodes, peak %.1f MiB in %v\n",
+		fmt.Printf("tqsim %s: %d outcomes, %d kernel ops, %d copies, %d spine + %d sibling reuse hits and %d checkpoint starts of %d nodes, peak %.1f MiB in %v\n",
 			res.Structure, res.Outcomes, res.GateApplications, res.StateCopies,
-			res.PrefixReuseHits, res.SiblingReuseHits, res.Nodes,
+			res.PrefixReuseHits, res.SiblingReuseHits, res.CheckpointStarts, res.Nodes,
 			float64(res.PeakStateBytes)/(1<<20), res.Elapsed)
 		printCounts(res.Counts, c.NumQubits, *topK)
 	case "compare":

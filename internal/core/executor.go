@@ -26,7 +26,9 @@ type Result struct {
 	// GateApplications counts every kernel application, noise included.
 	GateApplications int64
 	// StateCopies counts full state-vector copies between tree nodes —
-	// the overhead DCP balances against reuse (Section 3.6).
+	// the overhead DCP balances against reuse (Section 3.6). Exactly: Nodes −
+	// PrefixReuseHits − SiblingReuseHits, plus one per spine state when the
+	// run built its own spine.
 	StateCopies int64
 	// PeakStateBytes is the peak amplitude memory held concurrently, as
 	// DensePeakBytes computes it: one state per tree level plus the working
@@ -45,6 +47,12 @@ type Result struct {
 	// segments fire nothing skip the copy and the gate work and share the
 	// state the first of them computed.
 	SiblingReuseHits int64
+	// CheckpointStarts counts nodes that fired but started from an interior
+	// checkpoint of the spine: under a parent on the ideal trajectory, the
+	// gates before the last spine cut ahead of the node's first firing channel
+	// were skipped and the cut's state was copied instead of the parent's.
+	// They are executed nodes, not hits — each still pays one copy.
+	CheckpointStarts int64
 	// Elapsed is the wall-clock duration.
 	Elapsed time.Duration
 	// Structure echoes the plan's arity tuple, e.g. "(16,2,2)".
@@ -73,11 +81,12 @@ type Executor struct {
 	// partially executed tree is not a sample from any defined distribution.
 	Context context.Context
 	// Prefix, when non-nil and matching the plan, is a pre-built ideal spine
-	// for quiet-segment reuse (see runTree): the run adopts it instead of
-	// computing its own, which saves one ideal pass over the circuit and
-	// nothing else. Histograms are byte-identical with or without it. It is
-	// consulted exactly when the run would build a spine itself: the plain
-	// dense backend under non-ideal Pauli-only noise.
+	// for quiet-segment reuse and first-fire starts (see runTree): the run
+	// adopts it, interior checkpoints included, instead of computing its own,
+	// which saves one ideal pass over the circuit and nothing else.
+	// Histograms are byte-identical with or without it. It is consulted
+	// exactly when the run would build a spine itself: the plain dense
+	// backend under non-ideal Pauli-only noise.
 	Prefix *PrefixSnapshots
 	// MemoryBudgetBytes is the caller's cap on peak amplitude memory (0 =
 	// unlimited). Worker counts are shed by the planner before the run; the
@@ -177,24 +186,28 @@ func QuietReuse(backend string, m *noise.Model) bool {
 func quietNoise(m *noise.Model) bool { return !m.Ideal() && m.PauliOnly() }
 
 // DensePeakBytes is the dense executor's memory rule: the peak amplitude
-// memory of a tree run, and whether the run reuses quiet segments. The base
-// footprint is one state per level plus the working copy, per worker. A
-// reusable run (QuietReuse) adds the ideal spine — one state per level, held
-// once whatever the worker count — and one quiet-child state per worker for
-// every level below the first, unless that would overrun a positive budget:
-// then reuse is dropped and the base footprint stands, even where the base
-// alone is over budget (shedding workers is the planner's job). The
-// planner's estimates, sweep and serve admission and the executor's reported
-// PeakStateBytes all come from here, and the per-state term comes from the
-// allocator's own layout constant (statevec.StateBytes), so a job admitted
-// on the estimate cannot observe a different number at run time.
-func DensePeakBytes(workers, levels, numQubits int, reusable bool, budget int64) (peak int64, reuse bool) {
-	state := statevec.StateBytes(numQubits)
+// memory of a tree run of the plan, and whether the run reuses quiet
+// segments. The base footprint is one state per level plus the working copy,
+// per worker. A reusable run (QuietReuse) adds the ideal spine — one state
+// per spine cut, the plan's boundaries and its interior checkpoints alike,
+// held once whatever the worker count — and one quiet-child state per worker
+// for every level below the first, unless that would overrun a positive
+// budget: then reuse is dropped whole, checkpoints with it, and the base
+// footprint stands, even where the base alone is over budget (shedding
+// workers is the planner's job). The planner's estimates, sweep and serve
+// admission and the executor's reported PeakStateBytes all come from here,
+// and the per-state term comes from the allocator's own layout constant
+// (statevec.StateBytes), so a job admitted on the estimate cannot observe a
+// different number at run time. partition.Dynamic's level limit is the base
+// term at one worker, spelled there because core imports partition.
+func DensePeakBytes(plan *partition.Plan, workers int, reusable bool, budget int64) (peak int64, reuse bool) {
+	levels := plan.Levels()
+	state := statevec.StateBytes(plan.Circuit.NumQubits)
 	peak = int64(workers) * int64(levels+1) * state
 	if !reusable {
 		return peak, false
 	}
-	with := peak + int64(levels+workers*(levels-1))*state
+	with := peak + int64(spineSize(plan)+workers*(levels-1))*state
 	if budget > 0 && with > budget {
 		return peak, false
 	}
@@ -242,6 +255,19 @@ func (e *Executor) treeWorkers(plan *partition.Plan) int {
 // the same bits. DensePeakBytes decides whether an eligible run reuses at
 // all; a FullWalk run never does.
 //
+// First-fire start. Up to its first firing channel a node under a spine
+// parent is still the ideal evolution, and the spine holds that evolution at
+// interior checkpoints as well as at the boundaries (spineCuts). Such a
+// node's dry run therefore proceeds span by span between cuts and remembers
+// the stream as it stood at the last cut it passed; when a span fires, the
+// node copies that cut's state instead of its parent's, adopts the
+// remembered stream and runs only the gates after the cut. The draws up to
+// the cut are the ones runSegment would have made (nothing fired), the state
+// at the cut is bitwise the one it would have computed (applyIdeal), and
+// everything after the cut is runSegment itself — so the bits are the full
+// walk's and only GateApplications shrinks. A fire in a level's first span,
+// and every node off the spine, starts from the parent as before.
+//
 // leafFor is called once per worker, before that worker starts, and must
 // return the worker's private leaf observer. Each observer runs on exactly
 // one goroutine with no cross-worker synchronization — callers accumulate
@@ -261,18 +287,17 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 
 	_, plain := be.(PlainBackend)
 	var reuse bool
-	res.PeakStateBytes, reuse = DensePeakBytes(workers, levels, n,
+	res.PeakStateBytes, reuse = DensePeakBytes(plan, workers,
 		plain && quietNoise(e.Noise) && !e.FullWalk, e.MemoryBudgetBytes)
 	spine := e.Prefix
 	if reuse && !spine.Matches(plan) {
-		var spineOps int64
-		spine, spineOps = buildSpine(plan)
-		res.GateApplications += spineOps
-		res.StateCopies += int64(levels)
+		spine = newSpine(plan)
+		res.GateApplications += spine.fill(plan.Circuit)
+		res.StateCopies += int64(len(spine.states))
 	}
 
 	type shard struct {
-		ops, copies, nodes, prefixHits, siblingHits int64
+		ops, copies, nodes, prefixHits, siblingHits, checkpointStarts int64
 	}
 	shards := make([]shard, workers)
 	var wg sync.WaitGroup
@@ -301,19 +326,30 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 			if shadow, ok := be.(StateShadow); ok {
 				shadow.BindZero(root)
 			}
-			// quietSegment dry-runs the segment's noise draws on a copy of the
-			// node stream; a segment that fires nothing adopts the advanced
-			// copy, a firing one keeps the untouched stream for runSegment.
-			quietSegment := func(gates []gate.Gate, r *rng.RNG) bool {
+			// dryRun draws the segment's noise decisions on a copy of the node
+			// stream, span by span between the spine's cuts under a spine
+			// parent and in one span otherwise. r is left as it stood at the
+			// last cut passed, `from` gates into the segment, where the spine
+			// holds state `at`: the segment's end when nothing fired (quiet),
+			// else the start of the span that fired — the untouched stream and
+			// from == 0 when that is the first.
+			dryRun := func(level int, gates []gate.Gate, onSpine bool, r *rng.RNG) (quiet bool, from int, at *statevec.State) {
 				if !reuse {
-					return false
+					return false, 0, nil
+				}
+				lo, hi, start := spine.level(level)
+				if !onSpine {
+					lo = hi
 				}
 				probe := *r
-				if fired, _ := e.Noise.SegmentFires(gates, &probe); fired {
-					return false
+				for i := lo; i <= hi; i++ {
+					to := spine.cuts[i] - start
+					if fired, _ := e.Noise.SegmentFires(gates[from:to], &probe); fired {
+						return false, from, at
+					}
+					*r, from, at = probe, to, spine.states[i]
 				}
-				*r = probe
-				return true
+				return true, from, at
 			}
 			// walk runs children first, first+stride, ... of one level-`level`
 			// parent, each with its whole subtree. Child i's subtree
@@ -332,13 +368,19 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 					r := rootRNG.SplitAt(seq)
 					st, childOnSpine := levelState[level], false
 					sh.nodes++
+					quietSeg, from, at := dryRun(level, gates, onSpine, r)
 					switch {
-					case !quietSegment(gates, r):
-						copyState(be, st, parent)
+					case !quietSeg:
+						src := parent
+						if from > 0 {
+							src = at
+							sh.checkpointStarts++
+						}
+						copyState(be, st, src)
 						sh.copies++
-						sh.ops += e.runSegment(st, be, gates, r)
+						sh.ops += e.runSegment(st, be, gates[from:], r)
 					case onSpine:
-						st, childOnSpine = spine.states[level], true
+						st, childOnSpine = at, true
 						sh.prefixHits++
 					case quietReady:
 						st = quiet[level]
@@ -374,6 +416,7 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 		res.Nodes += sh.nodes
 		res.PrefixReuseHits += sh.prefixHits
 		res.SiblingReuseHits += sh.siblingHits
+		res.CheckpointStarts += sh.checkpointStarts
 	}
 	return nil
 }

@@ -4,64 +4,162 @@ import (
 	"fmt"
 	"slices"
 
+	"tqsim/internal/circuit"
 	"tqsim/internal/gate"
 	"tqsim/internal/partition"
 	"tqsim/internal/statevec"
 )
 
-// PrefixSnapshots is the ideal spine of a plan: the noise-free state at
-// every subcircuit boundary. Under a Pauli-only noise model a trajectory's
-// state is bitwise equal to the ideal evolution until the first channel
-// actually fires, so a tree node whose parent is still on the ideal
-// trajectory — and whose segment draws no firing channel — needs no gate
-// work at all: its state IS the boundary snapshot. Every eligible dense run
-// builds one for itself (Executor.runTree); because the snapshots depend
-// only on (circuit, bounds), a caller running many plans over the same
-// boundaries — the noise points and repeats of a sweep, the batches of a
-// tqsimd job — can build the set once and hand it to each run through
-// Executor.Prefix.
+// PrefixSnapshots is the ideal spine of a plan: the noise-free state at an
+// ascending list of gate cuts (spineCuts) — every subcircuit boundary plus a
+// few interior checkpoints of long segments. Under a Pauli-only noise model a
+// trajectory's state is bitwise equal to the ideal evolution until the first
+// channel actually fires, so a tree node whose parent is still on the ideal
+// trajectory needs no gate work before that first fire: a segment that draws
+// no firing channel IS the boundary snapshot, and one that does starts from
+// the last checkpoint before the fire instead of from its parent. Every
+// eligible dense run builds one for itself (Executor.runTree); because the
+// snapshots depend only on (circuit, bounds), a caller running many plans
+// over the same boundaries — the noise points and repeats of a sweep, the
+// batches of a tqsimd job — can build the set once and hand it to each run
+// through Executor.Prefix.
 //
 // Snapshots are computed once with the plain dense kernels in the same
 // per-gate order the executor applies them, so a snapshot is bitwise equal
-// to the state a no-fire trajectory would have computed — the property that
-// makes reuse histogram-preserving. They are read-only after construction
-// and safe to share across worker goroutines and concurrent runs.
+// to the state a no-fire trajectory would have computed at that gate — the
+// property that makes reuse histogram-preserving. They are read-only after
+// construction and safe to share across worker goroutines and concurrent
+// runs.
 type PrefixSnapshots struct {
 	n      int
 	bounds []int
-	// states[L] is the ideal state after subcircuits 0..L (len = levels).
+	// cuts is spineCuts of the plan the set was built for; states[i] is the
+	// ideal state after gates[0:cuts[i]].
+	cuts   []int
 	states []*statevec.State
+	// ends[L] indexes level L's boundary in cuts: its spans are the cuts
+	// after ends[L-1] up to and including ends[L].
+	ends []int
 }
 
-// NewPrefixSnapshots computes the boundary snapshots for a plan. The cost is
-// one ideal sweep over the circuit (the same work as a single noise-free
-// trajectory). Widths beyond the dense limit error out — callers gate reuse
-// to dense plans anyway.
+// checkpointsPerLevel sets the interior-checkpoint budget of a spine:
+// 2·levels states beyond the plan's own boundaries. A node that fires skips,
+// on average, all but half a span of its ideal prefix, so the gate work left
+// on the table shrinks as 1/(checkpoints+1) while every checkpoint costs a
+// resident state; docs/experimentation.md (PR 22) holds 2 against 1 and 4 on
+// tree_wide.
+const checkpointsPerLevel = 2
+
+// spineCuts returns the ascending gate cuts a plan's spine holds states at,
+// and for each level the index of its boundary among them: every plan bound,
+// the circuit's end, and each segment's interior checkpoints
+// (segmentCheckpoints), evenly spaced inside it. A pure function of (bounds,
+// circuit length).
+func spineCuts(plan *partition.Plan) (cuts, ends []int) {
+	levels := plan.Levels()
+	cuts = make([]int, 0, (1+checkpointsPerLevel)*levels)
+	ends = make([]int, 0, levels)
+	for level := 0; level < levels; level++ {
+		start, end, k := segmentCheckpoints(plan, level)
+		for j := 1; j <= k; j++ {
+			cuts = append(cuts, start+j*(end-start)/(k+1))
+		}
+		cuts = append(cuts, end)
+		ends = append(ends, len(cuts)-1)
+	}
+	return cuts, ends
+}
+
+// spineSize is the number of states a plan's spine holds, len(spineCuts),
+// without building the list: the memory rule asks for nothing else.
+func spineSize(plan *partition.Plan) int {
+	states := plan.Levels()
+	for level := range plan.Arities {
+		_, _, k := segmentCheckpoints(plan, level)
+		states += k
+	}
+	return states
+}
+
+// segmentCheckpoints returns the gate range of the plan's level-th segment
+// and the interior checkpoints it gets: its share of the spine's budget of
+// checkpointsPerLevel·levels, in proportion to its gate count — the budget's
+// rounded running total over the circuit, taken at the segment's two ends, so
+// the shares sum to the budget — capped at one fewer than its gates so that
+// no span is empty.
+func segmentCheckpoints(plan *partition.Plan, level int) (start, end, k int) {
+	total := plan.Circuit.Len()
+	if level > 0 {
+		start = plan.Bounds[level-1]
+	}
+	end = total
+	if level < len(plan.Bounds) {
+		end = plan.Bounds[level]
+	}
+	if total == 0 {
+		return start, end, 0
+	}
+	budget := checkpointsPerLevel * plan.Levels()
+	upTo := func(g int) int { return (2*budget*g + total) / (2 * total) }
+	return start, end, min(upTo(end)-upTo(start), end-start-1)
+}
+
+// NewPrefixSnapshots computes the spine for a plan. The cost is one ideal
+// sweep over the circuit (the same work as a single noise-free trajectory).
+// Widths beyond the dense limit error out — callers gate reuse to dense
+// plans anyway.
 func NewPrefixSnapshots(plan *partition.Plan) (*PrefixSnapshots, error) {
-	if err := plan.Validate(); err != nil {
+	if err := checkSpinePlan(plan); err != nil {
 		return nil, err
 	}
-	n := plan.Circuit.NumQubits
-	if n > statevec.MaxQubits {
-		return nil, fmt.Errorf("core: %d qubits exceeds the %d-qubit dense snapshot limit", n, statevec.MaxQubits)
-	}
-	ps, _ := buildSpine(plan)
+	ps := newSpine(plan)
+	ps.fill(plan.Circuit)
 	return ps, nil
 }
 
-// buildSpine computes the snapshots of a validated plan of dense width and
-// returns the kernel applications that cost: the executor books them when a
-// run builds its own spine.
-func buildSpine(plan *partition.Plan) (*PrefixSnapshots, int64) {
-	n := plan.Circuit.NumQubits
-	ps := &PrefixSnapshots{n: n, bounds: append([]int(nil), plan.Bounds...)}
-	st := statevec.NewZero(n)
-	var ops int64
-	for _, sc := range plan.Subcircuits() {
-		ops += applyIdeal(st, sc.Gates)
-		ps.states = append(ps.states, st.Clone())
+// checkSpinePlan validates a plan handed to a public spine constructor.
+func checkSpinePlan(plan *partition.Plan) error {
+	if err := plan.Validate(); err != nil {
+		return err
 	}
-	return ps, ops
+	if n := plan.Circuit.NumQubits; n > statevec.MaxQubits {
+		return fmt.Errorf("core: %d qubits exceeds the %d-qubit dense snapshot limit", n, statevec.MaxQubits)
+	}
+	return nil
+}
+
+// newSpine lays out the spine of a validated plan of dense width with no
+// state computed yet; fill computes them.
+func newSpine(plan *partition.Plan) *PrefixSnapshots {
+	ps := &PrefixSnapshots{n: plan.Circuit.NumQubits, bounds: slices.Clone(plan.Bounds)}
+	ps.cuts, ps.ends = spineCuts(plan)
+	ps.states = make([]*statevec.State, len(ps.cuts))
+	return ps
+}
+
+// fill computes every state the spine does not hold yet and returns the
+// kernel applications that cost (the executor books them, and one copy per
+// state, when a run builds its own spine). It is the one place spine states
+// are made: each missing cut extends a private copy of the state before it
+// (held states are read-only and may be shared) with the kernels and gate
+// order of applyIdeal.
+func (ps *PrefixSnapshots) fill(c *circuit.Circuit) int64 {
+	var ops int64
+	prev := 0
+	for i, cut := range ps.cuts {
+		if ps.states[i] == nil {
+			var st *statevec.State
+			if i == 0 {
+				st = statevec.NewZero(ps.n)
+			} else {
+				st = ps.states[i-1].Clone()
+			}
+			ops += applyIdeal(st, c.Gates[prev:cut])
+			ps.states[i] = st
+		}
+		prev = cut
+	}
+	return ops
 }
 
 // applyIdeal applies a gate segment with no noise, through the plain dense
@@ -82,18 +180,23 @@ func applyIdeal(st *statevec.State, gs []gate.Gate) int64 {
 
 // Matches reports whether the snapshots were built for this plan's circuit
 // width and subcircuit boundaries — the executor's guard against a stale
-// cache entry being applied to a structurally different plan.
+// cache entry being applied to a structurally different plan. Every
+// constructor lays a set out on spineCuts, so any set that matches — the
+// run's own, a sweep's shared one, a cached one — serves the plan alike.
 func (ps *PrefixSnapshots) Matches(plan *partition.Plan) bool {
 	return ps != nil && ps.n == plan.Circuit.NumQubits &&
-		len(ps.states) == plan.Levels() && slices.Equal(ps.bounds, plan.Bounds)
+		len(ps.ends) == plan.Levels() && slices.Equal(ps.bounds, plan.Bounds) &&
+		ps.cuts[len(ps.cuts)-1] == plan.Circuit.Len()
 }
 
-// SnapshotBytes returns the footprint of a prefix-snapshot set for a tree
-// of the given level count and width: one dense state per level — what the
-// snapshot cache charges per set. A run's own accounting of the spine is
-// DensePeakBytes'.
-func SnapshotBytes(levels, numQubits int) int64 {
-	return int64(levels) * statevec.StateBytes(numQubits)
+// level returns the spine's view of plan level L: the cut indices lo..hi of
+// its spans' ends (hi is the level's boundary state) and the gate offset the
+// level starts at.
+func (ps *PrefixSnapshots) level(l int) (lo, hi, start int) {
+	if l > 0 {
+		lo, start = ps.ends[l-1]+1, ps.bounds[l-1]
+	}
+	return lo, ps.ends[l], start
 }
 
 // PrefixKey is the cache identity of a plan's snapshots: two plans over the

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tqsim/internal/circuit"
@@ -59,10 +60,49 @@ var reuseGridStructures = [][]int{
 	{4, 2, 2, 2, 2},
 }
 
+// reuseGridPlans is the plan axis of the grid: the equal-cut
+// reuseGridStructures first, then the shapes first-fire starts depend on — a
+// first cut so early that the budget goes to the long segment behind it
+// (tree_wide's (61,3)), a one-gate segment, and one-gate segments that cannot
+// hold their share of checkpoints.
+func reuseGridPlans(c *circuit.Circuit) []*partition.Plan {
+	var plans []*partition.Plan
+	for _, arities := range reuseGridStructures {
+		plans = append(plans, partition.FromStructure(c, arities))
+	}
+	mid := c.Len() / 2
+	for _, p := range []*partition.Plan{
+		{Bounds: []int{2}, Arities: []int{13, 3}},
+		{Bounds: []int{mid, mid + 1}, Arities: []int{6, 2, 2}},
+		{Bounds: []int{1, 2, 3, 4}, Arities: []int{3, 2, 2, 2, 2}},
+	} {
+		p.Circuit, p.Strategy = c, "manual"
+		plans = append(plans, p)
+	}
+	return plans
+}
+
+// boundarySpine is a spine of the plan's boundaries and no interior
+// checkpoint. It matches the plan, so a run supplied with it is the same run
+// with no checkpoint to start at.
+func boundarySpine(plan *partition.Plan) *PrefixSnapshots {
+	ps := &PrefixSnapshots{n: plan.Circuit.NumQubits, bounds: plan.Bounds}
+	ps.cuts = append(slices.Clone(plan.Bounds), plan.Circuit.Len())
+	for l := range ps.cuts {
+		ps.ends = append(ps.ends, l)
+	}
+	ps.states = make([]*statevec.State, len(ps.cuts))
+	ps.fill(plan.Circuit)
+	return ps
+}
+
 // TestQuietReuseMatchesFullWalk: over a seeded grid, a reusing run and the
 // full walk produce the same histogram and the same leaf-value sequence from
 // the same number of nodes, and the reuse accounting is exact — every node
-// either copies its parent or is a counted hit.
+// either copies a state or is a counted hit, a run with hits does less gate
+// work than the full walk even after paying for its own spine, a node that
+// starts at a checkpoint runs fewer gates than it does with the checkpoints
+// unused, and a supplied spine saves the ideal pass and nothing else.
 func TestQuietReuseMatchesFullWalk(t *testing.T) {
 	models := []*noise.Model{
 		noise.ByName("DC"),
@@ -70,17 +110,19 @@ func TestQuietReuseMatchesFullWalk(t *testing.T) {
 		noise.NewDepolarizing(0.0005, 0.002),
 	}
 	cell := uint64(0)
-	var spineHits, siblingHits int64
+	var spineHits, siblingHits, checkpointStarts int64
 	for _, c := range reuseGridCircuits() {
 		h := observable.MaxCutHamiltonian(c.NumQubits, ringEdges(c.NumQubits))
 		for _, m := range models {
-			for _, arities := range reuseGridStructures {
-				plan := partition.FromStructure(c, arities)
-				levels := int64(plan.Levels())
+			for _, plan := range reuseGridPlans(c) {
+				spine := newSpine(plan)
+				idealPass := spine.fill(plan.Circuit)
+				spineStates := int64(len(spine.states))
+				boundaries := boundarySpine(plan)
 				for _, workers := range []int{1, 2, 3, 13} {
 					seed := rng.SeedAt(100, cell)
 					cell++
-					name := fmt.Sprintf("%s/%s/%s/w%d", c.Name, m.Name(), plan.Structure(), workers)
+					name := fmt.Sprintf("%s/%s/%s%v/w%d", c.Name, m.Name(), plan.Structure(), plan.Bounds, workers)
 					full := &Executor{Backend: opaque{}, Noise: m, Seed: seed, Parallelism: workers}
 					reuse := &Executor{Noise: m, Seed: seed, Parallelism: workers}
 					want, err := full.Run(plan)
@@ -91,7 +133,7 @@ func TestQuietReuseMatchesFullWalk(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want.PrefixReuseHits != 0 || want.SiblingReuseHits != 0 ||
+					if want.PrefixReuseHits != 0 || want.SiblingReuseHits != 0 || want.CheckpointStarts != 0 ||
 						want.StateCopies != plan.CopyWork() || want.Nodes != plan.CopyWork() {
 						t.Fatalf("%s: the opaque backend did not walk the full tree: %+v", name, want)
 					}
@@ -105,22 +147,87 @@ func TestQuietReuseMatchesFullWalk(t *testing.T) {
 						t.Errorf("%s: %d nodes, full walk %d", name, got.Nodes, want.Nodes)
 					}
 					hits := got.PrefixReuseHits + got.SiblingReuseHits
-					if got.StateCopies != got.Nodes-hits+levels {
+					if got.StateCopies != got.Nodes-hits+spineStates {
 						t.Errorf("%s: %d copies, want nodes %d - hits %d + %d spine states",
-							name, got.StateCopies, got.Nodes, hits, levels)
+							name, got.StateCopies, got.Nodes, hits, spineStates)
 					}
 					if hits > 0 && got.GateApplications >= want.GateApplications {
 						t.Errorf("%s: %d hits but %d gate applications, full walk %d",
 							name, hits, got.GateApplications, want.GateApplications)
 					}
+					supplied, err := (&Executor{Noise: m, Seed: seed, Parallelism: workers, Prefix: spine}).Run(plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					less := *got
+					less.GateApplications -= idealPass
+					less.StateCopies -= spineStates
+					if !reflect.DeepEqual(supplied, withElapsed(&less, supplied)) {
+						t.Errorf("%s: supplied spine: %+v, want the own-spine run less one ideal pass %+v", name, supplied, &less)
+					}
+					// With the checkpoints unused the run differs in gate work
+					// alone: strictly more of it iff some node started at one.
+					unused, err := (&Executor{Noise: m, Seed: seed, Parallelism: workers, Prefix: boundaries}).Run(plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					saved := unused.GateApplications - supplied.GateApplications
+					if unused.CheckpointStarts != 0 || (saved > 0) != (supplied.CheckpointStarts > 0) || saved < 0 {
+						t.Errorf("%s: %d checkpoint starts saved %d gate applications (%d starts with none to start at)",
+							name, supplied.CheckpointStarts, saved, unused.CheckpointStarts)
+					}
+					same := *supplied
+					same.GateApplications, same.CheckpointStarts = unused.GateApplications, 0
+					if !reflect.DeepEqual(unused, withElapsed(&same, unused)) {
+						t.Errorf("%s: checkpoints unused: %+v, want the checkpointed run's %+v but for gate work", name, unused, supplied)
+					}
 					spineHits += got.PrefixReuseHits
 					siblingHits += got.SiblingReuseHits
+					checkpointStarts += got.CheckpointStarts
 				}
 			}
 		}
 	}
-	if spineHits == 0 || siblingHits == 0 {
-		t.Fatalf("grid exercised %d spine hits and %d sibling hits; both paths must run", spineHits, siblingHits)
+	if spineHits == 0 || siblingHits == 0 || checkpointStarts == 0 {
+		t.Fatalf("grid exercised %d spine hits, %d sibling hits and %d checkpoint starts; all three paths must run",
+			spineHits, siblingHits, checkpointStarts)
+	}
+}
+
+// TestSpineCuts: the cut list holds every plan bound and the circuit's end,
+// spends at most 2·levels interior checkpoints in proportion to segment
+// length, and leaves no span empty.
+func TestSpineCuts(t *testing.T) {
+	gates := func(n int) *circuit.Circuit {
+		c := circuit.New("g", 1)
+		for i := 0; i < n; i++ {
+			c.H(0)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name   string
+		gates  int
+		bounds []int
+		want   []int
+	}{
+		{"flat", 90, nil, []int{30, 60, 90}},
+		{"tree_wide (61,3): 0 + 4", 652, []int{30}, []int{30, 154, 278, 403, 527, 652}},
+		{"equal thirds", 90, []int{30, 60}, []int{10, 20, 30, 40, 50, 60, 70, 80, 90}},
+		{"one-gate segment", 21, []int{10, 11}, []int{2, 5, 7, 10, 11, 13, 16, 18, 21}},
+		{"shorter than its share", 6, []int{1, 2}, []int{1, 2, 3, 4, 5, 6}},
+		{"one gate", 1, nil, []int{1}},
+	} {
+		plan := &partition.Plan{Circuit: gates(tc.gates), Bounds: tc.bounds, Arities: make([]int, len(tc.bounds)+1)}
+		cuts, ends := spineCuts(plan)
+		if !reflect.DeepEqual(cuts, tc.want) || spineSize(plan) != len(tc.want) {
+			t.Errorf("%s: cuts %v (%d spine states), want %v", tc.name, cuts, spineSize(plan), tc.want)
+		}
+		for l, e := range ends {
+			if end := append(tc.bounds, tc.gates)[l]; cuts[e] != end {
+				t.Errorf("%s: level %d ends at cut %d, want gate %d", tc.name, l, cuts[e], end)
+			}
+		}
 	}
 }
 
@@ -152,17 +259,18 @@ func TestNoQuietReuseOutsidePauliNoise(t *testing.T) {
 	}
 }
 
-// TestQuietReuseMemoryRule: the reported peak is DensePeakBytes', reuse is
-// dropped exactly when its extra states overrun the budget or the run is a
-// FullWalk, and a supplied spine saves the ideal pass and nothing else.
+// TestQuietReuseMemoryRule: the reported peak is DensePeakBytes', and reuse
+// is dropped exactly when its extra states — the whole spine, interior
+// checkpoints included — overrun the budget or the run is a FullWalk.
 func TestQuietReuseMemoryRule(t *testing.T) {
 	c := workloads.QFT(6, true)
 	m := noise.NewDepolarizing(0.0005, 0.002)
 	plan := partition.FromStructure(c, []int{9, 3, 2})
 	state := statevec.StateBytes(c.NumQubits)
-	const workers, levels = 2, 3
+	// The spine holds the 3 boundaries and 2·3 interior checkpoints.
+	const workers, levels, spineStates = 2, 3, 9
 	base := int64(workers*(levels+1)) * state
-	with := base + int64(levels+workers*(levels-1))*state
+	with := base + int64(spineStates+workers*(levels-1))*state
 
 	run := func(e Executor) *Result {
 		t.Helper()
@@ -181,7 +289,7 @@ func TestQuietReuseMemoryRule(t *testing.T) {
 		t.Errorf("budget == reuse footprint: %+v, want the unbudgeted run's %+v", fits, own)
 	}
 	tight := run(Executor{MemoryBudgetBytes: with - 1})
-	if tight.PeakStateBytes != base || tight.PrefixReuseHits+tight.SiblingReuseHits != 0 ||
+	if tight.PeakStateBytes != base || tight.PrefixReuseHits+tight.SiblingReuseHits+tight.CheckpointStarts != 0 ||
 		tight.StateCopies != plan.CopyWork() {
 		t.Errorf("budget one byte short: peak %d (want %d), accounting %+v", tight.PeakStateBytes, base, tight)
 	}
@@ -189,15 +297,13 @@ func TestQuietReuseMemoryRule(t *testing.T) {
 		t.Error("dropping reuse changed the histogram")
 	}
 
-	spine, idealPass := buildSpine(plan)
-	supplied := run(Executor{Prefix: spine})
-	want := *own
-	want.GateApplications -= idealPass
-	want.StateCopies -= levels
-	if !reflect.DeepEqual(supplied, withElapsed(&want, supplied)) {
-		t.Errorf("supplied spine: %+v, want the own-spine run less one ideal pass %+v", supplied, &want)
+	spine, err := NewPrefixSnapshots(plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-
+	if len(spine.states) != spineStates {
+		t.Fatalf("spine of %d states, want %d", len(spine.states), spineStates)
+	}
 	full := run(Executor{Backend: opaque{}})
 	for _, e := range []Executor{{FullWalk: true}, {FullWalk: true, Prefix: spine}} {
 		if walk := run(e); !reflect.DeepEqual(walk, withElapsed(full, walk)) {

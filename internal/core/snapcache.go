@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -10,16 +9,16 @@ import (
 	"tqsim/internal/statevec"
 )
 
-// SnapshotCache is a byte-bounded, cross-job cache of ideal boundary
-// states — the promotion of PrefixSnapshots from sweep-scoped to
-// service-scoped reuse. Entries are keyed per boundary by the structural
-// digest of the gate prefix before it (circuit.PrefixDigests), not by whole
-// plans: the ideal state at gate boundary b is a pure function of (width,
-// gates[0:b]), so any two jobs whose circuits share a gate prefix share the
-// cached state at every common plan boundary, even when their suffixes,
-// names, noise points, shot counts or deeper bounds differ. ForPlan
-// assembles a plan's full PrefixSnapshots set from cached states, computing
-// and inserting only the missing boundaries.
+// SnapshotCache is a byte-bounded, cross-job cache of ideal spine states —
+// the promotion of PrefixSnapshots from sweep-scoped to service-scoped
+// reuse. Entries are keyed per spine cut (plan boundaries and interior
+// checkpoints alike) by the structural digest of the gate prefix before it
+// (circuit.PrefixDigests), not by whole plans: the ideal state at gate cut b
+// is a pure function of (width, gates[0:b]), so any two jobs whose circuits
+// share a gate prefix share the cached state at every common cut, even when
+// their suffixes, names, noise points, shot counts or deeper bounds differ.
+// ForPlan assembles a plan's full PrefixSnapshots set from cached states,
+// computing and inserting only the missing ones.
 //
 // Cached states are read-only shared: the executor's prefix-reuse path
 // never mutates them (the same contract the sweep engine established), so
@@ -27,8 +26,8 @@ import (
 // cache's reference — snapshot sets already handed out stay valid.
 //
 // The hit/miss counters are served in tqsimd's /v1/stats as snapshot_hits /
-// snapshot_misses; they count boundary states, not plans, so a 4-level plan
-// assembled entirely from cache books 4 hits.
+// snapshot_misses; they count spine states, not plans, so a plan whose spine
+// has 9 cuts, assembled entirely from cache, books 9 hits.
 type SnapshotCache struct {
 	mu     sync.Mutex
 	states *lru.Cache[*statevec.State] // cost = state bytes
@@ -64,69 +63,47 @@ func (sc *SnapshotCache) Len() int {
 	return sc.states.Len()
 }
 
-// ForPlan returns a PrefixSnapshots set for the plan, serving every
-// boundary state it can from cache and computing only the missing ones
-// (each computed state is inserted for the next job). The assembled set
-// satisfies Matches(plan) and is bitwise equal to NewPrefixSnapshots(plan):
-// gates are applied in the same per-gate order with the same plain dense
-// kernels, so reuse stays histogram-preserving. Safe for concurrent use;
-// two racing callers may compute the same boundary twice, but the states
-// are deterministic, so either insert is correct.
+// ForPlan returns a PrefixSnapshots set for the plan, serving every spine
+// state it can from cache — boundaries and interior checkpoints alike, each
+// keyed by the digest of the gate prefix before its cut — and computing only
+// the missing ones (each computed state is inserted for the next job). The
+// assembled set satisfies Matches(plan) and is bitwise equal to
+// NewPrefixSnapshots(plan): both lay the set out with newSpine and compute
+// states in PrefixSnapshots.fill, so reuse stays histogram-preserving. Safe
+// for concurrent use; two racing callers may compute the same state twice,
+// but the states are deterministic, so either insert is correct.
 func (sc *SnapshotCache) ForPlan(plan *partition.Plan) (*PrefixSnapshots, error) {
-	if err := plan.Validate(); err != nil {
+	if err := checkSpinePlan(plan); err != nil {
 		return nil, err
 	}
-	n := plan.Circuit.NumQubits
-	if n > statevec.MaxQubits {
-		return nil, fmt.Errorf("core: %d qubits exceeds the %d-qubit dense snapshot limit", n, statevec.MaxQubits)
-	}
-	cuts := append(append([]int(nil), plan.Bounds...), plan.Circuit.Len())
-	keys := plan.Circuit.PrefixDigests(cuts)
+	ps := newSpine(plan)
+	keys := plan.Circuit.PrefixDigests(ps.cuts)
 
-	states := make([]*statevec.State, len(cuts))
+	hits := uint64(0)
 	sc.mu.Lock()
 	for i, key := range keys {
-		states[i], _ = sc.states.Get(key)
+		if st, ok := sc.states.Get(key); ok {
+			ps.states[i] = st
+			hits++
+		}
 	}
 	sc.mu.Unlock()
+	sc.hits.Add(hits)
 
-	// Compute the gaps outside the lock: each missing boundary continues
-	// from the nearest earlier state (cached ones are read-only, so the
-	// accumulator clones before extending past them).
-	var st *statevec.State
-	computed := false
-	prev := 0
-	for i, cut := range cuts {
-		if states[i] != nil {
-			sc.hits.Add(1)
-			st, prev = nil, cut
-			continue
-		}
-		sc.misses.Add(1)
-		computed = true
-		if st == nil {
-			if i == 0 {
-				st = statevec.NewZero(n)
-			} else {
-				st = states[i-1].Clone()
-			}
-		}
-		applyIdeal(st, plan.Circuit.Gates[prev:cut])
-		states[i] = st.Clone()
-		prev = cut
+	// Compute the gaps outside the lock.
+	if misses := uint64(len(keys)) - hits; misses > 0 {
+		sc.misses.Add(misses)
+		ps.fill(plan.Circuit)
+		sc.insert(keys, ps.states)
 	}
-	if computed {
-		sc.insert(keys, states)
-	}
-
-	return &PrefixSnapshots{n: n, bounds: append([]int(nil), plan.Bounds...), states: states}, nil
+	return ps, nil
 }
 
-// insert adds the boundary states under their keys, refreshing ones that
-// raced in meanwhile, then evicts least-recently-used states over the byte
-// cap — never the set just inserted, which its caller is about to run on.
+// insert adds the spine states under their keys, refreshing ones that raced
+// in meanwhile, then evicts least-recently-used states over the byte cap —
+// never the set just inserted, which its caller is about to run on.
 func (sc *SnapshotCache) insert(keys []string, states []*statevec.State) {
-	per := SnapshotBytes(1, states[0].NumQubits())
+	per := statevec.StateBytes(states[0].NumQubits())
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	for i, key := range keys {

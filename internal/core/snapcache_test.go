@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"tqsim/internal/partition"
+	"tqsim/internal/statevec"
 	"tqsim/internal/workloads"
 )
 
@@ -66,33 +68,50 @@ func TestForPlanSharesCommonPrefixAcrossCircuits(t *testing.T) {
 	if _, err := sc.ForPlan(planB); err != nil {
 		t.Fatal(err)
 	}
-	// Plan B's first boundary (the shared prefix) hits; its final state
-	// (different suffix) misses.
-	if hits := sc.Hits() - h0; hits != 1 {
-		t.Fatalf("shared-prefix assembly booked %d hits, want 1", hits)
+	// Plan B's spine states at cuts plan A also holds, inside the shared
+	// gates, hit — the first boundary among them; the rest, its final state
+	// (different suffix) among them, miss.
+	cutsA, _ := spineCuts(planA)
+	cutsB, _ := spineCuts(planB)
+	var shared uint64
+	for _, cut := range cutsB {
+		if cut <= a.Len() && slices.Contains(cutsA, cut) {
+			shared++
+		}
 	}
-	if misses := sc.Misses() - m0; misses != 1 {
-		t.Fatalf("shared-prefix assembly booked %d misses, want 1", misses)
+	if !slices.Contains(cutsA, bounds[0]) || shared == uint64(len(cutsB)) {
+		t.Fatalf("cuts %v and %v: want the boundary shared and the final state not", cutsA, cutsB)
+	}
+	if hits := sc.Hits() - h0; hits != shared {
+		t.Fatalf("shared-prefix assembly booked %d hits, want %d", hits, shared)
+	}
+	if misses := sc.Misses() - m0; misses != uint64(len(cutsB))-shared {
+		t.Fatalf("shared-prefix assembly booked %d misses, want %d", misses, uint64(len(cutsB))-shared)
 	}
 }
 
 // TestEvictionKeepsBytesBounded: the cache evicts LRU states beyond the
 // byte cap but never evicts the set it is currently inserting.
 func TestEvictionKeepsBytesBounded(t *testing.T) {
-	per := SnapshotBytes(1, 4) // one 4-qubit boundary state
-	sc := NewSnapshotCache(3 * per)
+	per := statevec.StateBytes(4) // one 4-qubit spine state
+	const set = 6                 // a two-level plan's spine: 2 boundaries + 4 checkpoints
+	sc := NewSnapshotCache((set + 1) * per)
 	for i := 0; i < 6; i++ {
 		c := workloads.QFT(4, true)
 		c.RZ(float64(i)+0.5, 0) // distinct content per iteration
 		plan := &partition.Plan{Circuit: c, Bounds: []int{c.Len() / 2}, Arities: []int{4, 4}, Strategy: "manual"}
-		if _, err := sc.ForPlan(plan); err != nil {
+		ps, err := sc.ForPlan(plan)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if sc.Bytes() > 3*per && sc.Len() > 2 {
-			t.Fatalf("iteration %d: %d bytes resident over the %d cap", i, sc.Bytes(), 3*per)
+		if len(ps.states) != set {
+			t.Fatalf("iteration %d: spine of %d states, want %d", i, len(ps.states), set)
+		}
+		if sc.Bytes() > (set+1)*per && sc.Len() > set {
+			t.Fatalf("iteration %d: %d bytes resident over the %d cap", i, sc.Bytes(), (set+1)*per)
 		}
 	}
-	if sc.Len() < 2 {
+	if sc.Len() < set {
 		t.Fatalf("cache over-evicted: %d states resident", sc.Len())
 	}
 }
@@ -102,7 +121,7 @@ func TestEvictionKeepsBytesBounded(t *testing.T) {
 // eviction runs concurrently with lookups.
 func TestForPlanConcurrent(t *testing.T) {
 	base := workloads.QFT(4, true)
-	sc := NewSnapshotCache(4 * SnapshotBytes(1, 4))
+	sc := NewSnapshotCache(4 * statevec.StateBytes(4))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -345,6 +345,56 @@ func TestSegmentFiresRNGIdentity(t *testing.T) {
 		t.Fatalf("degenerate sample: %d fires, %d no-fires", fires, noFires)
 	}
 
+	// Span by span (the executor's first-fire start): a dry run that stops at
+	// every cut of a list stands, at each cut it passes, on the stream the
+	// real channel path and the whole-prefix dry run stand on there, and
+	// reports the fire in the span that holds the real path's first firing
+	// gate — whether that is the first gate of a span, the last gate of the
+	// segment or anything between.
+	spanStart, segmentEnd := 0, 0
+	for _, cuts := range [][]int{{1, 2, 3, 4, 5}, {2, 5}, {3, 4, 5}, {5}} {
+		for seed := uint64(0); seed < 400; seed++ {
+			// Real path: the stream after each gate, up to the first fire.
+			real := rng.New(seed)
+			after := []rng.RNG{*real} // after[k]: k gates applied, none fired
+			firstFire := len(gs)
+			for k, g := range gs {
+				st.CopyFrom(statevec.NewZero(3))
+				if m.ApplyAfterGate(st, g, real) > 0 {
+					firstFire = k
+					break
+				}
+				after = append(after, *real)
+			}
+			probe, from, firedIn, firedTo := rng.New(seed), 0, -1, 0
+			for _, cut := range cuts {
+				if fired, _ := m.SegmentFires(gs[from:cut], probe); fired {
+					firedIn, firedTo = from, cut
+					break
+				}
+				whole := rng.New(seed)
+				if fired, _ := m.SegmentFires(gs[:cut], whole); fired || *whole != *probe || *probe != after[cut] {
+					t.Fatalf("seed %d cuts %v: at cut %d the span-wise stream differs from the whole-prefix dry run's or the real path's", seed, cuts, cut)
+				}
+				from = cut
+			}
+			switch {
+			case firstFire == len(gs) && firedIn >= 0:
+				t.Fatalf("seed %d cuts %v: span-wise dry run fired, the real path did not", seed, cuts)
+			case firstFire < len(gs) && (firedIn < 0 || firstFire < firedIn || firstFire >= firedTo):
+				t.Fatalf("seed %d cuts %v: real path fires at gate %d, span-wise dry run in span [%d,%d)", seed, cuts, firstFire, firedIn, firedTo)
+			case firstFire == firedIn:
+				spanStart++
+			}
+			if firstFire == len(gs)-1 {
+				segmentEnd++
+			}
+		}
+	}
+	if spanStart == 0 || segmentEnd == 0 {
+		t.Fatalf("degenerate sample: %d fires on the first gate of a span, %d on the last gate of the segment", spanStart, segmentEnd)
+	}
+
 	// Non-Pauli models must decline without consuming randomness.
 	ad := NewAmplitudeDamping(0.1)
 	r := rng.New(7)

@@ -17,6 +17,7 @@ import (
 
 	"tqsim/internal/circuit"
 	"tqsim/internal/noise"
+	"tqsim/internal/statevec"
 )
 
 // Plan is a simulation-tree specification: how the circuit splits into
@@ -338,8 +339,13 @@ func Dynamic(c *circuit.Circuit, m *noise.Model, shots int, opt DCPOptions) *Pla
 		k = opt.MaxLevels - 1
 	}
 	if opt.MemoryBudgetBytes > 0 {
-		stateBytes := int64(16) << uint(c.NumQubits)
-		// The executor holds one state per level plus one working copy.
+		// The base term of the executor's memory rule at one worker: one
+		// state per level plus one working copy, the per-state size from the
+		// allocator's own constant. The rest of the rule — more workers, the
+		// spine and quiet-child states of a reusing run, and dropping reuse
+		// when they do not fit — lives in core.DensePeakBytes (core imports
+		// this package, so the term is spelled here).
+		stateBytes := statevec.StateBytes(c.NumQubits)
 		for k >= 1 && int64(k+2)*stateBytes > opt.MemoryBudgetBytes {
 			k--
 		}

@@ -237,11 +237,12 @@ func analyze(p *partition.Plan, m *noise.Model, b Budget) analysis {
 
 // densePeakBytes is the named dense engine's peak amplitude memory at a
 // worker count — core.DensePeakBytes, the rule the executor itself applies
-// and reports, quiet-segment reuse and its budget test included, so
-// admission estimates and observed PeakStateBytes agree.
+// and reports, quiet-segment reuse (the plan's whole spine, interior
+// checkpoints included) and its budget test included, so admission estimates
+// and observed PeakStateBytes agree.
 func (a analysis) densePeakBytes(backend string, workers int, b Budget) int64 {
 	reusable := core.QuietReuse(backend, a.model) && !b.FullWalk
-	peak, _ := core.DensePeakBytes(workers, a.levels, a.n, reusable, b.MemoryBytes)
+	peak, _ := core.DensePeakBytes(a.plan, workers, reusable, b.MemoryBytes)
 	return peak
 }
 

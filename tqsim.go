@@ -78,15 +78,16 @@ type (
 	// PlannerCandidate is one engine the planner evaluated for a Decision.
 	PlannerCandidate = planner.Candidate
 	// PrefixSnapshots is a read-only set of ideal (noise-free) states at a
-	// plan's subcircuit boundaries — the ideal spine of quiet-segment reuse,
-	// which a dense run builds for itself unless handed one. Safe to share
-	// across concurrent runs; see RunPlanPrefixed.
+	// plan's subcircuit boundaries and a few interior checkpoints of its
+	// long segments — the ideal spine of quiet-segment reuse, which a dense
+	// run builds for itself unless handed one. Safe to share across
+	// concurrent runs; see RunPlanPrefixed.
 	PrefixSnapshots = core.PrefixSnapshots
-	// SnapshotCache is a byte-bounded cross-job cache of ideal boundary
-	// states, keyed per boundary by the structural digest of the gate
+	// SnapshotCache is a byte-bounded cross-job cache of ideal spine
+	// states, keyed per gate cut by the structural digest of the gate
 	// prefix before it. Any two jobs whose circuits share a gate prefix
-	// share the cached state at every common plan boundary. Safe for
-	// concurrent use; see NewSnapshotCache.
+	// share the cached state at every common cut. Safe for concurrent use;
+	// see NewSnapshotCache.
 	SnapshotCache = core.SnapshotCache
 )
 
