@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race fuzz-smoke bench-kernels bench benchmark ci docs-check
+.PHONY: build vet lint test race fuzz-smoke bench benchmark ci docs-check
 
 build:
 	$(GO) build ./...
@@ -32,18 +32,16 @@ test:
 # tableau tree runner, the parallel-shot baseline, and the whole serve
 # layer (distributed, sweep, chaos, store and load-harness suites) all
 # carry concurrency. This is the one place those suites run in CI.
+# ./benchmark is left out: its smoke test asserts a wall-time share
+# (in_limit_share) that the race detector and a busy host decide, not the
+# code; `make benchmark` runs it un-raced and checks its outputs.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v '/benchmark$$')
 
 # Short fuzz smoke: the QASM parser/round-trip fuzzer plus its committed
 # regression corpus. Go runs one fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test ./internal/qasm -run xxx -fuzz FuzzParseQASM -fuzztime 10s
-
-# Kernel microbenchmarks: per-gate-class amps/s across widths and qubit
-# positions. Track these across PRs for hot-path regressions.
-bench-kernels:
-	$(GO) test -run xxx -bench 'BenchmarkKernels_' -benchtime 1s .
 
 # Full figure/table benchmark sweep (slow).
 bench:

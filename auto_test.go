@@ -8,10 +8,13 @@ package tqsim_test
 // same engine.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"tqsim"
+	"tqsim/internal/planner"
+	"tqsim/internal/stabilizer"
 )
 
 func TestAutoPicksStabilizerForWideClifford(t *testing.T) {
@@ -122,32 +125,58 @@ func TestAutoHonorsMemoryClampedParallelism(t *testing.T) {
 }
 
 // TestRunPeakEqualsDecisionEstimate: the planner's estimate and the run's
-// reported peak come from one function, so they agree for the decision that
-// was executed — with quiet-segment reuse on (no budget, or one it fits),
-// dropped (a budget with room for the workers' states only), and on a
-// noise model that never reuses — and the peak stays inside any budget.
+// reported peak come from one function, so they agree for the configuration
+// that was executed — with quiet-segment reuse on (no budget, or one it
+// fits), dropped (a budget with room for the workers' states only), and on a
+// noise model or engine that never reuses — and an auto run's peak stays
+// inside any budget. Runs that name their engine are estimated at the worker
+// count they use (the requested one clamped to [1, A0], never GOMAXPROCS) and
+// shed none, at Parallelism 0, 1 and 3; the densmat row is the one
+// density-matrix footprint.
 func TestRunPeakEqualsDecisionEstimate(t *testing.T) {
-	c := tqsim.QFTCircuit(10)
+	qft, ghz := tqsim.QFTCircuit(10), tqsim.GHZCircuit(10)
 	const state = int64(16 << 10)
-	plan := tqsim.PlanStructure(c, []int{12, 3, 2})
-	perWorker := int64(plan.Levels()+1) * state
+	arities := []int{12, 3, 2}
+	perWorker := int64(len(arities)+1) * state
 	// Reuse adds the spine — 3 boundaries and 2·3 interior checkpoints, held
 	// once — and 2 quiet-child states per worker.
-	withReuse := 2*perWorker + (9+2*2)*state
-	for _, tc := range []struct {
-		noise            string
-		workers          int
+	reuse := func(workers int64) int64 { return workers*perWorker + (9+2*workers)*state }
+	tableau := int64(len(arities)+1) * stabilizer.TableauBytes(10)
+	type row struct {
+		c                *tqsim.Circuit
+		noise, backend   string
+		par              int
 		budget, wantPeak int64
-	}{
-		{"DC", 2, 0, withReuse},
-		{"DC", 2, withReuse, withReuse},
-		{"DC", 2, withReuse - 1, 2 * perWorker},
-		{"DC", 4, 3 * perWorker, 3 * perWorker}, // a worker shed, no room for reuse
-		{"TR", 2, 0, 2 * perWorker},
-	} {
+	}
+	rows := []row{
+		{qft, "DC", tqsim.AutoBackend, 2, 0, reuse(2)},
+		{qft, "DC", tqsim.AutoBackend, 2, reuse(2), reuse(2)},
+		{qft, "DC", tqsim.AutoBackend, 2, reuse(2) - 1, 2 * perWorker},
+		{qft, "DC", tqsim.AutoBackend, 4, 3 * perWorker, 3 * perWorker}, // a worker shed, no room for reuse
+		{qft, "TR", tqsim.AutoBackend, 2, 0, 2 * perWorker},
+		{tqsim.QFTCircuit(6), "DC", "densmat", 0, 0, 16 << 12},
+	}
+	for _, par := range []int{0, 1, 3} {
+		w := int64(max(par, 1))
+		for _, budget := range []int64{0, 3 * perWorker} { // room for three workers' states, none for reuse
+			statevec := reuse(w)
+			if budget > 0 {
+				statevec = w * perWorker
+			}
+			rows = append(rows,
+				row{qft, "DC", "statevec", par, budget, statevec},
+				row{qft, "DC", "fusion", par, budget, w * perWorker},
+				row{qft, "DC", "stabilizer", par, budget, w * perWorker}, // hybrid handoff: dense
+				row{ghz, "DC", "stabilizer", par, budget, w * tableau},   // tableau tree
+				row{ghz, "TR", "stabilizer", par, budget, w * perWorker}, // non-Pauli noise: dense
+			)
+		}
+	}
+	for _, tc := range rows {
+		plan := tqsim.PlanStructure(tc.c, arities)
 		m := tqsim.NoiseByName(tc.noise)
-		opt := tqsim.Options{Seed: 3, Backend: tqsim.AutoBackend, Parallelism: tc.workers, MemoryBudgetBytes: tc.budget}
-		d, err := tqsim.DecidePlan(plan, m, opt)
+		opt := tqsim.Options{Seed: 3, Backend: tc.backend, Parallelism: tc.par, MemoryBudgetBytes: tc.budget}
+		r, err := planner.Resolve(plan, m, tc.backend, planner.Budget{MemoryBytes: tc.budget, Parallelism: tc.par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,13 +184,20 @@ func TestRunPeakEqualsDecisionEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Backend != "statevec" || res.PeakStateBytes != d.EstPeakBytes || res.PeakStateBytes != tc.wantPeak {
-			t.Errorf("%s, %d workers, budget %d: %s ran with peak %d, decision estimated %d, want %d",
-				tc.noise, tc.workers, tc.budget, d.Backend, res.PeakStateBytes, d.EstPeakBytes, tc.wantPeak)
+		name := fmt.Sprintf("%s on %s under %s, parallelism %d, budget %d", tc.backend, tc.c.Name, tc.noise, tc.par, tc.budget)
+		if res.BackendName != r.Backend || res.PeakStateBytes != r.EstPeakBytes || res.PeakStateBytes != tc.wantPeak {
+			t.Errorf("%s: %s ran with peak %d, resolved %s estimated %d, want %d",
+				name, res.BackendName, res.PeakStateBytes, r.Backend, r.EstPeakBytes, tc.wantPeak)
 		}
-		if reused := res.PrefixReuseHits+res.SiblingReuseHits > 0; reused != (tc.wantPeak > int64(d.Parallelism)*perWorker) {
-			t.Errorf("%s, %d workers, budget %d: reuse hits %v disagree with the reported peak %d",
-				tc.noise, tc.workers, tc.budget, reused, res.PeakStateBytes)
+		if tc.backend == tqsim.AutoBackend {
+			if d, err := tqsim.DecidePlan(plan, m, opt); err != nil || d.Backend != "statevec" || d.EstPeakBytes != r.EstPeakBytes {
+				t.Errorf("%s: decision %+v (%v) disagrees with the resolved estimate %d", name, d, err, r.EstPeakBytes)
+			}
+		} else if want := max(tc.par, 1); r.Parallelism != want || r.Decision != nil {
+			t.Errorf("%s: resolved %d workers (want %d), decision %v", name, r.Parallelism, want, r.Decision)
+		}
+		if reused := res.PrefixReuseHits+res.SiblingReuseHits > 0; r.Backend == "statevec" && reused != (tc.wantPeak > int64(r.Parallelism)*perWorker) {
+			t.Errorf("%s: reuse hits %v disagree with the reported peak %d", name, reused, res.PeakStateBytes)
 		}
 	}
 }

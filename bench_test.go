@@ -56,7 +56,9 @@ func BenchmarkFig01_IdealVsNoisy(b *testing.B) {
 	})
 	b.Run("noisy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			RunBaseline(c, m, 200, Options{Seed: uint64(i)})
+			if _, err := RunBaselineBackend(c, m, 200, Options{Seed: uint64(i)}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -69,7 +71,9 @@ func BenchmarkFig05_NoisyBVScaling(b *testing.B) {
 		c := workloads.BV(w, workloads.BVSecret(w))
 		b.Run(fmt.Sprintf("q%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				RunBaseline(c, m, 128, Options{Seed: uint64(i)})
+				if _, err := RunBaselineBackend(c, m, 128, Options{Seed: uint64(i)}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -224,7 +228,9 @@ func BenchmarkFig16_NoiseModels(b *testing.B) {
 		m := NoiseByName(name)
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				RunBaseline(c, m, 100, Options{Seed: uint64(i)})
+				if _, err := RunBaselineBackend(c, m, 100, Options{Seed: uint64(i)}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -398,118 +404,18 @@ func BenchmarkAblation_Sampling(b *testing.B) {
 	})
 }
 
-// BenchmarkKernels measures the raw gate kernels across widths — the
-// engine-level numbers everything else builds on.
-func BenchmarkKernels(b *testing.B) {
-	for _, w := range []int{10, 14, 18} {
-		st := statevec.NewZero(w)
-		h := NewCircuit("k", w).H(0).Gates[0]
-		cx := NewCircuit("k", w).CX(0, w-1).Gates[0]
-		b.Run(fmt.Sprintf("H-q%d", w), func(b *testing.B) {
-			b.SetBytes(int64(st.Bytes()))
-			for i := 0; i < b.N; i++ {
-				st.Apply(h)
-			}
-		})
-		b.Run(fmt.Sprintf("CX-q%d", w), func(b *testing.B) {
-			b.SetBytes(int64(st.Bytes()))
-			for i := 0; i < b.N; i++ {
-				st.Apply(cx)
-			}
-		})
-		b.Run(fmt.Sprintf("copy-q%d", w), func(b *testing.B) {
-			dst := statevec.NewZero(w)
-			b.SetBytes(int64(st.Bytes()))
-			for i := 0; i < b.N; i++ {
-				dst.CopyFrom(st)
-			}
-		})
-	}
-}
-
 // --- Kernel microbenchmarks (BenchmarkKernels_*) ---
 //
-// Raw per-gate-class kernel throughput, reported as amps/s (amplitudes
-// visited per second, dim * iterations / elapsed). Every tree-run speedup
-// figure bottoms out here (the benchmark/ statevec probes report the same
-// kernels per run). Widths cover the sub-threshold serial regime (q10), the
-// parallel regime (q20), and a cache-pressure point (q22, 64 MiB state).
-// Qubit positions cover both low targets (strided progressions over tiles)
-// and high targets (contiguous runs).
+// The per-gate-class × qubit-position kernel grid lives in benchmark/probes.go
+// (statevec.*_amps_per_s, reported by `bash benchmark/run.sh -seed 1 -trace
+// 1`). What stays here are the two classes those probes do not cover: the
+// dense three-qubit kernel and the Prob1 reduction. Widths cover the
+// sub-threshold serial regime (q10), the parallel regime (q20), and a
+// cache-pressure point (q22, 64 MiB state).
 
-// benchKernel times g applied repeatedly to a w-qubit state.
-func benchKernel(b *testing.B, w int, g gate.Gate) {
-	st := statevec.NewZero(w)
-	b.SetBytes(int64(st.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Apply(g)
-	}
-	b.ReportMetric(float64(st.Dim())*float64(b.N)/b.Elapsed().Seconds(), "amps/s")
-}
-
-// kernelWidths are the register widths every kernel class is measured at.
+// kernelWidths are the register widths the remaining kernel classes are
+// measured at.
 var kernelWidths = []int{10, 20, 22}
-
-func BenchmarkKernels_CX(b *testing.B) {
-	for _, w := range kernelWidths {
-		b.Run(fmt.Sprintf("q%d/lo", w), func(b *testing.B) {
-			benchKernel(b, w, gate.New(gate.KindCX, 0, 1))
-		})
-		b.Run(fmt.Sprintf("q%d/mid", w), func(b *testing.B) {
-			benchKernel(b, w, gate.New(gate.KindCX, w/2, w/2-1))
-		})
-		b.Run(fmt.Sprintf("q%d/hi", w), func(b *testing.B) {
-			benchKernel(b, w, gate.New(gate.KindCX, w-1, w-2))
-		})
-	}
-}
-
-func BenchmarkKernels_CPhase(b *testing.B) {
-	for _, w := range kernelWidths {
-		b.Run(fmt.Sprintf("q%d/lo-hi", w), func(b *testing.B) {
-			benchKernel(b, w, gate.New(gate.KindCZ, 0, w-1))
-		})
-		b.Run(fmt.Sprintf("q%d/mid", w), func(b *testing.B) {
-			benchKernel(b, w, gate.New(gate.KindCZ, w/2, w/2-1))
-		})
-	}
-}
-
-func BenchmarkKernels_Diag(b *testing.B) {
-	for _, w := range kernelWidths {
-		b.Run(fmt.Sprintf("q%d/T", w), func(b *testing.B) {
-			benchKernel(b, w, gate.New(gate.KindT, w/2))
-		})
-		b.Run(fmt.Sprintf("q%d/RZ", w), func(b *testing.B) {
-			benchKernel(b, w, gate.NewParam(gate.KindRZ, []float64{0.3}, w/2))
-		})
-	}
-}
-
-func BenchmarkKernels_1Q(b *testing.B) {
-	for _, w := range kernelWidths {
-		b.Run(fmt.Sprintf("q%d/lo", w), func(b *testing.B) {
-			benchKernel(b, w, gate.New(gate.KindH, 0))
-		})
-		b.Run(fmt.Sprintf("q%d/hi", w), func(b *testing.B) {
-			benchKernel(b, w, gate.New(gate.KindH, w-1))
-		})
-	}
-}
-
-func BenchmarkKernels_2Q(b *testing.B) {
-	// CRX has no specialized fast path, so this times the generic Apply2Q
-	// gather/scatter kernel.
-	for _, w := range kernelWidths {
-		b.Run(fmt.Sprintf("q%d/lo", w), func(b *testing.B) {
-			benchKernel(b, w, gate.NewParam(gate.KindCRX, []float64{0.4}, 0, 1))
-		})
-		b.Run(fmt.Sprintf("q%d/hi", w), func(b *testing.B) {
-			benchKernel(b, w, gate.NewParam(gate.KindCRX, []float64{0.4}, w-1, w-2))
-		})
-	}
-}
 
 func BenchmarkKernels_3Q(b *testing.B) {
 	// A fixed random 8x8 unitary through the dense three-qubit
@@ -522,33 +428,6 @@ func BenchmarkKernels_3Q(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st.Apply3Q(w/2, w/2-1, w/2-2, u8)
-			}
-			b.ReportMetric(float64(st.Dim())*float64(b.N)/b.Elapsed().Seconds(), "amps/s")
-		})
-	}
-}
-
-func BenchmarkKernels_PhaseRun(b *testing.B) {
-	// The cache-blocked fusion kernel: eight controlled phases sharing one
-	// anchor applied in a single half-space sweep (one QFT row's CP chain).
-	// Compare against 8x the CPhase kernel cost to see the fusion win.
-	for _, w := range kernelWidths {
-		var qs []int
-		for q := 0; len(qs) < 8; q++ {
-			if q != w/2 {
-				qs = append(qs, q)
-			}
-		}
-		phases := make([]complex128, len(qs))
-		for i := range phases {
-			phases[i] = complex(0.6, 0.8) // exact unit magnitude
-		}
-		b.Run(fmt.Sprintf("q%d/k8", w), func(b *testing.B) {
-			st := statevec.NewZero(w)
-			b.SetBytes(int64(st.Bytes()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.ApplyPhaseRun(w/2, qs, phases)
 			}
 			b.ReportMetric(float64(st.Dim())*float64(b.N)/b.Elapsed().Seconds(), "amps/s")
 		})

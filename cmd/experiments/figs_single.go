@@ -45,7 +45,11 @@ func runFig1(cfg config) {
 	}
 	c := workloads.QFT(width, true)
 	ideal := tqsim.RunIdeal(c, shots, cfg.seed)
-	noisy := tqsim.RunBaseline(c, tqsim.SycamoreNoise(), shots, tqsim.Options{Seed: cfg.seed})
+	noisy, err := tqsim.RunBaselineBackend(c, tqsim.SycamoreNoise(), shots, tqsim.Options{Seed: cfg.seed})
+	if err != nil {
+		fmt.Printf("baseline error: %v\n", err)
+		return
+	}
 	ratio := float64(noisy.Elapsed) / float64(ideal.Elapsed)
 	fmt.Printf("QFT_%d, %d shots\n", width, shots)
 	fmt.Printf("  ideal  %12v   (1 state-vector pass + sampling)\n", ideal.Elapsed)
@@ -83,7 +87,11 @@ func runFig5(cfg config) {
 	var lastSec float64
 	for _, w := range widths {
 		c := workloads.BV(w, workloads.BVSecret(w))
-		res := tqsim.RunBaseline(c, tqsim.SycamoreNoise(), shots, tqsim.Options{Seed: cfg.seed})
+		res, err := tqsim.RunBaselineBackend(c, tqsim.SycamoreNoise(), shots, tqsim.Options{Seed: cfg.seed})
+		if err != nil {
+			fmt.Printf("%-7d error: %v\n", w, err)
+			continue
+		}
 		sec := res.Elapsed.Seconds()
 		fmt.Printf("%-7d %12.3fs %13.3fms %10s\n",
 			w, sec, 1000*sec/float64(shots), fmtBytes(float64(res.PeakStateBytes)))

@@ -251,7 +251,11 @@ func runFig16(cfg config) {
 		var baseFs, tqFs []float64
 		for rep := 0; rep < reps; rep++ {
 			seed := tqsim.SweepSeed(cfg.seed, 977+2*rep)
-			base := tqsim.RunBaseline(c, m, shots, tqsim.Options{Seed: seed})
+			base, err := tqsim.RunBaselineBackend(c, m, shots, tqsim.Options{Seed: seed})
+			if err != nil {
+				fmt.Printf("%-6s error: %v\n", name, err)
+				continue
+			}
 			baseFs = append(baseFs, tqsim.NormalizedFidelity(ideal,
 				tqsim.CountsDist(base.Counts, c.NumQubits)))
 			res, err := tqsim.RunPlan(dcPlan, m, tqsim.Options{Seed: tqsim.SweepSeed(cfg.seed, 977+2*rep+1)})
@@ -283,7 +287,11 @@ func runFig17(cfg config) {
 	c := workloads.QPE(counting, workloads.QPEPhase, true, -1)
 	m := tqsim.SycamoreNoise()
 	ideal := tqsim.IdealDistribution(c)
-	base := tqsim.RunBaseline(c, m, shots, tqsim.Options{Seed: cfg.seed})
+	base, err := tqsim.RunBaselineBackend(c, m, shots, tqsim.Options{Seed: cfg.seed})
+	if err != nil {
+		fmt.Printf("baseline error: %v\n", err)
+		return
+	}
 	baseF := tqsim.NormalizedFidelity(ideal, tqsim.CountsDist(base.Counts, c.NumQubits))
 	basePerShot := float64(base.GateApplications) / float64(base.Shots)
 

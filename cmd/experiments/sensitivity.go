@@ -108,8 +108,12 @@ func runOracle(cfg config) {
 			fmt.Printf("%-10s error: %v\n", c.Name, err)
 			continue
 		}
-		sv := tqsim.RunBaseline(c, tqsim.DepolarizingNoise(p1, p2), shots,
+		sv, err := tqsim.RunBaselineBackend(c, tqsim.DepolarizingNoise(p1, p2), shots,
 			tqsim.Options{Seed: tqsim.SweepSeed(cfg.seed, 1), Parallelism: 8})
+		if err != nil {
+			fmt.Printf("%-10s error: %v\n", c.Name, err)
+			continue
+		}
 		a := metrics.FromCounts(stab, 1<<uint(w))
 		b := metrics.FromCounts(sv.Counts, 1<<uint(w))
 		fmt.Printf("%-10s %6d %8.4f\n", c.Name, c.Len(), metrics.TVD(a, b))

@@ -160,12 +160,8 @@ func main() {
 		StoreEntries:      *storeEntries,
 		StoreDir:          *storeDir,
 		StoreMaxBytes:     *storeMaxMB << 20,
-		SnapshotCacheBytes: func() int64 {
-			if *snapCacheMB < 0 {
-				return -1 // serve treats <= 0 as disabled; core treats <= 0 as unbounded
-			}
-			return *snapCacheMB << 20
-		}(),
+		// 0 disables; a negative size survives the shift and means no cap.
+		SnapshotCacheBytes: *snapCacheMB << 20,
 	})
 	if err := srv.StoreError(); err != nil {
 		// A broken store-dir must fail loudly at startup: the operator asked

@@ -28,13 +28,18 @@ func assertCountsEqual(t *testing.T, ctx string, want, got map[uint64]int) {
 func TestRunBaselineDeterministicAcrossParallelism(t *testing.T) {
 	c := tqsim.QSCCircuit(6, 5, 11)
 	m := tqsim.SycamoreNoise()
-	ref := tqsim.RunBaseline(c, m, 300, tqsim.Options{Seed: 5})
-	for _, par := range []int{1, 8} {
-		res := tqsim.RunBaseline(c, m, 300, tqsim.Options{Seed: 5, Parallelism: par})
-		assertCountsEqual(t, "baseline-par", ref.Counts, res.Counts)
+	run := func(par int) *tqsim.BaselineResult {
+		res, err := tqsim.RunBaselineBackend(c, m, 300, tqsim.Options{Seed: 5, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	again := tqsim.RunBaseline(c, m, 300, tqsim.Options{Seed: 5})
-	assertCountsEqual(t, "baseline-repeat", ref.Counts, again.Counts)
+	ref := run(0)
+	for _, par := range []int{1, 8} {
+		assertCountsEqual(t, "baseline-par", ref.Counts, run(par).Counts)
+	}
+	assertCountsEqual(t, "baseline-repeat", ref.Counts, run(0).Counts)
 }
 
 func TestRunTQSimDeterministicAcrossParallelism(t *testing.T) {

@@ -19,7 +19,10 @@ func main() {
 	opt := tqsim.Options{Seed: 3}
 
 	ideal := tqsim.IdealDistribution(c)
-	base := tqsim.RunBaseline(c, noise, shots, opt)
+	base, err := tqsim.RunBaselineBackend(c, noise, shots, opt)
+	if err != nil {
+		log.Fatal(err)
+	}
 	baseF := tqsim.NormalizedFidelity(ideal, tqsim.CountsDist(base.Counts, c.NumQubits))
 	basePerShot := float64(base.GateApplications) / float64(base.Shots)
 	fmt.Printf("circuit %s (%d gates), %d shots, baseline fidelity %.4f\n\n",

@@ -37,7 +37,10 @@ func main() {
 
 			o := opt
 			o.Seed = tqsim.SweepSeed(seed, 2*(i*grid+j))
-			base := tqsim.RunBaseline(c, noise, shots, o)
+			base, err := tqsim.RunBaselineBackend(c, noise, shots, o)
+			if err != nil {
+				log.Fatal(err)
+			}
 			baseSec += base.Elapsed.Seconds()
 			baseLand[i][j] = tqsim.ExpectedCut(g, base.Counts)
 

@@ -22,7 +22,6 @@ package planner
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 
@@ -65,6 +64,16 @@ const (
 	ClusterPenalty = 0.20
 )
 
+// Execution modes of the engines that have more than one (Candidate.Mode,
+// Decision.Mode, Resolved.Mode); every other engine's mode is "".
+const (
+	// ModeTableauTree runs the whole tree on CHP tableaux.
+	ModeTableauTree = "tableau-tree"
+	// ModeHybrid shadows the Clifford prefix on tableaux and hands off to the
+	// dense kernels at the first non-Clifford gate.
+	ModeHybrid = "hybrid-handoff"
+)
+
 // Budget carries the resource knobs the planner honors.
 type Budget struct {
 	// MemoryBytes caps a candidate's estimated peak state memory
@@ -81,6 +90,11 @@ type Budget struct {
 	// NoReuse reference), so dense peak estimates leave the quiet-segment
 	// reuse states out. Engine and worker decisions do not read it.
 	FullWalk bool
+	// Observable says the run evaluates a Hamiltonian on dense leaf states
+	// (Resolved.Executor + RunExpectation) instead of sampling: Resolve then
+	// maps "auto" to the dense reference engine and never routes to the
+	// tableau tree. Decide does not read it.
+	Observable bool
 }
 
 // Candidate records one engine the planner evaluated.
@@ -267,8 +281,9 @@ func (a analysis) fitDense(backend string, b Budget) (workers int, peak int64, o
 // Decide selects an engine, worker count and shard count for the plan under
 // the noise model and budget. The returned Decision always carries the full
 // candidate table; the error (no engine can run the plan) summarizes it and
-// includes the hpcmodel memory estimate — the same number denseWidthCheck
-// reports — so planner and facade diagnostics agree.
+// includes the hpcmodel memory estimate — the same number an explicit run's
+// width diagnosis (Resolved.Executor) reports — so auto and explicit errors
+// agree.
 func Decide(p *partition.Plan, m *noise.Model, b Budget) (*Decision, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -289,7 +304,7 @@ func Decide(p *partition.Plan, m *noise.Model, b Budget) (*Decision, error) {
 			"dense state-vector kernels; the conformance reference"),
 		candFusion(a, b, m),
 		candCluster(a, b),
-		candDensmat(a, m),
+		candDensmat(a),
 	)
 
 	best := -1
@@ -346,15 +361,28 @@ func rejectionSummary(cands []Candidate) string {
 	return strings.Join(parts, "; ")
 }
 
+// tableauBlocker is the tableau-tree routing predicate, stated as the reason
+// it fails: "" means the plan is Clifford-only under Pauli-only (or ideal)
+// noise, so the whole tree can run on tableaux. candTableau and Resolve's
+// explicit-"stabilizer" routing both read it, so auto and explicit runs
+// cannot disagree about which stabilizer mode a plan gets.
+func (a analysis) tableauBlocker() string {
+	switch {
+	case !a.clifford:
+		return fmt.Sprintf("non-Clifford gate at index %d of %d", a.prefix, a.total)
+	case !a.pauli:
+		return "noise is not Pauli-only; tableaux cannot absorb it"
+	}
+	return ""
+}
+
 // candTableau evaluates the pure-tableau stabilizer path: the whole tree on
 // CHP tableaux, polynomial in width.
 func candTableau(a analysis, b Budget) Candidate {
-	c := Candidate{Backend: "stabilizer", Mode: "tableau-tree", Parallelism: a.workers}
-	switch {
-	case !a.clifford:
-		c.Reason = fmt.Sprintf("non-Clifford gate at index %d of %d", a.prefix, a.total)
-	case !a.pauli:
-		c.Reason = "noise is not Pauli-only; tableaux cannot absorb it"
+	c := Candidate{Backend: "stabilizer", Mode: ModeTableauTree, Parallelism: a.workers}
+	switch why := a.tableauBlocker(); {
+	case why != "":
+		c.Reason = why
 	case a.n > stabilizer.MaxTreeQubits:
 		c.Reason = fmt.Sprintf("%d qubits exceeds the %d-qubit outcome packing limit",
 			a.n, stabilizer.MaxTreeQubits)
@@ -364,7 +392,7 @@ func candTableau(a analysis, b Budget) Candidate {
 		// Gate updates are O(n) row sweeps, copies O(n^2/64) words, each
 		// leaf measurement O(n^2).
 		c.EstCost = WordOpCost * (a.gateWork*nn + a.copyWork*nn*nn/64 + a.outcomes*nn*nn)
-		c.EstPeakBytes = int64(a.workers) * int64(a.levels+1) * stabilizer.TableauBytes(a.n)
+		c.EstPeakBytes = a.peakBytes(c.Backend, c.Mode, a.workers, b)
 		c.Reason = "Clifford-only circuit under Pauli noise runs entirely on tableaux"
 		if b.MemoryBytes > 0 && c.EstPeakBytes > b.MemoryBytes {
 			// Tableaux are tiny; a budget below one tableau set is degenerate
@@ -381,34 +409,21 @@ func candTableau(a analysis, b Budget) Candidate {
 // tableaux, dense kernels after handoff. Histograms are byte-identical to
 // statevec because the handoff precedes sampling.
 func candHybrid(a analysis, b Budget) Candidate {
-	c := Candidate{Backend: "stabilizer", Mode: "hybrid-handoff"}
+	c := Candidate{Backend: "stabilizer", Mode: ModeHybrid}
 	switch {
 	case a.clifford:
 		c.Reason = "circuit is Clifford-only; the tableau-tree mode subsumes the hybrid"
-		return c
 	case !a.pauli:
 		c.Reason = "non-Pauli noise materializes dense amplitudes at the first noisy gate"
-		return c
 	case a.prefix == 0:
 		c.Reason = "no Clifford prefix to shadow"
-		return c
-	case a.n > statevec.MaxQubits:
-		c.Reason = fmt.Sprintf("%d qubits exceeds the %d-qubit dense limit after handoff (state vector ≈ %s)",
-			a.n, statevec.MaxQubits, hpcmodel.FormatBytes(hpcmodel.StatevectorBytes(a.n)))
-		return c
+	default:
+		// After the handoff the run is a dense one: same limit, same fit.
+		prefFrac := float64(a.prefix) / float64(a.total)
+		c = candDense(a, b, c.Backend, a.denseCost*(1-prefFrac+HybridOverhead), fmt.Sprintf(
+			"%d/%d-gate Clifford prefix shadowed on tableaux before dense handoff", a.prefix, a.total))
+		c.Mode = ModeHybrid
 	}
-	workers, peak, ok := a.fitDense(c.Backend, b)
-	if !ok {
-		c.Reason = overBudget(peak, b)
-		return c
-	}
-	prefFrac := float64(a.prefix) / float64(a.total)
-	c.Viable = true
-	c.Parallelism = workers
-	c.EstPeakBytes = peak
-	c.EstCost = a.denseCost * (1 - prefFrac + HybridOverhead)
-	c.Reason = fmt.Sprintf("%d/%d-gate Clifford prefix shadowed on tableaux before dense handoff",
-		a.prefix, a.total)
 	return c
 }
 
@@ -457,7 +472,7 @@ func candCluster(a analysis, b Budget) Candidate {
 // trajectory error and differ from every trajectory engine's at the same
 // seed. Auto-selection must preserve trajectory sampling semantics; callers
 // who want exactness select "densmat" explicitly.
-func candDensmat(a analysis, m *noise.Model) Candidate {
+func candDensmat(a analysis) Candidate {
 	c := Candidate{Backend: "densmat"}
 	if a.n > densmat.MaxQubits {
 		c.Reason = fmt.Sprintf("%d qubits exceeds the %d-qubit density-matrix limit (ρ ≈ %s)",
@@ -466,40 +481,14 @@ func candDensmat(a analysis, m *noise.Model) Candidate {
 	}
 	c.EstCost = a.gateWork / a.outcomes * a.denseAmps * a.denseAmps
 	c.Reason = "exact-distribution engine changes sampling semantics (no trajectory error); select explicitly"
-	_ = m
 	return c
-}
-
-// PeakBytes estimates the peak state memory of running the plan on an
-// explicitly named engine at the budget's worker count — the admission
-// estimate tqsimd uses when a job pins its backend (auto jobs use the
-// chosen candidate's estimate from Decide). Widths beyond an engine's
-// reach return a saturating "infinite" estimate: the run will fail with a
-// width diagnostic, and admission against any finite budget rejects first.
-func PeakBytes(p *partition.Plan, m *noise.Model, name string, b Budget) int64 {
-	a := analyze(p, m, b)
-	const infinite = math.MaxInt64 / 4
-	switch {
-	case name == "densmat":
-		dm := hpcmodel.DensityMatrixBytes(a.n)
-		if dm > float64(infinite) {
-			return infinite
-		}
-		return int64(dm)
-	case name == "stabilizer" && a.clifford && a.pauli && a.n <= stabilizer.MaxTreeQubits:
-		return int64(a.workers) * int64(a.levels+1) * stabilizer.TableauBytes(a.n)
-	case a.n > statevec.MaxQubits:
-		return infinite
-	default:
-		return a.densePeakBytes(name, a.workers, b)
-	}
 }
 
 // WorkerSlots returns how many shards of a job a worker can execute
 // concurrently under its advertised memory budget: budget / estPeak,
 // clamped to the worker's execution slots. estPeak is the job's admission
-// estimate (PeakBytes or the auto Decision's EstPeakBytes — both built on
-// core.DensePeakBytes / stabilizer.TableauBytes). A zero budget means
+// estimate (Resolved.EstPeakBytes, built on core.DensePeakBytes /
+// stabilizer.TableauBytes). A zero budget means
 // unlimited memory; a zero return means the job can never be placed on
 // that worker, however idle it is — the distributed coordinator uses this
 // to skip workers a job cannot fit on instead of dispatching shards that

@@ -7,6 +7,7 @@ import (
 	"tqsim/internal/circuit"
 	"tqsim/internal/noise"
 	"tqsim/internal/partition"
+	"tqsim/internal/stabilizer"
 	"tqsim/internal/workloads"
 )
 
@@ -206,5 +207,97 @@ func TestWorkerSlots(t *testing.T) {
 	}
 	if got := WorkerSlots(1<<20, 1<<40, 0); got < 1 {
 		t.Fatalf("zero maxConcurrent must default to GOMAXPROCS, got %d", got)
+	}
+}
+
+// TestResolve pins the one place a backend name becomes a run configuration:
+// auto adopts the Decision (engine, mode, memory-clamped workers, estimate,
+// shard count unless fixed), an explicit name is taken at its word at the
+// requested worker count clamped to [1, A0] with the planner consulted only
+// by Admit, an observable run maps auto to statevec and never takes the
+// tableau route, and explicit "stabilizer" gets the tableau tree exactly
+// where the auto candidate would — Clifford-only ∧ Pauli-only — and the
+// hybrid otherwise.
+func TestResolve(t *testing.T) {
+	pauli := noise.NewSycamore()
+	thermal := noise.ByName("TRR")
+	ghz := partition.FromStructure(workloads.GHZ(12), []int{6, 2})
+	qft := partition.FromStructure(workloads.QFT(8, true), []int{6, 2})
+	pfx := partition.FromStructure(workloads.CliffordPrefix(8, 12, 5), []int{6, 2})
+
+	cases := []struct {
+		name        string
+		plan        *partition.Plan
+		noise       *noise.Model
+		backend     string
+		budget      Budget
+		wantBackend string
+		wantMode    string
+		wantWorkers int
+	}{
+		{"auto/clifford", ghz, pauli, Auto, Budget{Parallelism: 3}, "stabilizer", ModeTableauTree, 3},
+		{"empty-is-auto", ghz, pauli, "", Budget{Parallelism: 3}, "stabilizer", ModeTableauTree, 3},
+		{"auto/prefix", pfx, pauli, Auto, Budget{Parallelism: 2}, "stabilizer", ModeHybrid, 2},
+		{"auto/dense", qft, pauli, Auto, Budget{Parallelism: 2}, "statevec", "", 2},
+		{"auto/shards", qft, pauli, Auto, Budget{Parallelism: 2, ClusterNodes: 4}, "cluster", "", 2},
+		{"auto/observable", ghz, pauli, Auto, Budget{Parallelism: 2, Observable: true}, "statevec", "", 2},
+
+		{"explicit/unset-workers", qft, pauli, "statevec", Budget{}, "statevec", "", 1},
+		{"explicit/clamped-to-arity", qft, pauli, "fusion", Budget{Parallelism: 64}, "fusion", "", 6},
+		{"explicit/densmat", qft, pauli, "densmat", Budget{}, "densmat", "", 1},
+		{"stabilizer/clifford+pauli", ghz, pauli, "stabilizer", Budget{Parallelism: 2}, "stabilizer", ModeTableauTree, 2},
+		{"stabilizer/clifford+ideal", ghz, nil, "stabilizer", Budget{}, "stabilizer", ModeTableauTree, 1},
+		{"stabilizer/clifford+thermal", ghz, thermal, "stabilizer", Budget{}, "stabilizer", ModeHybrid, 1},
+		{"stabilizer/non-clifford", qft, pauli, "stabilizer", Budget{}, "stabilizer", ModeHybrid, 1},
+		{"stabilizer/observable", ghz, pauli, "stabilizer", Budget{Observable: true}, "stabilizer", ModeHybrid, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := Resolve(tc.plan, tc.noise, tc.backend, tc.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Backend != tc.wantBackend || r.Mode != tc.wantMode || r.Parallelism != tc.wantWorkers {
+				t.Fatalf("resolved %s/%q at %d workers, want %s/%q at %d",
+					r.Backend, r.Mode, r.Parallelism, tc.wantBackend, tc.wantMode, tc.wantWorkers)
+			}
+			auto := (tc.backend == "" || tc.backend == Auto) && !tc.budget.Observable
+			if (r.Decision != nil) != auto {
+				t.Fatalf("Resolve consulted the planner: %v, want %v", r.Decision != nil, auto)
+			}
+			if auto && (r.EstPeakBytes != r.Decision.EstPeakBytes || r.Mode != r.Decision.Mode) {
+				t.Fatalf("auto run %+v departs from its decision %+v", r, r.Decision)
+			}
+			if want := tc.budget.ClusterNodes; want > 0 && r.ClusterNodes != want {
+				t.Fatalf("shard count %d, budget fixed %d", r.ClusterNodes, want)
+			}
+			// Admit resolves identically and always carries the candidate table.
+			a, err := Admit(tc.plan, tc.noise, tc.backend, tc.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Decision == nil || a.Backend != r.Backend || a.Mode != r.Mode ||
+				a.Parallelism != r.Parallelism || a.EstPeakBytes != r.EstPeakBytes {
+				t.Fatalf("Admit resolved %+v, Resolve %+v", a, r)
+			}
+			// The estimate is the footprint of the mode that runs.
+			tableau := int64(r.Parallelism) * int64(tc.plan.Levels()+1) * stabilizer.TableauBytes(tc.plan.Circuit.NumQubits)
+			if (r.Mode == ModeTableauTree) != (r.EstPeakBytes == tableau) {
+				t.Fatalf("mode %q estimated at %d bytes (tableau footprint %d)", r.Mode, r.EstPeakBytes, tableau)
+			}
+		})
+	}
+
+	// A budget no engine fits: Resolve still takes an explicit name at its
+	// word, Admit (and auto) refuse.
+	tiny := Budget{MemoryBytes: 1}
+	if _, err := Resolve(qft, pauli, "statevec", tiny); err != nil {
+		t.Fatalf("explicit Resolve consulted the planner: %v", err)
+	}
+	if _, err := Admit(qft, pauli, "statevec", tiny); err == nil {
+		t.Fatal("Admit accepted a plan no engine can run inside the budget")
+	}
+	if _, err := Resolve(qft, pauli, Auto, tiny); err == nil {
+		t.Fatal("auto Resolve accepted a plan no engine can run inside the budget")
 	}
 }

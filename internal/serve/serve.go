@@ -301,7 +301,7 @@ type Server struct {
 	// entry-capped (Config.PlanCacheEntries) against sustained traffic from
 	// many distinct circuits.
 	planMu    sync.Mutex
-	planCache *lru.Cache[*cachedPlan]
+	planCache *lru.Cache[*planner.Resolved]
 	// sweepMu guards sweepPreps, the worker's cache of prepared sweeps:
 	// a coordinator cuts one sweep into several leases per worker, and
 	// re-preparing per lease would rebuild the grid's plans and ideal
@@ -325,11 +325,6 @@ type Server struct {
 	// records its receipt-to-final-write wall time. Atomic buckets, so
 	// recording never contends with a concurrent stats read.
 	reqLat metrics.LatencyHist
-}
-
-type cachedPlan struct {
-	plan     *tqsim.Plan
-	decision *tqsim.Decision
 }
 
 const (
@@ -369,7 +364,7 @@ func New(cfg Config) *Server {
 		cfg: cfg.withDefaults(),
 		mux: http.NewServeMux(),
 	}
-	s.planCache = lru.New[*cachedPlan](s.cfg.PlanCacheEntries, 0)
+	s.planCache = lru.New[*planner.Resolved](s.cfg.PlanCacheEntries, 0)
 	// A handful of entries suffices: the cache exists so the several
 	// leases of one in-flight sweep share one Prepared (and its lazily
 	// built snapshots), not to retain history. Snapshots pinned by idle
@@ -517,9 +512,6 @@ type CandidateJSON struct {
 }
 
 func decisionJSON(d *tqsim.Decision) *DecisionJSON {
-	if d == nil {
-		return nil
-	}
 	out := &DecisionJSON{
 		Backend:      d.Backend,
 		Mode:         d.Mode,
@@ -574,24 +566,15 @@ type batchLine struct {
 // job is a validated, planned request ready to execute.
 type job struct {
 	circuit *tqsim.Circuit
-	noise   *tqsim.NoiseModel
-	opt     tqsim.Options
+	seed    uint64
 	shots   int
 	// batchSize is the per-batch shot count; 0 runs one batch. Batches are
 	// never materialized as a slice: a max-shots job at batch size 1 is
-	// millions of batches but only two distinct sizes, so plans are held
-	// per size and batch i's size is computed on demand.
-	batchSize  int
-	planBySize map[int]*cachedPlan
-	decision   *tqsim.Decision
-	// estPeak is the admission-control estimate: the chosen candidate's
-	// peak for auto jobs, the named engine's for explicit ones.
-	estPeak int64
-	planHit bool
-	// budget is the memory budget the job was planned and admitted under:
-	// the request's, else the server's. Runs carry it into the executor so
-	// its reuse decision is the one the estimate assumed.
-	budget int64
+	// millions of batches but only two distinct sizes, so resolved runs are
+	// held per size and batch i's size is computed on demand.
+	batchSize int
+	runBySize map[int]*planner.Resolved
+	planHit   bool
 	// wire is the request to forward in shard leases, with every value that
 	// shapes batch arithmetic pinned to the coordinator's resolution (the
 	// worker must never re-apply its own defaults and diverge).
@@ -626,8 +609,12 @@ func (j *job) batchShots(i int) int {
 	return j.batchSize
 }
 
-// planFor returns the cached plan for batch i.
-func (j *job) planFor(i int) *cachedPlan { return j.planBySize[j.batchShots(i)] }
+// runFor returns batch i's resolved run: the plan, engine, worker count and
+// estimate the job was admitted on, which is exactly what executes.
+func (j *job) runFor(i int) *planner.Resolved { return j.runBySize[j.batchShots(i)] }
+
+// decision is the planner's candidate table for the job's first batch.
+func (j *job) decision() *tqsim.Decision { return j.runFor(0).Decision }
 
 // httpError carries a status code with the message.
 type httpError struct {
@@ -691,27 +678,29 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 		return nil, errf(http.StatusBadRequest, "unknown suite circuit %q", req.Circuit)
 	}
 
-	j := &job{
-		circuit:    c,
-		noise:      m,
-		shots:      req.Shots,
-		budget:     req.MemoryBudgetBytes,
-		snaps:      s.snapCache,
-		merged:     make(map[uint64]int),
-		planBySize: make(map[int]*cachedPlan, 2),
-		opt: tqsim.Options{
-			Seed:              req.Seed,
-			CopyCost:          req.CopyCost,
-			MaxLevels:         req.MaxLevels,
-			MemoryBudgetBytes: req.MemoryBudgetBytes,
-			Backend:           backend,
-			ClusterNodes:      req.ClusterNodes,
-			Parallelism:       req.Parallelism,
-			Epsilon:           req.Epsilon,
-		},
+	// opt shapes the plan and keys the plan cache; budget — the request's,
+	// else the server's — is what the job is planned and admitted under, and
+	// travels inside every resolved run to the executor's reuse decision.
+	opt := tqsim.Options{
+		CopyCost:          req.CopyCost,
+		MaxLevels:         req.MaxLevels,
+		MemoryBudgetBytes: req.MemoryBudgetBytes,
+		Backend:           backend,
+		ClusterNodes:      req.ClusterNodes,
+		Parallelism:       req.Parallelism,
+		Epsilon:           req.Epsilon,
 	}
-	if j.budget == 0 {
-		j.budget = s.cfg.MemoryBudgetBytes
+	budget := req.MemoryBudgetBytes
+	if budget == 0 {
+		budget = s.cfg.MemoryBudgetBytes
+	}
+	j := &job{
+		circuit:   c,
+		seed:      req.Seed,
+		shots:     req.Shots,
+		snaps:     s.snapCache,
+		merged:    make(map[uint64]int),
+		runBySize: make(map[int]*planner.Resolved, 2),
 	}
 	j.batchSize = req.BatchShots
 	if j.batchSize == 0 {
@@ -728,36 +717,23 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 	}
 	j.wire = &wire
 
-	// Plan the (at most two) distinct batch sizes: the full batch and the
+	// Resolve the (at most two) distinct batch sizes: the full batch and the
 	// ragged last one.
-	hash := circuitHash(c, noiseName, mode, &j.opt)
+	hash := circuitHash(c, noiseName, mode, &opt)
 	n := j.numBatches()
 	for _, i := range []int{0, n - 1} {
 		size := j.batchShots(i)
-		if _, done := j.planBySize[size]; done {
+		if _, done := j.runBySize[size]; done {
 			continue
 		}
-		cp, hit, herr := s.planBatch(hash, c, m, size, mode, j.opt, j.budget)
+		run, hit, herr := s.planBatch(hash, c, m, size, mode, opt, budget)
 		if herr != nil {
 			return nil, herr
 		}
-		j.planBySize[size] = cp
-		if j.decision == nil {
-			j.decision = cp.decision
+		j.runBySize[size] = run
+		if i == 0 {
 			j.planHit = hit
 		}
-	}
-
-	// Admission estimate: auto jobs run the decided candidate; explicit
-	// jobs run the named engine, so estimate that engine's peak directly.
-	if backend == tqsim.AutoBackend {
-		j.estPeak = j.decision.EstPeakBytes
-	} else {
-		j.estPeak = planner.PeakBytes(j.planFor(0).plan, m, backend, planner.Budget{
-			MemoryBytes:  j.budget,
-			Parallelism:  req.Parallelism,
-			ClusterNodes: req.ClusterNodes,
-		})
 	}
 
 	// Pin the two planner inputs that default from host/server state —
@@ -769,22 +745,22 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 	// different engine (e.g. tableau vs dense, whose per-seed sampling
 	// differs) and break the byte-identical-merge guarantee.
 	if wire.Parallelism == 0 {
-		wire.Parallelism = j.decision.Parallelism
+		wire.Parallelism = j.decision().Parallelism
 	}
-	wire.MemoryBudgetBytes = j.budget
+	wire.MemoryBudgetBytes = budget
 	return j, nil
 }
 
-// planBatch returns the cached plan+decision for one batch size, computing
-// and caching it on miss.
-func (s *Server) planBatch(hash string, c *tqsim.Circuit, m *tqsim.NoiseModel, shots int, mode string, opt tqsim.Options, budget int64) (*cachedPlan, bool, *httpError) {
+// planBatch returns the resolved run for one batch size (plan, decision and
+// the configuration that executes), computing and caching it on miss.
+func (s *Server) planBatch(hash string, c *tqsim.Circuit, m *tqsim.NoiseModel, shots int, mode string, opt tqsim.Options, budget int64) (*planner.Resolved, bool, *httpError) {
 	key := fmt.Sprintf("%s|%d", hash, shots)
 	s.planMu.Lock()
-	cp, ok := s.planCache.Get(key)
+	run, ok := s.planCache.Get(key)
 	s.planMu.Unlock()
 	if ok {
 		s.stats[statPlanHits].Add(1)
-		return cp, true, nil
+		return run, true, nil
 	}
 	s.stats[statPlanMisses].Add(1)
 
@@ -794,21 +770,20 @@ func (s *Server) planBatch(hash string, c *tqsim.Circuit, m *tqsim.NoiseModel, s
 	} else {
 		plan = tqsim.PlanDCP(c, m, shots, opt)
 	}
-	// The planner admission-checks against the server budget even for
-	// explicit backends: its fitDense arithmetic is the single source of
-	// peak-memory truth.
-	budgetOpt := opt
-	budgetOpt.MemoryBudgetBytes = budget
-	decision, err := tqsim.DecidePlan(plan, m, budgetOpt)
+	// Admit: the planner checks the budget even for explicit backends.
+	run, err := planner.Admit(plan, m, opt.Backend, planner.Budget{
+		MemoryBytes:  budget,
+		Parallelism:  opt.Parallelism,
+		ClusterNodes: opt.ClusterNodes,
+	})
 	if err != nil {
 		s.stats[statMemory].Add(1)
 		return nil, false, errf(http.StatusRequestEntityTooLarge, "planner: %v", err)
 	}
-	cp = &cachedPlan{plan: plan, decision: decision}
 	s.planMu.Lock()
-	s.planCache.Add(key, cp, 0)
+	s.planCache.Add(key, run, 0)
 	s.planMu.Unlock()
-	return cp, false, nil
+	return run, false, nil
 }
 
 // circuitHash keys the plan cache: the circuit's structural digest plus
@@ -928,7 +903,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // The work implementation: a job's units are its shot batches.
 
 func (j *job) units() int                      { return j.numBatches() }
-func (j *job) peak() int64                     { return j.estPeak }
+func (j *job) peak() int64                     { return j.runFor(0).EstPeakBytes }
 func (j *job) counters() (unit, completed int) { return statBatches, statCompleted }
 
 func (j *job) lease(from, to int) *ShardRequest {
@@ -943,44 +918,31 @@ func (j *job) run(ctx context.Context, from, to int, emit func(*ShardBatch) *htt
 	// Boundary-snapshot sets for this range's (at most two) batch sizes,
 	// assembled from the cross-job cache. A nil map value remembers an
 	// assembly failure so it isn't retried per batch.
-	var prefixBySize map[int]*tqsim.PrefixSnapshots
+	var prefixBySize map[int]*core.PrefixSnapshots
 	for i := from; i < to; i++ {
 		if err := ctx.Err(); err != nil {
 			return errf(statusClientClosedRequest, "cancelled before batch %d: %v", i, err)
 		}
-		cp := j.planFor(i)
-		opt := j.opt
-		if opt.Backend == tqsim.AutoBackend {
-			// Execute exactly the configuration the job was admitted on:
-			// re-deciding inside RunPlan would ignore the server budget and
-			// could run more workers (or another engine) than the reserved
-			// estimate covers.
-			opt.Backend = cp.decision.Backend
-			opt.Parallelism = cp.decision.Parallelism
-			if opt.ClusterNodes == 0 {
-				opt.ClusterNodes = cp.decision.ClusterNodes
-			}
-		}
-		opt.Seed = BatchSeed(j.opt.Seed, i)
-		opt.MemoryBudgetBytes = j.budget
+		run := j.runFor(i)
+		seed := BatchSeed(j.seed, i)
 		// The cross-job cache pre-builds the spine exactly where the
 		// executor would build one itself, so a batch never pays for
 		// snapshots an engine would ignore. Histograms are the same either
 		// way: cached states are bitwise the ones the run would compute.
-		var prefix *tqsim.PrefixSnapshots
-		if j.snaps != nil && core.QuietReuse(opt.Backend, j.noise) {
+		var prefix *core.PrefixSnapshots
+		if j.snaps != nil && core.QuietReuse(run.Backend, run.Noise) {
 			size := j.batchShots(i)
 			p, ok := prefixBySize[size]
 			if !ok {
-				p, _ = j.snaps.ForPlan(cp.plan) // nil on error: run unprefixed
+				p, _ = j.snaps.ForPlan(run.Plan) // nil on error: run unprefixed
 				if prefixBySize == nil {
-					prefixBySize = make(map[int]*tqsim.PrefixSnapshots, 2)
+					prefixBySize = make(map[int]*core.PrefixSnapshots, 2)
 				}
 				prefixBySize[size] = p
 			}
 			prefix = p
 		}
-		res, err := tqsim.RunPlanPrefixed(ctx, cp.plan, j.noise, opt, prefix)
+		res, err := run.Run(ctx, seed, prefix)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return errf(statusClientClosedRequest, "batch %d cancelled: %v", i, err)
@@ -989,7 +951,7 @@ func (j *job) run(ctx context.Context, from, to int, emit func(*ShardBatch) *htt
 		}
 		if herr := emit(&ShardBatch{
 			Batch:     i,
-			Seed:      opt.Seed,
+			Seed:      seed,
 			Outcomes:  res.Outcomes,
 			Counts:    countsJSON(res.Counts),
 			Backend:   res.BackendName,
@@ -1006,9 +968,9 @@ func (j *job) header(bool) any {
 	return &batchLine{
 		Type:      "plan",
 		Batches:   j.numBatches(),
-		Structure: j.planFor(0).plan.Structure(),
-		Backend:   j.decision.Backend,
-		Decision:  decisionJSON(j.decision),
+		Structure: j.runFor(0).Plan.Structure(),
+		Backend:   j.decision().Backend,
+		Decision:  decisionJSON(j.decision()),
 	}
 }
 
@@ -1042,7 +1004,7 @@ func (j *job) finish(elapsedMS float64, distributed bool) (body, done any) {
 		Batches:     j.numBatches(),
 		Counts:      countsJSON(j.merged),
 		ElapsedMS:   elapsedMS,
-		Decision:    decisionJSON(j.decision),
+		Decision:    decisionJSON(j.decision()),
 		PlanHit:     j.planHit,
 		Distributed: distributed,
 	}
@@ -1069,10 +1031,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"circuit":   j.circuit.Name,
 		"width":     j.circuit.NumQubits,
-		"structure": j.planFor(0).plan.Structure(),
+		"structure": j.runFor(0).Plan.Structure(),
 		"batches":   j.numBatches(),
-		"decision":  decisionJSON(j.decision),
-		"explain":   j.decision.String(),
+		"decision":  decisionJSON(j.decision()),
+		"explain":   j.decision().String(),
 	})
 }
 

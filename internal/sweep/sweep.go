@@ -24,9 +24,8 @@
 // workers. That identity is what makes the reuse safe: it changes the work
 // accounting, never the samples.
 //
-// The engine is execution-agnostic: Prepare expands and plans the grid, and
-// Run drives an injected Runner (the tqsim facade supplies the canonical
-// planner-routed one) so this package never depends on the facade.
+// Prepare plans the grid and resolves every distinct (plan, noise) cell to a
+// planner.Resolved, the value a facade run or a tqsimd job also executes.
 package sweep
 
 import (
@@ -312,6 +311,7 @@ func (s *Spec) budget() planner.Budget {
 		Parallelism:  s.Parallelism,
 		ClusterNodes: s.ClusterNodes,
 		FullWalk:     s.NoReuse,
+		Observable:   s.Observable != nil,
 	}
 }
 
@@ -340,49 +340,6 @@ type Point struct {
 	// Seed is rng.SeedAt(spec.Seed, Index) — the stream the point runs at.
 	Seed uint64
 }
-
-// RunRequest is one point's execution order, handed to the Runner with
-// every planner decision already folded in.
-type RunRequest struct {
-	// Plan is the (possibly shared) partition plan.
-	Plan *partition.Plan
-	// Noise is the point's noise model (nil = ideal).
-	Noise *noise.Model
-	// Mode is "tqsim" or "baseline".
-	Mode string
-	// Seed is the point's derived seed.
-	Seed uint64
-	// Backend is the resolved engine name (never "auto").
-	Backend string
-	// Parallelism and ClusterNodes carry the resolved worker/shard counts.
-	Parallelism  int
-	ClusterNodes int
-	// MemoryBudgetBytes is the spec's budget, the one the point's planner
-	// estimate was computed under.
-	MemoryBudgetBytes int64
-	// NoReuse is the spec's: the runner must walk the full tree
-	// (core.Executor.FullWalk), as the point's estimate assumed.
-	NoReuse bool
-	// Prefix, when non-nil, is the ideal spine shared across the points of
-	// this plan; nil leaves the executor to build its own (or none: NoReuse,
-	// or an engine or noise model that reuses nothing).
-	Prefix *core.PrefixSnapshots
-	// Observable, when non-nil, switches the point to expectation
-	// estimation.
-	Observable *observable.Hamiltonian
-}
-
-// RunOutput is a Runner's result for one point: the tree result and, for
-// observable sweeps, the ensemble estimate.
-type RunOutput struct {
-	Res      *core.Result
-	Estimate *observable.EstimateStats
-}
-
-// Runner executes one prepared point. The tqsim facade supplies the
-// canonical implementation (planner-routed engines, prefix hook wired);
-// tests may substitute instrumented runners.
-type Runner func(ctx context.Context, req *RunRequest) (*RunOutput, error)
 
 // PointResult is one executed point.
 type PointResult struct {
@@ -456,15 +413,11 @@ func (e *PlanError) Unwrap() error { return e.Err }
 
 // planEntry is one distinct (plan, noise) cell shared by its points.
 type planEntry struct {
-	plan         *partition.Plan
-	decision     *planner.Decision
-	backend      string
-	parallelism  int
-	clusterNodes int
-	estPeak      int64
-	reusable     bool
-	prefixKey    string
-	points       int // how many grid points share this entry
+	run *planner.Resolved
+	// prefixKey names the ideal spine the cell's points share; "" where the
+	// run would build none (engine, noise model, or Spec.NoReuse).
+	prefixKey string
+	points    int // how many grid points share this entry
 }
 
 // prefixEntry lazily builds one shared snapshot set.
@@ -505,7 +458,7 @@ type Prepared struct {
 // shared cross-job cache: boundary states another job or sweep already
 // computed are adopted instead of rebuilt, and states this sweep computes
 // are published for the next one. Histograms are unaffected — the cache
-// yields sets bitwise equal to NewPrefixSnapshots. Call before Run; the
+// yields sets bitwise equal to NewPrefixSnapshots. Call before RunRange; the
 // serve layer attaches its daemon-wide cache here.
 func (p *Prepared) UseSnapshotCache(sc *core.SnapshotCache) { p.snapCache = sc }
 
@@ -661,41 +614,16 @@ func (p *Prepared) ensureEntry(planCache map[string]*partition.Plan, pt Point) (
 		planCache[planKey] = plan
 	}
 
-	decision, err := planner.Decide(plan, m, s.budget())
+	run, err := planner.Admit(plan, m, s.Backend, s.budget())
 	if err != nil {
 		return "", &PlanError{Err: fmt.Errorf("sweep point %d (%s): %w", pt.Index, entryKey, err)}
 	}
-	e := &planEntry{plan: plan, decision: decision, points: 1}
-	if s.Observable != nil && (s.Backend == "" || s.Backend == "auto") {
-		// Observables evaluate <H> on dense leaf states, so auto resolves to
-		// the dense reference engine — the same rule as the facade's
-		// expectation estimators, which the determinism contract mirrors.
-		e.backend = "statevec"
-		e.parallelism = s.Parallelism
-		e.clusterNodes = s.ClusterNodes
-		e.estPeak = planner.PeakBytes(plan, m, "statevec", s.budget())
-	} else if s.Backend == "" || s.Backend == "auto" {
-		// Mirror the facade's resolveAuto: adopt the decided engine and
-		// worker count; the shard count only when the caller left it free.
-		e.backend = decision.Backend
-		e.parallelism = decision.Parallelism
-		e.clusterNodes = s.ClusterNodes
-		if e.clusterNodes == 0 {
-			e.clusterNodes = decision.ClusterNodes
-		}
-		e.estPeak = decision.EstPeakBytes
-	} else {
-		e.backend = s.Backend
-		e.parallelism = s.Parallelism
-		e.clusterNodes = s.ClusterNodes
-		e.estPeak = planner.PeakBytes(plan, m, s.Backend, s.budget())
-	}
+	e := &planEntry{run: run, points: 1}
 
 	// Spine sharing: only where the executor would build a spine anyway,
 	// and sharing is not disabled. The executor re-checks the same
 	// condition, so a wrong answer here costs work, never correctness.
-	if !s.NoReuse && core.QuietReuse(e.backend, m) {
-		e.reusable = true
+	if !s.NoReuse && core.QuietReuse(run.Backend, m) {
 		e.prefixKey = fmt.Sprintf("%d|%s", pt.CircuitIndex, core.PrefixKey(plan))
 		if _, ok := p.prefixes[e.prefixKey]; !ok {
 			p.prefixes[e.prefixKey] = &prefixEntry{}
@@ -727,7 +655,7 @@ func (p *Prepared) Spec() *Spec { return &p.spec }
 func (p *Prepared) MaxEstPeakBytes() int64 {
 	var maxPeak int64
 	for _, e := range p.entries {
-		maxPeak = max(maxPeak, e.estPeak)
+		maxPeak = max(maxPeak, e.run.EstPeakBytes)
 	}
 	return maxPeak
 }
@@ -739,10 +667,10 @@ func (p *Prepared) prefix(e *planEntry) *core.PrefixSnapshots {
 	pe := p.prefixes[e.prefixKey]
 	pe.once.Do(func() {
 		if p.snapCache != nil {
-			pe.ps, pe.err = p.snapCache.ForPlan(e.plan)
+			pe.ps, pe.err = p.snapCache.ForPlan(e.run.Plan)
 			return
 		}
-		pe.ps, pe.err = core.NewPrefixSnapshots(e.plan)
+		pe.ps, pe.err = core.NewPrefixSnapshots(e.run.Plan)
 	})
 	if pe.err != nil {
 		return nil
@@ -760,19 +688,14 @@ func (p *Prepared) idealDist(ci int) metrics.Dist {
 	return ie.dist
 }
 
-// Run executes every point through the runner. onPoint, when non-nil,
-// observes each result as it completes (under an internal lock; with
-// Concurrency > 1 completion order is nondeterministic, point contents are
-// not); an onPoint error aborts the sweep. The returned Result lists points
-// in index order regardless of completion order.
-func (p *Prepared) Run(ctx context.Context, runner Runner, onPoint func(*PointResult) error) (*Result, error) {
-	return p.RunRange(ctx, runner, 0, len(p.points), onPoint)
-}
-
 // RunRange executes points [from, to) — the distributed coordinator's lease
-// unit. Point seeds and plans come from the full grid, so a range run is
-// byte-identical to the same points of a full run.
-func (p *Prepared) RunRange(ctx context.Context, runner Runner, from, to int, onPoint func(*PointResult) error) (*Result, error) {
+// unit; (0, NumPoints) is the whole grid. Point seeds and plans come from the
+// full grid, so a range run is byte-identical to the same points of a full
+// run. onPoint, when non-nil, observes each result as it completes (under an
+// internal lock; with Concurrency > 1 completion order is nondeterministic,
+// point contents are not); an onPoint error aborts the sweep. The returned
+// Result lists points in index order regardless of completion order.
+func (p *Prepared) RunRange(ctx context.Context, from, to int, onPoint func(*PointResult) error) (*Result, error) {
 	if from < 0 || to > len(p.points) || from > to {
 		return nil, fmt.Errorf("sweep: range [%d,%d) outside the %d-point grid", from, to, len(p.points))
 	}
@@ -809,7 +732,7 @@ func (p *Prepared) RunRange(ctx context.Context, runner Runner, from, to int, on
 		go func() {
 			defer wg.Done()
 			for i := range indices {
-				pr, err := p.runPoint(ctx, runner, i)
+				pr, err := p.runPoint(ctx, i)
 				if err != nil {
 					fail(err)
 					return
@@ -858,27 +781,52 @@ feed:
 	return res, nil
 }
 
+// execute runs one point's resolved configuration at its seed: a histogram
+// run, or for an observable sweep the ensemble estimate — mode "tqsim" on
+// the tree executor (dense leaf states, the shared spine applies), mode
+// "baseline" on the trajectory engine — so sweep estimates are byte-identical
+// to the facade's standalone estimators at the derived seeds.
+func (p *Prepared) execute(ctx context.Context, e *planEntry, seed uint64) (*core.Result, *observable.EstimateStats, error) {
+	var prefix *core.PrefixSnapshots
+	if e.prefixKey != "" {
+		prefix = p.prefix(e)
+	}
+	run, h := e.run, p.spec.Observable
+	switch {
+	case h == nil:
+		res, err := run.Run(ctx, seed, prefix)
+		return res, nil, err
+	case p.spec.mode() == "baseline":
+		res, err := trajectory.RunExpectation(run.Plan.Circuit, run.Noise, h,
+			run.Plan.TotalOutcomes(), trajectory.Options{Seed: seed})
+		if err != nil {
+			return nil, nil, err
+		}
+		return &core.Result{
+			Outcomes:         run.Plan.TotalOutcomes(),
+			GateApplications: res.GateApplications,
+			Structure:        run.Plan.Structure(),
+			BackendName:      "statevec",
+			Elapsed:          res.Elapsed,
+		}, &res.Stats, nil
+	}
+	ex, err := run.Executor(ctx, seed, prefix)
+	if err != nil {
+		return nil, nil, err
+	}
+	er, err := ex.RunExpectation(run.Plan, h)
+	if err != nil {
+		return nil, nil, err
+	}
+	return er.Run, &er.Stats, nil
+}
+
 // runPoint executes one point.
-func (p *Prepared) runPoint(ctx context.Context, runner Runner, i int) (*PointResult, error) {
+func (p *Prepared) runPoint(ctx context.Context, i int) (*PointResult, error) {
 	pt := p.points[i]
 	e := p.entries[p.keys[i]]
-	req := &RunRequest{
-		Plan:              e.plan,
-		Noise:             pt.Noise.Model(),
-		Mode:              p.spec.mode(),
-		Seed:              pt.Seed,
-		Backend:           e.backend,
-		Parallelism:       e.parallelism,
-		ClusterNodes:      e.clusterNodes,
-		Observable:        p.spec.Observable,
-		MemoryBudgetBytes: p.spec.MemoryBudgetBytes,
-		NoReuse:           p.spec.NoReuse,
-	}
-	if e.reusable {
-		req.Prefix = p.prefix(e)
-	}
 	start := time.Now()
-	out, err := runner(ctx, req)
+	r, estimate, err := p.execute(ctx, e, pt.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("sweep point %d (%s): %w", pt.Index, pointLabel(p.circuits[pt.CircuitIndex].Name, pt), err)
 	}
@@ -893,19 +841,18 @@ func (p *Prepared) runPoint(ctx context.Context, runner Runner, i int) (*PointRe
 		Rep:        pt.Rep,
 		Seed:       pt.Seed,
 		PlanShared: e.points > 1,
-		Decision:   e.decision,
-		Estimate:   out.Estimate,
+		Decision:   e.run.Decision,
+		Estimate:   estimate,
 		Elapsed:    time.Since(start),
-	}
-	if r := out.Res; r != nil {
-		pr.Backend = r.BackendName
-		pr.Structure = r.Structure
-		pr.Outcomes = r.Outcomes
-		pr.Counts = r.Counts
-		pr.GateApplications = r.GateApplications
-		pr.StateCopies = r.StateCopies
-		pr.PrefixReuseHits = r.PrefixReuseHits
-		pr.PeakStateBytes = r.PeakStateBytes
+
+		Backend:          r.BackendName,
+		Structure:        r.Structure,
+		Outcomes:         r.Outcomes,
+		Counts:           r.Counts,
+		GateApplications: r.GateApplications,
+		StateCopies:      r.StateCopies,
+		PrefixReuseHits:  r.PrefixReuseHits,
+		PeakStateBytes:   r.PeakStateBytes,
 	}
 	if p.spec.Fidelity && len(pr.Counts) > 0 {
 		pr.Fidelity = metrics.NormalizedFidelity(

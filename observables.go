@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"tqsim/internal/observable"
+	"tqsim/internal/planner"
 	"tqsim/internal/trajectory"
 )
 
@@ -60,20 +61,17 @@ func EstimateExpectationBaseline(c *Circuit, m *NoiseModel, h *Hamiltonian, shot
 // resolves to the dense reference engine here: observables need dense leaf
 // states, so the planner's polynomial routes do not apply.
 func EstimateExpectationTQSim(c *Circuit, m *NoiseModel, h *Hamiltonian, shots int, opt Options) (EstimateStats, *TreeResult, error) {
-	plan := PlanDCP(c, m, shots, opt)
-	if opt.backendName() == AutoBackend {
-		// Observables evaluate <H> on dense leaf states, so the planner's
-		// polynomial winners (tableau tree, densmat) do not apply here; auto
-		// resolves to the dense reference engine.
-		opt.Backend = "statevec"
-	}
-	// Observables need dense leaf states, so there is no polynomial route
-	// here regardless of backend; infeasible widths are diagnosed up front.
-	ex, err := opt.executor(context.Background(), c, m, nil)
+	b := opt.plannerBudget()
+	b.Observable = true
+	r, err := planner.Resolve(PlanDCP(c, m, shots, opt), m, opt.backendName(), b)
 	if err != nil {
 		return EstimateStats{}, nil, err
 	}
-	res, err := ex.RunExpectation(plan, h)
+	ex, err := r.Executor(context.Background(), opt.Seed, nil)
+	if err != nil {
+		return EstimateStats{}, nil, err
+	}
+	res, err := ex.RunExpectation(r.Plan, h)
 	if err != nil {
 		return EstimateStats{}, nil, err
 	}

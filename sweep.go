@@ -3,10 +3,8 @@ package tqsim
 import (
 	"context"
 
-	"tqsim/internal/core"
 	"tqsim/internal/rng"
 	"tqsim/internal/sweep"
-	"tqsim/internal/trajectory"
 )
 
 // Sweep types, re-exported from the grid engine (internal/sweep). A sweep
@@ -63,7 +61,7 @@ func RunSweepContext(ctx context.Context, spec *SweepSpec, onPoint func(*SweepPo
 	if err != nil {
 		return nil, err
 	}
-	return prep.Run(ctx, sweepRunner, onPoint)
+	return prep.RunRange(ctx, 0, prep.NumPoints(), onPoint)
 }
 
 // PrepareSweep validates the spec, expands the grid, and builds every
@@ -79,65 +77,5 @@ func PrepareSweep(spec *SweepSpec) (*PreparedSweep, error) {
 // runs the whole grid. Point results are a pure function of (spec, index),
 // so any range partitioning reassembles into the identical sweep.
 func RunPreparedSweep(ctx context.Context, prep *PreparedSweep, from, to int, onPoint func(*SweepPointResult) error) (*SweepResult, error) {
-	return prep.RunRange(ctx, sweepRunner, from, to, onPoint)
-}
-
-// sweepRunner is the canonical point executor: the same planner-routed
-// engine dispatch as RunPlanContext, with the sweep's shared ideal-prefix
-// snapshots threaded into the dense executor, plus the observable
-// estimation routes for Hamiltonian sweeps.
-func sweepRunner(ctx context.Context, req *sweep.RunRequest) (*sweep.RunOutput, error) {
-	opt := Options{
-		Seed:         req.Seed,
-		Backend:      req.Backend,
-		Parallelism:  req.Parallelism,
-		ClusterNodes: req.ClusterNodes,
-		// The budget the point was planned and admitted under, so the
-		// executor's reuse decision is the planner's.
-		MemoryBudgetBytes: req.MemoryBudgetBytes,
-	}
-	if req.Observable != nil {
-		return runSweepExpectation(ctx, req, opt)
-	}
-	res, err := runPlan(ctx, req.Plan, req.Noise, opt, req.Prefix, req.NoReuse)
-	if err != nil {
-		return nil, err
-	}
-	return &sweep.RunOutput{Res: res}, nil
-}
-
-// runSweepExpectation estimates the point's observable. Mode "tqsim"
-// mirrors EstimateExpectationTQSim (tree executor, dense leaf states, the
-// prefix hook applies); mode "baseline" mirrors EstimateExpectationBaseline
-// (trajectory engine), so sweep estimates are byte-identical to the
-// standalone estimators at the derived seeds.
-func runSweepExpectation(ctx context.Context, req *sweep.RunRequest, opt Options) (*sweep.RunOutput, error) {
-	h := req.Observable
-	if req.Mode == "baseline" {
-		res, err := trajectory.RunExpectation(req.Plan.Circuit, req.Noise, h,
-			req.Plan.TotalOutcomes(), trajectory.Options{Seed: opt.Seed})
-		if err != nil {
-			return nil, err
-		}
-		return &sweep.RunOutput{
-			Estimate: &res.Stats,
-			Res: &core.Result{
-				Outcomes:         req.Plan.TotalOutcomes(),
-				GateApplications: res.GateApplications,
-				Structure:        req.Plan.Structure(),
-				BackendName:      "statevec",
-				Elapsed:          res.Elapsed,
-			},
-		}, nil
-	}
-	ex, err := opt.executor(ctx, req.Plan.Circuit, req.Noise, req.Prefix)
-	if err != nil {
-		return nil, err
-	}
-	ex.FullWalk = req.NoReuse
-	er, err := ex.RunExpectation(req.Plan, h)
-	if err != nil {
-		return nil, err
-	}
-	return &sweep.RunOutput{Res: er.Run, Estimate: &er.Stats}, nil
+	return prep.RunRange(ctx, from, to, onPoint)
 }

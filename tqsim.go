@@ -28,22 +28,15 @@ import (
 	"time"
 
 	"tqsim/internal/circuit"
-	"tqsim/internal/cluster"
 	"tqsim/internal/core"
 	"tqsim/internal/densmat"
-	// Registration-only import: fusion's init registers the "fusion"
-	// engine in the core backend registry.
-	_ "tqsim/internal/fusion"
 	"tqsim/internal/gate"
-	"tqsim/internal/hpcmodel"
 	"tqsim/internal/metrics"
 	"tqsim/internal/noise"
 	"tqsim/internal/partition"
 	"tqsim/internal/planner"
 	"tqsim/internal/qasm"
 	"tqsim/internal/rng"
-	"tqsim/internal/stabilizer"
-	"tqsim/internal/statevec"
 	"tqsim/internal/trajectory"
 )
 
@@ -77,12 +70,6 @@ type (
 	Decision = planner.Decision
 	// PlannerCandidate is one engine the planner evaluated for a Decision.
 	PlannerCandidate = planner.Candidate
-	// PrefixSnapshots is a read-only set of ideal (noise-free) states at a
-	// plan's subcircuit boundaries and a few interior checkpoints of its
-	// long segments — the ideal spine of quiet-segment reuse, which a dense
-	// run builds for itself unless handed one. Safe to share across
-	// concurrent runs; see RunPlanPrefixed.
-	PrefixSnapshots = core.PrefixSnapshots
 	// SnapshotCache is a byte-bounded cross-job cache of ideal spine
 	// states, keyed per gate cut by the structural digest of the gate
 	// prefix before it. Any two jobs whose circuits share a gate prefix
@@ -99,7 +86,7 @@ type (
 // (plan, noise, budget, worker count — GOMAXPROCS when Parallelism is
 // unset); the sampled histogram remains a pure function of (circuit,
 // noise, shots, seed, chosen backend) exactly as with an explicit Backend.
-const AutoBackend = "auto"
+const AutoBackend = planner.Auto
 
 // NewCircuit returns an empty circuit over n qubits.
 func NewCircuit(name string, n int) *Circuit { return circuit.New(name, n) }
@@ -160,9 +147,9 @@ type Options struct {
 	// Backend selects the gate-execution engine by registry name:
 	// "statevec", "fusion", "stabilizer", "densmat", or "cluster" — see
 	// Backends — or "auto" (AutoBackend) to let the planner choose.
-	// RunTQSim and RunBackend default to "auto"; RunPlan, RunBaseline and
-	// the observable estimators keep "statevec" as the empty-string default
-	// for compatibility. "stabilizer" is the hybrid Clifford
+	// RunTQSim and RunBackend default to "auto"; RunPlan, RunBaselineBackend
+	// and the observable estimators keep "statevec" as the empty-string
+	// default for compatibility. "stabilizer" is the hybrid Clifford
 	// dispatcher: Clifford-only circuits under Pauli noise run entirely on
 	// tableaux (polynomial time and memory, so widths beyond the dense
 	// engines' reach work); circuits with non-Clifford gates run their
@@ -213,30 +200,6 @@ func (o Options) plannerBudget() planner.Budget {
 	}
 }
 
-// resolveAuto replaces Backend "auto" with the planner's concrete choice for
-// the plan, folding the decided parallelism and shard count into the
-// options. Non-auto options pass through untouched.
-func (o Options) resolveAuto(p *Plan, m *NoiseModel) (Options, *Decision, error) {
-	if o.backendName() != AutoBackend {
-		return o, nil, nil
-	}
-	d, err := planner.Decide(p, m, o.plannerBudget())
-	if err != nil {
-		return o, d, err
-	}
-	o.Backend = d.Backend
-	// Always adopt the decided worker count: for an explicit
-	// Options.Parallelism the planner starts from it and only lowers it
-	// when the memory budget cannot hold that many worker state sets —
-	// keeping the caller's count would overrun the budget the decision
-	// just enforced.
-	o.Parallelism = d.Parallelism
-	if o.ClusterNodes == 0 {
-		o.ClusterNodes = d.ClusterNodes
-	}
-	return o, d, nil
-}
-
 // DecidePlan returns the planner's Decision for an explicit plan — the
 // explainability hook behind Options.Backend == "auto". The Decision lists
 // the chosen engine, worker count and shard count plus every rejected
@@ -251,18 +214,6 @@ func DecidePlan(p *Plan, m *NoiseModel, opt Options) (*Decision, error) {
 // the tqsimd plan endpoint render its String form.
 func Explain(c *Circuit, m *NoiseModel, shots int, opt Options) (*Decision, error) {
 	return DecidePlan(PlanDCP(c, m, shots, opt), m, opt)
-}
-
-// backend constructs the gate-apply backend for the tree executor. External
-// engines (densmat) and the pure-tableau path are routed before this is
-// called. Only the cluster shard-count override needs a special case; every
-// other name goes through the registry.
-func (o Options) backend() (Backend, error) {
-	name := o.backendName()
-	if name == "cluster" && o.ClusterNodes > 0 {
-		return cluster.NewBackend(o.ClusterNodes), nil
-	}
-	return core.NewBackend(name)
 }
 
 func (o Options) dcpOptions() partition.DCPOptions {
@@ -297,24 +248,13 @@ func PlanBaseline(c *Circuit, shots int) *Plan {
 	return partition.Baseline(c, shots)
 }
 
-// RunBaseline simulates shots noisy trajectories the conventional way.
-// Histograms are a pure function of (circuit, noise, shots, seed, backend):
-// identical across Options.Parallelism settings and repeated runs. The
-// default state-vector engine runs through the dedicated trajectory
+// RunBaselineBackend simulates shots noisy trajectories the conventional
+// way. Histograms are a pure function of (circuit, noise, shots, seed,
+// backend): identical across Options.Parallelism settings and repeated runs.
+// The default state-vector engine runs through the dedicated trajectory
 // simulator; any other Options.Backend routes the (shots,) baseline plan
-// through the selected engine. Engine errors (unknown name, width beyond
-// the engine's limit) panic in this error-free signature — error-sensitive
-// callers use RunBaselineBackend or RunBackend.
-func RunBaseline(c *Circuit, m *NoiseModel, shots int, opt Options) *BaselineResult {
-	res, err := RunBaselineBackend(c, m, shots, opt)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunBaselineBackend is RunBaseline with engine errors returned instead of
-// panicking.
+// through the selected engine, whose errors (unknown name, width beyond the
+// engine's limit) are returned.
 func RunBaselineBackend(c *Circuit, m *NoiseModel, shots int, opt Options) (*BaselineResult, error) {
 	if opt.backendName() != "statevec" {
 		res, err := RunBackend(c, m, shots, opt)
@@ -367,14 +307,9 @@ func RunTQSim(c *Circuit, m *NoiseModel, shots int, opt Options) (*TreeResult, e
 // distributes first-level subtrees across workers; results are
 // seed-deterministic regardless.
 //
-// Engine routing: "auto" resolves to the planner's Decision for this plan
-// first (see DecidePlan); "densmat" computes the exact distribution and
-// samples the plan's leaf count from it; "stabilizer" runs Clifford-only
-// circuits under
-// ideal or depolarizing noise entirely on tableaux (no dense state is ever
-// allocated, so widths beyond the state-vector engine work) and otherwise
-// falls back to the hybrid adapter on the dense executor; everything else
-// is a gate-apply backend on the dense executor.
+// Engine routing is Options.Backend's: "auto" resolves to the planner's
+// Decision for this plan first (see DecidePlan), an explicit name runs that
+// engine without consulting the planner.
 func RunPlan(p *Plan, m *NoiseModel, opt Options) (*TreeResult, error) {
 	return RunPlanContext(context.Background(), p, m, opt)
 }
@@ -387,74 +322,14 @@ func RunPlan(p *Plan, m *NoiseModel, opt Options) (*TreeResult, error) {
 // plan is one node per shot); densmat checks only before it starts, since
 // its whole execution costs less than one dense node. Completed runs are
 // unaffected by ctx: for a fixed chosen backend the histogram remains a pure
-// function of (circuit, noise, shots, seed).
+// function of (circuit, noise, shots, seed). This is the one entry every
+// other run function reaches an engine through.
 func RunPlanContext(ctx context.Context, p *Plan, m *NoiseModel, opt Options) (*TreeResult, error) {
-	return RunPlanPrefixed(ctx, p, m, opt, nil)
-}
-
-// RunPlanPrefixed is RunPlanContext with an optional pre-built ideal spine
-// for the dense executor's quiet-segment reuse — what the sweep engine
-// shares across points and tqsimd across jobs (SnapshotCache.ForPlan builds
-// a matching set). The executor reuses quiet segments on every eligible run
-// and builds the spine itself when given none, so a nil prefix reproduces
-// RunPlanContext exactly and a matching one only saves that ideal pass: it
-// lowers TreeResult.GateApplications and StateCopies by the spine's cost,
-// never touching the histogram, the reuse hits or PeakStateBytes. It is
-// consulted only where the run would build a spine: the plain dense backend
-// under non-ideal Pauli-only noise.
-func RunPlanPrefixed(ctx context.Context, p *Plan, m *NoiseModel, opt Options, prefix *PrefixSnapshots) (*TreeResult, error) {
-	return runPlan(ctx, p, m, opt, prefix, false)
-}
-
-// runPlan is RunPlanPrefixed plus the one thing no Options field selects:
-// fullWalk, a sweep's NoReuse reference, makes a dense run execute every
-// node (core.Executor.FullWalk).
-func runPlan(ctx context.Context, p *Plan, m *NoiseModel, opt Options, prefix *PrefixSnapshots, fullWalk bool) (*TreeResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if opt.backendName() == AutoBackend {
-		resolved, _, err := opt.resolveAuto(p, m)
-		if err != nil {
-			return nil, err
-		}
-		opt = resolved
-	}
-	name := opt.backendName()
-	if name == "densmat" {
-		return runDensmat(p, m, opt)
-	}
-	if name == "stabilizer" && m.PauliOnly() && stabilizer.IsClifford(p.Circuit) {
-		return stabilizer.RunTreeContext(ctx, p, m, opt.Seed, opt.Parallelism)
-	}
-	ex, err := opt.executor(ctx, p.Circuit, m, prefix)
+	r, err := planner.Resolve(p, m, opt.backendName(), opt.plannerBudget())
 	if err != nil {
 		return nil, err
 	}
-	ex.FullWalk = fullWalk
-	return ex.Run(p)
-}
-
-// executor builds the dense tree executor for the options' engine (already
-// resolved, never "auto"): the width diagnosis, the gate-apply backend and
-// the fields every dense entry point sets.
-func (o Options) executor(ctx context.Context, c *Circuit, m *NoiseModel, prefix *PrefixSnapshots) (*core.Executor, error) {
-	if err := denseWidthCheck(c, o.backendName(), m); err != nil {
-		return nil, err
-	}
-	be, err := o.backend()
-	if err != nil {
-		return nil, err
-	}
-	return &core.Executor{
-		Backend:           be,
-		Noise:             m,
-		Seed:              o.Seed,
-		Parallelism:       o.Parallelism,
-		Context:           ctx,
-		Prefix:            prefix,
-		MemoryBudgetBytes: o.MemoryBudgetBytes,
-	}, nil
+	return r.Run(ctx, opt.Seed, nil)
 }
 
 // NewSnapshotCache returns a SnapshotCache holding at most maxBytes of
@@ -471,54 +346,6 @@ func NewSnapshotCache(maxBytes int64) *SnapshotCache {
 // no QASM 2.0 form), and collision-resistant where a name/shape fallback is
 // not — the identity tqsimd keys its plan cache and result store by.
 func CircuitDigest(c *Circuit) string { return c.Digest() }
-
-// denseWidthCheck fails with a diagnosis when a circuit is about to reach
-// the dense executor at a width it cannot allocate — instead of letting
-// statevec panic. Every dense-engine entry point (RunPlan, the observable
-// estimators) calls it after the polynomial-path routing has declined. The
-// message carries the hpcmodel state-vector estimate, the same number the
-// planner's rejection reasons report, so CLI errors and Decision candidate
-// tables agree.
-func denseWidthCheck(c *Circuit, name string, m *NoiseModel) error {
-	n := c.NumQubits
-	if n <= statevec.MaxQubits {
-		return nil
-	}
-	est := hpcmodel.FormatBytes(hpcmodel.StatevectorBytes(n))
-	if name == "stabilizer" {
-		return fmt.Errorf(
-			"tqsim: %d qubits exceeds the %d-qubit dense limit (state vector ≈ %s) and the stabilizer fast path does not apply (circuit Clifford-only: %v, noise Pauli-only: %v)",
-			n, statevec.MaxQubits, est, stabilizer.IsClifford(c), m.PauliOnly())
-	}
-	return fmt.Errorf("tqsim: %d qubits exceeds the %s backend's %d-qubit dense limit (state vector ≈ %s)",
-		n, name, statevec.MaxQubits, est)
-}
-
-// runDensmat executes a plan's leaf count of samples from the exact
-// density-matrix distribution, wrapped in the executor's result type.
-func runDensmat(p *Plan, m *NoiseModel, opt Options) (*TreeResult, error) {
-	start := time.Now()
-	counts, err := densmat.RunCounts(p.Circuit, m, p.TotalOutcomes(), opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return &TreeResult{
-		Counts:         counts,
-		Outcomes:       p.TotalOutcomes(),
-		Structure:      p.Structure(),
-		BackendName:    "densmat",
-		PeakStateBytes: int64(16) << uint(2*p.Circuit.NumQubits),
-		Elapsed:        time.Since(start),
-	}, nil
-}
-
-func init() {
-	// internal/observable consumes densmat, so the external registration
-	// lives here rather than in a densmat init (core -> observable ->
-	// densmat -> core would cycle).
-	core.RegisterExternal("densmat",
-		"exact density-matrix engine; runs whole circuits outside the tree executor")
-}
 
 // IdealDistribution returns the exact noise-free outcome distribution —
 // fully deterministic, no sampling.
@@ -591,11 +418,11 @@ type Comparison struct {
 func Compare(c *Circuit, m *NoiseModel, shots int, opt Options) (*Comparison, error) {
 	opt = opt.autoDefault()
 	if opt.backendName() == AutoBackend {
-		resolved, _, err := opt.resolveAuto(PlanDCP(c, m, shots, opt), m)
+		r, err := planner.Resolve(PlanDCP(c, m, shots, opt), m, AutoBackend, opt.plannerBudget())
 		if err != nil {
 			return nil, err
 		}
-		opt = resolved
+		opt.Backend, opt.Parallelism, opt.ClusterNodes = r.Backend, r.Parallelism, r.ClusterNodes
 	}
 	base, err := RunBaselineBackend(c, m, shots, opt)
 	if err != nil {
