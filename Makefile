@@ -38,10 +38,13 @@ test:
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '/benchmark$$')
 
-# Short fuzz smoke: the QASM parser/round-trip fuzzer plus its committed
-# regression corpus. Go runs one fuzz target per invocation.
+# Short fuzz smoke: the QASM parser/round-trip fuzzer and the sweep
+# Prepare fuzzer (error or GridSize() points, never a panic or a hang), each
+# with its committed regression corpus. Go runs one fuzz target per
+# invocation.
 fuzz-smoke:
 	$(GO) test ./internal/qasm -run xxx -fuzz FuzzParseQASM -fuzztime 10s
+	$(GO) test ./internal/sweep -run xxx -fuzz FuzzSweepPrepare -fuzztime 10s
 
 # Full figure/table benchmark sweep (slow).
 bench:

@@ -27,8 +27,8 @@ type Result struct {
 	GateApplications int64
 	// StateCopies counts full state-vector copies between tree nodes —
 	// the overhead DCP balances against reuse (Section 3.6). Exactly: Nodes −
-	// PrefixReuseHits − SiblingReuseHits, plus one per spine state when the
-	// run built its own spine.
+	// PrefixReuseHits − SiblingReuseHits, plus one per spine state when a
+	// reusing run was given no Spines cache and built its own spine.
 	StateCopies int64
 	// PeakStateBytes is the peak amplitude memory held concurrently, as
 	// DensePeakBytes computes it: one state per tree level plus the working
@@ -38,9 +38,10 @@ type Result struct {
 	// Nodes is the number of subcircuit-instance nodes executed.
 	Nodes int64
 	// PrefixReuseHits counts nodes served from the ideal spine, the run's
-	// own or a supplied one: their segment drew no firing noise channel from
-	// a parent still on the ideal trajectory, so the copy and the gate work
-	// were skipped and the boundary state stood in (see PrefixSnapshots).
+	// own or one from Executor.Spines: their segment drew no firing noise
+	// channel from a parent still on the ideal trajectory, so the copy and
+	// the gate work were skipped and the boundary state stood in (see
+	// PrefixSnapshots).
 	PrefixReuseHits int64
 	// SiblingReuseHits counts nodes served from their parent's quiet child:
 	// off the spine, the second and later children of one parent whose
@@ -80,14 +81,11 @@ type Executor struct {
 	// and no result — partial histograms are never exposed, because a
 	// partially executed tree is not a sample from any defined distribution.
 	Context context.Context
-	// Prefix, when non-nil and matching the plan, is a pre-built ideal spine
-	// for quiet-segment reuse and first-fire starts (see runTree): the run
-	// adopts it, interior checkpoints included, instead of computing its own,
-	// which saves one ideal pass over the circuit and nothing else.
-	// Histograms are byte-identical with or without it. It is consulted
-	// exactly when the run would build a spine itself: the plain dense
-	// backend under non-ideal Pauli-only noise.
-	Prefix *PrefixSnapshots
+	// Spines, when non-nil, is where a reusing run takes its ideal spine
+	// (see runTree) instead of computing and booking its own, which saves
+	// one ideal pass and nothing else: histograms are byte-identical. A run
+	// that does not reuse (DensePeakBytes decides) never touches it.
+	Spines *SnapshotCache
 	// MemoryBudgetBytes is the caller's cap on peak amplitude memory (0 =
 	// unlimited). Worker counts are shed by the planner before the run; the
 	// executor consults the cap only to drop quiet-segment reuse when its
@@ -242,9 +240,10 @@ func (e *Executor) treeWorkers(plan *partition.Plan) int {
 // that state at most once per parent:
 //
 //   - a parent on the ideal spine (the root, or a quiet child of a spine
-//     node) hands its quiet children the spine's boundary state — Prefix when
-//     it matches the plan, otherwise a set the run builds itself, once for
-//     all workers, its gate work and copies booked once;
+//     node) hands its quiet children the spine's boundary state — from the
+//     Spines cache when the run has one, otherwise from a spine the run
+//     builds itself, once for all workers, its gate work and copies booked
+//     once;
 //   - off the spine, the first quiet child computes quiet[level] from the
 //     parent with the same kernels in the same order as runSegment, and its
 //     later quiet siblings adopt that state.
@@ -289,8 +288,14 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 	var reuse bool
 	res.PeakStateBytes, reuse = DensePeakBytes(plan, workers,
 		plain && quietNoise(e.Noise) && !e.FullWalk, e.MemoryBudgetBytes)
-	spine := e.Prefix
-	if reuse && !spine.Matches(plan) {
+	var spine *PrefixSnapshots
+	switch {
+	case reuse && e.Spines != nil:
+		var err error
+		if spine, err = e.Spines.ForPlan(plan); err != nil {
+			return err
+		}
+	case reuse:
 		spine = newSpine(plan)
 		res.GateApplications += spine.fill(plan.Circuit)
 		res.StateCopies += int64(len(spine.states))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"tqsim/internal/circuit"
@@ -18,11 +17,10 @@ import (
 // trajectory needs no gate work before that first fire: a segment that draws
 // no firing channel IS the boundary snapshot, and one that does starts from
 // the last checkpoint before the fire instead of from its parent. Every
-// eligible dense run builds one for itself (Executor.runTree); because the
-// snapshots depend only on (circuit, bounds), a caller running many plans
-// over the same boundaries — the noise points and repeats of a sweep, the
-// batches of a tqsimd job — can build the set once and hand it to each run
-// through Executor.Prefix.
+// reusing dense run holds one (Executor.runTree): its own, or one taken from
+// the SnapshotCache in Executor.Spines — the states depend only on the gate
+// prefix before each cut, so the noise points and repeats of a sweep and the
+// batches and jobs of tqsimd share them through one cache.
 //
 // Snapshots are computed once with the plain dense kernels in the same
 // per-gate order the executor applies them, so a snapshot is bitwise equal
@@ -104,38 +102,17 @@ func segmentCheckpoints(plan *partition.Plan, level int) (start, end, k int) {
 	return start, end, min(upTo(end)-upTo(start), end-start-1)
 }
 
-// NewPrefixSnapshots computes the spine for a plan. The cost is one ideal
-// sweep over the circuit (the same work as a single noise-free trajectory).
-// Widths beyond the dense limit error out — callers gate reuse to dense
-// plans anyway.
-func NewPrefixSnapshots(plan *partition.Plan) (*PrefixSnapshots, error) {
-	if err := checkSpinePlan(plan); err != nil {
-		return nil, err
-	}
-	ps := newSpine(plan)
-	ps.fill(plan.Circuit)
-	return ps, nil
-}
-
-// checkSpinePlan validates a plan handed to a public spine constructor.
-func checkSpinePlan(plan *partition.Plan) error {
-	if err := plan.Validate(); err != nil {
-		return err
-	}
-	if n := plan.Circuit.NumQubits; n > statevec.MaxQubits {
-		return fmt.Errorf("core: %d qubits exceeds the %d-qubit dense snapshot limit", n, statevec.MaxQubits)
-	}
-	return nil
-}
-
 // newSpine lays out the spine of a validated plan of dense width with no
 // state computed yet; fill computes them.
 func newSpine(plan *partition.Plan) *PrefixSnapshots {
 	ps := &PrefixSnapshots{n: plan.Circuit.NumQubits, bounds: slices.Clone(plan.Bounds)}
-	ps.cuts, ps.ends = spineCuts(plan)
+	ps.cuts, ps.ends = layout(plan)
 	ps.states = make([]*statevec.State, len(ps.cuts))
 	return ps
 }
+
+// layout is where newSpine cuts a spine: spineCuts, which only tests replace.
+var layout = spineCuts
 
 // fill computes every state the spine does not hold yet and returns the
 // kernel applications that cost (the executor books them, and one copy per
@@ -178,17 +155,6 @@ func applyIdeal(st *statevec.State, gs []gate.Gate) int64 {
 	return ops
 }
 
-// Matches reports whether the snapshots were built for this plan's circuit
-// width and subcircuit boundaries — the executor's guard against a stale
-// cache entry being applied to a structurally different plan. Every
-// constructor lays a set out on spineCuts, so any set that matches — the
-// run's own, a sweep's shared one, a cached one — serves the plan alike.
-func (ps *PrefixSnapshots) Matches(plan *partition.Plan) bool {
-	return ps != nil && ps.n == plan.Circuit.NumQubits &&
-		len(ps.ends) == plan.Levels() && slices.Equal(ps.bounds, plan.Bounds) &&
-		ps.cuts[len(ps.cuts)-1] == plan.Circuit.Len()
-}
-
 // level returns the spine's view of plan level L: the cut indices lo..hi of
 // its spans' ends (hi is the level's boundary state) and the gate offset the
 // level starts at.
@@ -197,11 +163,4 @@ func (ps *PrefixSnapshots) level(l int) (lo, hi, start int) {
 		lo, start = ps.ends[l-1]+1, ps.bounds[l-1]
 	}
 	return lo, ps.ends[l], start
-}
-
-// PrefixKey is the cache identity of a plan's snapshots: two plans over the
-// same circuit share snapshots exactly when their boundary lists are equal.
-// The sweep engine keys its snapshot cache by (circuit, PrefixKey).
-func PrefixKey(plan *partition.Plan) string {
-	return fmt.Sprint(plan.Circuit.NumQubits, plan.Bounds)
 }

@@ -82,18 +82,23 @@ func reuseGridPlans(c *circuit.Circuit) []*partition.Plan {
 	return plans
 }
 
-// boundarySpine is a spine of the plan's boundaries and no interior
-// checkpoint. It matches the plan, so a run supplied with it is the same run
-// with no checkpoint to start at.
-func boundarySpine(plan *partition.Plan) *PrefixSnapshots {
-	ps := &PrefixSnapshots{n: plan.Circuit.NumQubits, bounds: plan.Bounds}
-	ps.cuts = append(slices.Clone(plan.Bounds), plan.Circuit.Len())
-	for l := range ps.cuts {
-		ps.ends = append(ps.ends, l)
+// boundaryCuts is a spine layout of the plan's boundaries and no interior
+// checkpoint: a run whose spine is laid out by it is the same run with no
+// checkpoint to start at.
+func boundaryCuts(plan *partition.Plan) (cuts, ends []int) {
+	cuts = append(slices.Clone(plan.Bounds), plan.Circuit.Len())
+	for l := range cuts {
+		ends = append(ends, l)
 	}
-	ps.states = make([]*statevec.State, len(ps.cuts))
-	ps.fill(plan.Circuit)
-	return ps
+	return cuts, ends
+}
+
+// withLayout runs the executor on the plan with spines laid out by cut
+// instead of spineCuts.
+func withLayout(e *Executor, plan *partition.Plan, cut func(*partition.Plan) ([]int, []int)) (*Result, error) {
+	defer func(prev func(*partition.Plan) ([]int, []int)) { layout = prev }(layout)
+	layout = cut
+	return e.Run(plan)
 }
 
 // TestQuietReuseMatchesFullWalk: over a seeded grid, a reusing run and the
@@ -102,7 +107,8 @@ func boundarySpine(plan *partition.Plan) *PrefixSnapshots {
 // either copies a state or is a counted hit, a run with hits does less gate
 // work than the full walk even after paying for its own spine, a node that
 // starts at a checkpoint runs fewer gates than it does with the checkpoints
-// unused, and a supplied spine saves the ideal pass and nothing else.
+// unused, and a spine taken from a cache, cold or warm, saves the ideal pass
+// and nothing else.
 func TestQuietReuseMatchesFullWalk(t *testing.T) {
 	models := []*noise.Model{
 		noise.ByName("DC"),
@@ -118,7 +124,6 @@ func TestQuietReuseMatchesFullWalk(t *testing.T) {
 				spine := newSpine(plan)
 				idealPass := spine.fill(plan.Circuit)
 				spineStates := int64(len(spine.states))
-				boundaries := boundarySpine(plan)
 				for _, workers := range []int{1, 2, 3, 13} {
 					seed := rng.SeedAt(100, cell)
 					cell++
@@ -155,19 +160,27 @@ func TestQuietReuseMatchesFullWalk(t *testing.T) {
 						t.Errorf("%s: %d hits but %d gate applications, full walk %d",
 							name, hits, got.GateApplications, want.GateApplications)
 					}
-					supplied, err := (&Executor{Noise: m, Seed: seed, Parallelism: workers, Prefix: spine}).Run(plan)
-					if err != nil {
-						t.Fatal(err)
-					}
 					less := *got
 					less.GateApplications -= idealPass
 					less.StateCopies -= spineStates
-					if !reflect.DeepEqual(supplied, withElapsed(&less, supplied)) {
-						t.Errorf("%s: supplied spine: %+v, want the own-spine run less one ideal pass %+v", name, supplied, &less)
+					spines := NewSnapshotCache(0)
+					var supplied *Result
+					for _, temp := range []string{"cold", "warm"} {
+						supplied, err = (&Executor{Noise: m, Seed: seed, Parallelism: workers, Spines: spines}).Run(plan)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(supplied, withElapsed(&less, supplied)) {
+							t.Errorf("%s: spine from a %s cache: %+v, want the own-spine run less one ideal pass %+v", name, temp, supplied, &less)
+						}
+					}
+					if spines.Misses() != uint64(spineStates) || spines.Hits() != uint64(spineStates) {
+						t.Errorf("%s: cold then warm cache booked %d misses and %d hits, want %d each",
+							name, spines.Misses(), spines.Hits(), spineStates)
 					}
 					// With the checkpoints unused the run differs in gate work
 					// alone: strictly more of it iff some node started at one.
-					unused, err := (&Executor{Noise: m, Seed: seed, Parallelism: workers, Prefix: boundaries}).Run(plan)
+					unused, err := withLayout(&Executor{Noise: m, Seed: seed, Parallelism: workers, Spines: NewSnapshotCache(0)}, plan, boundaryCuts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -297,18 +310,22 @@ func TestQuietReuseMemoryRule(t *testing.T) {
 		t.Error("dropping reuse changed the histogram")
 	}
 
-	spine, err := NewPrefixSnapshots(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spine.states) != spineStates {
+	if spine := newSpine(plan); len(spine.states) != spineStates {
 		t.Fatalf("spine of %d states, want %d", len(spine.states), spineStates)
 	}
 	full := run(Executor{Backend: opaque{}})
-	for _, e := range []Executor{{FullWalk: true}, {FullWalk: true, Prefix: spine}} {
+	spines := NewSnapshotCache(0)
+	for _, e := range []Executor{{FullWalk: true}, {FullWalk: true, Spines: spines}} {
 		if walk := run(e); !reflect.DeepEqual(walk, withElapsed(full, walk)) {
-			t.Errorf("FullWalk (spine supplied: %t): %+v, want the opaque backend's full walk %+v", e.Prefix != nil, walk, full)
+			t.Errorf("FullWalk (cache given: %t): %+v, want the opaque backend's full walk %+v", e.Spines != nil, walk, full)
 		}
+	}
+	// A run that does not reuse never computes or caches a spine.
+	if dropped := run(Executor{MemoryBudgetBytes: with - 1, Spines: spines}); !reflect.DeepEqual(dropped, withElapsed(tight, dropped)) {
+		t.Errorf("budget one byte short, cache given: %+v, want %+v", dropped, tight)
+	}
+	if spines.Hits()+spines.Misses() != 0 || spines.Len() != 0 {
+		t.Errorf("runs without reuse touched the cache: %d hits, %d misses, %d states", spines.Hits(), spines.Misses(), spines.Len())
 	}
 }
 

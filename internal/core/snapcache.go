@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -9,21 +10,23 @@ import (
 	"tqsim/internal/statevec"
 )
 
-// SnapshotCache is a byte-bounded, cross-job cache of ideal spine states —
-// the promotion of PrefixSnapshots from sweep-scoped to service-scoped
-// reuse. Entries are keyed per spine cut (plan boundaries and interior
-// checkpoints alike) by the structural digest of the gate prefix before it
-// (circuit.PrefixDigests), not by whole plans: the ideal state at gate cut b
-// is a pure function of (width, gates[0:b]), so any two jobs whose circuits
-// share a gate prefix share the cached state at every common cut, even when
-// their suffixes, names, noise points, shot counts or deeper bounds differ.
-// ForPlan assembles a plan's full PrefixSnapshots set from cached states,
-// computing and inserting only the missing ones.
+// SnapshotCache is a byte-bounded, cross-job cache of ideal spine states,
+// and the one form in which a spine reaches a run from outside it
+// (Executor.Spines): a sweep hands every point its own unbounded cache,
+// tqsimd every job and sweep its daemon-wide one. Entries are keyed per
+// spine cut (plan boundaries and interior checkpoints alike) by the
+// structural digest of the gate prefix before it (circuit.PrefixDigests),
+// not by whole plans: the ideal state at gate cut b is a pure function of
+// (width, gates[0:b]), so any two jobs whose circuits share a gate prefix
+// share the cached state at every common cut, even when their suffixes,
+// names, noise points, shot counts or deeper bounds differ. ForPlan
+// assembles a plan's spine from cached states, computing and inserting only
+// the missing ones.
 //
-// Cached states are read-only shared: the executor's prefix-reuse path
-// never mutates them (the same contract the sweep engine established), so
-// one state may back any number of concurrent runs. Eviction only drops the
-// cache's reference — snapshot sets already handed out stay valid.
+// Cached states are read-only shared: the executor's reuse path never
+// mutates them, so one state may back any number of concurrent runs.
+// Eviction only drops the cache's reference — spines already handed out
+// stay valid.
 //
 // The hit/miss counters are served in tqsimd's /v1/stats as snapshot_hits /
 // snapshot_misses; they count spine states, not plans, so a plan whose spine
@@ -36,17 +39,17 @@ type SnapshotCache struct {
 	misses atomic.Uint64
 }
 
-// NewSnapshotCache returns a cache holding at most maxBytes of boundary
+// NewSnapshotCache returns a cache holding at most maxBytes of spine
 // states (least-recently-used states are evicted beyond it). maxBytes <= 0
 // selects an effectively unbounded cache.
 func NewSnapshotCache(maxBytes int64) *SnapshotCache {
 	return &SnapshotCache{states: lru.New[*statevec.State](0, maxBytes)}
 }
 
-// Hits returns the number of boundary states served from cache.
+// Hits returns the number of spine states served from cache.
 func (sc *SnapshotCache) Hits() uint64 { return sc.hits.Load() }
 
-// Misses returns the number of boundary states that had to be computed.
+// Misses returns the number of spine states that had to be computed.
 func (sc *SnapshotCache) Misses() uint64 { return sc.misses.Load() }
 
 // Bytes returns the resident state bytes.
@@ -63,18 +66,21 @@ func (sc *SnapshotCache) Len() int {
 	return sc.states.Len()
 }
 
-// ForPlan returns a PrefixSnapshots set for the plan, serving every spine
-// state it can from cache — boundaries and interior checkpoints alike, each
-// keyed by the digest of the gate prefix before its cut — and computing only
-// the missing ones (each computed state is inserted for the next job). The
-// assembled set satisfies Matches(plan) and is bitwise equal to
-// NewPrefixSnapshots(plan): both lay the set out with newSpine and compute
-// states in PrefixSnapshots.fill, so reuse stays histogram-preserving. Safe
-// for concurrent use; two racing callers may compute the same state twice,
-// but the states are deterministic, so either insert is correct.
+// ForPlan returns the plan's spine, serving every state it can from cache —
+// boundaries and interior checkpoints alike, each keyed by the digest of the
+// gate prefix before its cut — and computing only the missing ones (each
+// computed state is inserted for the next job). The set is laid out by
+// newSpine and its missing states computed by PrefixSnapshots.fill, as a run
+// that builds its own spine does, so the two are bitwise equal and reuse
+// stays histogram-preserving. Safe for concurrent use; two racing callers
+// may compute the same state twice, but the states are deterministic, so
+// either insert is correct.
 func (sc *SnapshotCache) ForPlan(plan *partition.Plan) (*PrefixSnapshots, error) {
-	if err := checkSpinePlan(plan); err != nil {
+	if err := plan.Validate(); err != nil {
 		return nil, err
+	}
+	if n := plan.Circuit.NumQubits; n > statevec.MaxQubits {
+		return nil, fmt.Errorf("core: %d qubits exceeds the %d-qubit dense snapshot limit", n, statevec.MaxQubits)
 	}
 	ps := newSpine(plan)
 	keys := plan.Circuit.PrefixDigests(ps.cuts)

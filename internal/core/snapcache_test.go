@@ -10,25 +10,23 @@ import (
 	"tqsim/internal/workloads"
 )
 
-// TestForPlanBitwiseEqualsNewPrefixSnapshots: the cache-assembled snapshot
-// set must hold exactly the states NewPrefixSnapshots computes — amplitude
-// for amplitude — whether boundaries were computed cold or served from
-// earlier insertions.
-func TestForPlanBitwiseEqualsNewPrefixSnapshots(t *testing.T) {
+// TestForPlanBitwiseEqualsOwnSpine: the cache-assembled spine must hold
+// exactly the states a run that builds its own spine computes — amplitude
+// for amplitude — whether they were computed cold or served from earlier
+// insertions.
+func TestForPlanBitwiseEqualsOwnSpine(t *testing.T) {
 	c := workloads.QFT(5, true)
 	plan := partition.FromStructure(c, []int{8, 4, 4})
-	want, err := NewPrefixSnapshots(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := newSpine(plan)
+	want.fill(plan.Circuit)
 	sc := NewSnapshotCache(0)
 	for round := 0; round < 2; round++ { // cold assembly, then all-hit assembly
 		got, err := sc.ForPlan(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Matches(plan) {
-			t.Fatalf("round %d: assembled set does not match the plan", round)
+		if !slices.Equal(got.cuts, want.cuts) || !slices.Equal(got.ends, want.ends) {
+			t.Fatalf("round %d: assembled at cuts %v, want %v", round, got.cuts, want.cuts)
 		}
 		if len(got.states) != len(want.states) {
 			t.Fatalf("round %d: %d states, want %d", round, len(got.states), len(want.states))
@@ -122,6 +120,10 @@ func TestEvictionKeepsBytesBounded(t *testing.T) {
 func TestForPlanConcurrent(t *testing.T) {
 	base := workloads.QFT(4, true)
 	sc := NewSnapshotCache(4 * statevec.StateBytes(4))
+	bounds := []int{base.Len() / 2}
+	variant := base.Clone()
+	variant.RZ(0.25, 0)
+	cuts, _ := spineCuts(&partition.Plan{Circuit: variant, Bounds: bounds, Arities: []int{4, 4}})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -130,14 +132,14 @@ func TestForPlanConcurrent(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				c := base.Clone()
 				c.RZ(float64((g+i)%5)+0.25, 0)
-				plan := &partition.Plan{Circuit: c, Bounds: []int{base.Len() / 2}, Arities: []int{4, 4}, Strategy: "manual"}
+				plan := &partition.Plan{Circuit: c, Bounds: bounds, Arities: []int{4, 4}, Strategy: "manual"}
 				ps, err := sc.ForPlan(plan)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if !ps.Matches(plan) {
-					t.Error("assembled set does not match plan")
+				if !slices.Equal(ps.cuts, cuts) || slices.Contains(ps.states, nil) {
+					t.Errorf("assembled at cuts %v (a state missing: %t), want %v", ps.cuts, slices.Contains(ps.states, nil), cuts)
 					return
 				}
 			}

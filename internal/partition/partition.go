@@ -44,14 +44,9 @@ func (p *Plan) Subcircuits() []*circuit.Circuit {
 // Levels returns the number of tree levels (subcircuits).
 func (p *Plan) Levels() int { return len(p.Arities) }
 
-// TotalOutcomes returns the product of arities — the leaf count.
-func (p *Plan) TotalOutcomes() int {
-	n := 1
-	for _, a := range p.Arities {
-		n *= a
-	}
-	return n
-}
+// TotalOutcomes returns the product of arities — the leaf count — saturated
+// at math.MaxInt, which Validate rejects.
+func (p *Plan) TotalOutcomes() int { return product(p.Arities) }
 
 // Instances returns the instance count of each subcircuit: the paper's
 // Equation 3, prod_{j<=i} A_j for the i-th (0-indexed) subcircuit.
@@ -123,8 +118,8 @@ func (p *Plan) Structure() string {
 	return "(" + strings.Join(parts, ",") + ")"
 }
 
-// Validate checks structural invariants: positive arities, ordered bounds,
-// and bound/arity count consistency.
+// Validate checks structural invariants: positive arities whose product
+// fits an int, ordered bounds, and bound/arity count consistency.
 func (p *Plan) Validate() error {
 	if len(p.Arities) == 0 {
 		return fmt.Errorf("partition: empty arity sequence")
@@ -133,6 +128,9 @@ func (p *Plan) Validate() error {
 		if a < 1 {
 			return fmt.Errorf("partition: arity %d at level %d", a, i)
 		}
+	}
+	if p.TotalOutcomes() == math.MaxInt {
+		return fmt.Errorf("partition: the leaf count of %d levels overflows", len(p.Arities))
 	}
 	if len(p.Bounds) != len(p.Arities)-1 {
 		return fmt.Errorf("partition: %d bounds for %d levels", len(p.Bounds), len(p.Arities))
@@ -210,8 +208,9 @@ func Uniform(c *circuit.Circuit, shots, k int) *Plan {
 
 // Exponential implements XCP: arities decrease geometrically (earlier
 // levels get exponentially more instances), e.g. (20,10,5) in the paper's
-// Figure 17 discussion.
-func Exponential(c *circuit.Circuit, shots, k int) *Plan {
+// Figure 17 discussion. It errors where k is so deep that the leaf count
+// overflows.
+func Exponential(c *circuit.Circuit, shots, k int) (*Plan, error) {
 	if k < 1 {
 		panic("partition: XCP needs k >= 1")
 	}
@@ -221,6 +220,9 @@ func Exponential(c *circuit.Circuit, shots, k int) *Plan {
 	// t^k / 2^(k(k-1)/2) = shots  =>  t = (shots * 2^(k(k-1)/2))^(1/k)
 	exp := float64(k*(k-1)) / 2
 	t := math.Pow(float64(shots)*math.Pow(2, exp), 1/float64(k))
+	if !(t < 1<<62) { // +Inf from k >= 46 included
+		return nil, fmt.Errorf("partition: XCP over %d levels overflows the leaf count", k)
+	}
 	for i := range arities {
 		arities[i] = int(math.Max(1, math.Round(t/math.Pow(2, float64(i)))))
 	}
@@ -229,12 +231,20 @@ func Exponential(c *circuit.Circuit, shots, k int) *Plan {
 	}
 	p := FromStructure(c, arities)
 	p.Strategy = "XCP"
-	return p
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
+// product returns the product of xs, saturated at math.MaxInt so
+// that the partitioners' "cover the shots" loops end on any input.
 func product(xs []int) int {
 	n := 1
 	for _, x := range xs {
+		if x > 0 && n > math.MaxInt/x {
+			return math.MaxInt
+		}
 		n *= x
 	}
 	return n

@@ -86,8 +86,8 @@ func TestUniformPlan(t *testing.T) {
 
 func TestExponentialPlan(t *testing.T) {
 	c := qft14()
-	p := Exponential(c, 1000, 3)
-	if err := p.Validate(); err != nil {
+	p, err := Exponential(c, 1000, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if p.TotalOutcomes() < 1000 {
@@ -272,5 +272,27 @@ func TestCopyWorkMatchesNodes(t *testing.T) {
 	p := FromStructure(qft14(), []int{16, 2, 2})
 	if p.CopyWork() != 16+32+64 {
 		t.Fatalf("copy work %d", p.CopyWork())
+	}
+}
+
+// TestDeepPartitionsError: partitions whose leaf count cannot be an int —
+// XCP over 60 levels (2^(k(k-1)/2) is +Inf in float64 from k = 46 on),
+// over 45 (finite arities, overflowing product), an explicit arity tuple —
+// error out instead of looping or wrapping, while a deep UCP stays exact.
+func TestDeepPartitionsError(t *testing.T) {
+	c := circuit.New("long", 2)
+	for i := 0; i < 100; i++ {
+		c.H(0)
+	}
+	for _, k := range []int{45, 60} {
+		if p, err := Exponential(c, 100, k); err == nil {
+			t.Errorf("XCP over %d levels: plan %s, want an error", k, p.Structure())
+		}
+	}
+	if err := FromStructure(c, []int{65536, 65536, 65536, 65536}).Validate(); err == nil {
+		t.Error("a 2^64-leaf arity tuple validated")
+	}
+	if p := Uniform(c, 100, 90); p.Validate() != nil || p.TotalOutcomes() != 128 {
+		t.Errorf("UCP over 90 levels: %s, want 128 leaves", p.Structure())
 	}
 }

@@ -139,11 +139,11 @@ func densmatBytes(n int) int64 {
 // Run executes the configuration at a seed: "densmat" samples the plan's leaf
 // count from the exact distribution, the tableau tree never allocates a dense
 // state, everything else is a gate-apply backend on the dense executor.
-// prefix optionally supplies the ideal spine a reusing dense run would
-// otherwise build itself (a sweep's shared set, tqsimd's cache); the other
+// spines optionally supplies the cache a reusing dense run takes its ideal
+// spine from instead of building its own (a sweep's, tqsimd's); the other
 // routes ignore it. Cancellation is checked per tree node, and for densmat
 // only here, since its whole execution costs less than one dense node.
-func (r *Resolved) Run(ctx context.Context, seed uint64, prefix *core.PrefixSnapshots) (*core.Result, error) {
+func (r *Resolved) Run(ctx context.Context, seed uint64, spines *core.SnapshotCache) (*core.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func (r *Resolved) Run(ctx context.Context, seed uint64, prefix *core.PrefixSnap
 	case r.Mode == ModeTableauTree:
 		return stabilizer.RunTreeContext(ctx, r.Plan, r.Noise, seed, r.Parallelism)
 	}
-	ex, err := r.Executor(ctx, seed, prefix)
+	ex, err := r.Executor(ctx, seed, spines)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func (r *Resolved) Run(ctx context.Context, seed uint64, prefix *core.PrefixSnap
 // diagnosis, the gate-apply backend (the cluster engine at the resolved shard
 // count) and every field a dense run sets. Observable estimation calls it
 // directly and runs RunExpectation on r.Plan.
-func (r *Resolved) Executor(ctx context.Context, seed uint64, prefix *core.PrefixSnapshots) (*core.Executor, error) {
+func (r *Resolved) Executor(ctx context.Context, seed uint64, spines *core.SnapshotCache) (*core.Executor, error) {
 	if err := r.widthCheck(); err != nil {
 		return nil, err
 	}
@@ -181,7 +181,7 @@ func (r *Resolved) Executor(ctx context.Context, seed uint64, prefix *core.Prefi
 		Seed:        seed,
 		Parallelism: r.Parallelism,
 		Context:     ctx,
-		Prefix:      prefix,
+		Spines:      spines,
 		// As the estimate assumed, so the reuse decision is the planner's.
 		MemoryBudgetBytes: r.budget.MemoryBytes,
 		FullWalk:          r.budget.FullWalk,

@@ -238,6 +238,31 @@ func TestRequestBodyBound(t *testing.T) {
 	}
 }
 
+// TestHostileSweepPartitions: a partition axis whose leaf count overflows
+// int is a 400, answered without looping (XCP over 60 levels makes
+// 2^(k(k-1)/2) +Inf), and one whose points sample more than MaxShots is a
+// 413, though every entry of the shots axis is within it.
+func TestHostileSweepPartitions(t *testing.T) {
+	ts := httptest.NewServer(New(Config{MaxShots: 1000}))
+	defer ts.Close()
+	for _, tc := range []struct {
+		part   tqsim.SweepPartition
+		status int
+	}{
+		{tqsim.SweepPartition{Strategy: "xcp", Levels: 60}, http.StatusBadRequest},
+		{tqsim.SweepPartition{Strategy: "structure", Structure: []int{65536, 65536, 65536, 65536}}, http.StatusBadRequest},
+		{tqsim.SweepPartition{Strategy: "structure", Structure: []int{40, 30}}, http.StatusRequestEntityTooLarge},
+		{tqsim.SweepPartition{Strategy: "structure", Structure: []int{40, 25}}, http.StatusOK},
+	} {
+		stream := false
+		spec := tqsim.SweepSpec{Circuit: "qft_n8", Shots: []int{100}, Partitions: []tqsim.SweepPartition{tc.part}}
+		resp, body := postJSON(t, ts.URL+"/v1/sweeps", &SweepRequest{Spec: spec, Stream: &stream})
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d: %s", tc.part.Label(), resp.StatusCode, tc.status, body)
+		}
+	}
+}
+
 // TestSweepPointCapBeforePlanning: Config.MaxSweepPoints promises a 413
 // before any planning work. The grid below is over the cap AND names an
 // unknown circuit — an error only resolving the circuit can produce — so a

@@ -4,7 +4,7 @@
 // shots through a bounded scheduler, caches simulation plans keyed by
 // (circuit hash, noise, options) in a bounded LRU, and streams per-batch
 // histograms as NDJSON. POST /v1/sweeps serves whole parameter/noise grids
-// through the internal/sweep engine (plan and ideal-prefix reuse across
+// through the internal/sweep engine (plan and ideal-spine reuse across
 // points), streaming one NDJSON line per point. Jobs, sweeps and shard
 // leases all run through one request pipeline (pipeline.go). cmd/tqsimd is
 // a thin main around New.
@@ -12,8 +12,9 @@
 // With Config.StoreEntries or Config.StoreDir set, finished jobs and sweeps
 // are recorded in a content-addressed result store (internal/resultstore)
 // and repeated requests replay byte-identically without simulating; with
-// Config.SnapshotCacheBytes set, ideal prefix snapshots are shared across
-// jobs and sweeps whose circuits share gate prefixes (core.SnapshotCache).
+// Config.SnapshotCacheBytes set, every batch and sweep point whose run
+// reuses quiet segments takes its ideal spine from one daemon-wide
+// core.SnapshotCache, so circuits sharing gate prefixes share spine states.
 //
 // The same Server type implements both distributed roles (see protocol.go
 // for the wire contract): a worker (Config.WorkerMode) additionally serves
@@ -52,7 +53,6 @@ import (
 	"time"
 
 	"tqsim"
-	"tqsim/internal/core"
 	"tqsim/internal/hpcmodel"
 	"tqsim/internal/lru"
 	"tqsim/internal/metrics"
@@ -155,12 +155,14 @@ type Config struct {
 	StoreDir string
 	// StoreMaxBytes caps StoreDir's total size (default 1 GiB).
 	StoreMaxBytes int64
-	// SnapshotCacheBytes enables the cross-job ideal-prefix snapshot cache
-	// and caps its resident state bytes. Boundary states are keyed by the
-	// structural digest of the gate prefix before them, so any two jobs —
-	// or sweep points — whose circuits share a gate prefix share the cached
-	// ideal states at common plan boundaries. 0 disables the cache (the
-	// library default; tqsimd enables it); negative selects no byte cap.
+	// SnapshotCacheBytes enables the cross-job ideal-spine cache and caps
+	// its resident state bytes. Every job batch and sweep point whose run
+	// reuses quiet segments takes its spine from it, keyed by gate-prefix
+	// digest, so runs whose circuits share a gate prefix share the states
+	// at common cuts; a run that does not reuse never touches it. 0
+	// disables it (the library default; tqsimd enables it): a job's runs
+	// then build their own spines and a sweep keeps its own cache.
+	// Negative selects no byte cap.
 	SnapshotCacheBytes int64
 }
 
@@ -258,9 +260,10 @@ type Stats struct {
 	ResultsMisses  uint64 `json:"results_misses"`
 	ResultsEntries int    `json:"results_entries"`
 	ResultsBytes   int64  `json:"results_bytes"`
-	// Snapshot-cache counters: ideal boundary states served from the
-	// cross-job cache vs computed (counted per boundary, not per plan), and
-	// the cache's resident state bytes.
+	// Snapshot-cache counters: ideal spine states served from the cross-job
+	// cache vs computed — counted per state, boundaries and interior
+	// checkpoints alike, once per run that takes a spine (a qft_n12 (806,3)
+	// run books 6) — and the cache's resident state bytes.
 	SnapshotHits   uint64 `json:"snapshot_hits"`
 	SnapshotMisses uint64 `json:"snapshot_misses"`
 	SnapshotBytes  int64  `json:"snapshot_bytes"`
@@ -304,15 +307,16 @@ type Server struct {
 	planCache *lru.Cache[*planner.Resolved]
 	// sweepMu guards sweepPreps, the worker's cache of prepared sweeps:
 	// a coordinator cuts one sweep into several leases per worker, and
-	// re-preparing per lease would rebuild the grid's plans and ideal
-	// prefix snapshots the previous lease already paid for.
+	// re-preparing per lease would rebuild the grid's plans (and, with the
+	// snapshot cache off, the spines in the sweep's own cache) the previous
+	// lease already paid for.
 	sweepMu    sync.Mutex
 	sweepPreps *lru.Cache[*sweepJob]
 	pool       *registry // non-nil when coordinating a worker fleet
 	stats      [statCount]atomic.Uint64
 
 	// results replays finished jobs and sweeps byte-identically without
-	// simulating; snapCache shares ideal boundary states across jobs. Both
+	// simulating; snapCache shares ideal spine states across runs. Both
 	// nil when disabled by config. storeErr records a failed store open
 	// (e.g. an unwritable StoreDir): New still returns a working server so
 	// the signature stays error-free, and cmd/tqsimd checks StoreError.
@@ -366,9 +370,9 @@ func New(cfg Config) *Server {
 	}
 	s.planCache = lru.New[*planner.Resolved](s.cfg.PlanCacheEntries, 0)
 	// A handful of entries suffices: the cache exists so the several
-	// leases of one in-flight sweep share one Prepared (and its lazily
-	// built snapshots), not to retain history. Snapshots pinned by idle
-	// entries are bounded by this cap times the per-sweep snapshot set.
+	// leases of one in-flight sweep share one Prepared (and its spine
+	// cache), not to retain history. Spines pinned by idle entries are
+	// bounded by this cap times the per-sweep spine states.
 	s.sweepPreps = lru.New[*sweepJob](4, 0)
 	s.slots = make(chan struct{}, s.cfg.MaxConcurrent)
 	if len(s.cfg.Workers) > 0 || s.cfg.AcceptWorkers {
@@ -579,7 +583,8 @@ type job struct {
 	// shapes batch arithmetic pinned to the coordinator's resolution (the
 	// worker must never re-apply its own defaults and diverge).
 	wire *JobRequest
-	// snaps is the server's cross-job snapshot cache (nil when disabled).
+	// snaps is the server's cross-job snapshot cache, handed to every batch
+	// run (nil when disabled: a reusing run then builds its own spine).
 	snaps *tqsim.SnapshotCache
 
 	// The response under construction: record folds batches in, finish
@@ -915,34 +920,13 @@ func (j *job) lease(from, to int) *ShardRequest {
 // stops in-flight trajectory work instead of computing results nobody will
 // read.
 func (j *job) run(ctx context.Context, from, to int, emit func(*ShardBatch) *httpError) *httpError {
-	// Boundary-snapshot sets for this range's (at most two) batch sizes,
-	// assembled from the cross-job cache. A nil map value remembers an
-	// assembly failure so it isn't retried per batch.
-	var prefixBySize map[int]*core.PrefixSnapshots
 	for i := from; i < to; i++ {
 		if err := ctx.Err(); err != nil {
 			return errf(statusClientClosedRequest, "cancelled before batch %d: %v", i, err)
 		}
 		run := j.runFor(i)
 		seed := BatchSeed(j.seed, i)
-		// The cross-job cache pre-builds the spine exactly where the
-		// executor would build one itself, so a batch never pays for
-		// snapshots an engine would ignore. Histograms are the same either
-		// way: cached states are bitwise the ones the run would compute.
-		var prefix *core.PrefixSnapshots
-		if j.snaps != nil && core.QuietReuse(run.Backend, run.Noise) {
-			size := j.batchShots(i)
-			p, ok := prefixBySize[size]
-			if !ok {
-				p, _ = j.snaps.ForPlan(run.Plan) // nil on error: run unprefixed
-				if prefixBySize == nil {
-					prefixBySize = make(map[int]*core.PrefixSnapshots, 2)
-				}
-				prefixBySize[size] = p
-			}
-			prefix = p
-		}
-		res, err := run.Run(ctx, seed, prefix)
+		res, err := run.Run(ctx, seed, j.snaps)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return errf(statusClientClosedRequest, "batch %d cancelled: %v", i, err)

@@ -17,6 +17,7 @@ import (
 
 	"tqsim"
 	"tqsim/internal/circuit"
+	"tqsim/internal/core"
 	"tqsim/internal/gate"
 	"tqsim/internal/qmath"
 )
@@ -381,8 +382,9 @@ func TestSnapshotCacheCrossJobHits(t *testing.T) {
 }
 
 // TestSweepUsesSharedSnapshotCache: a sweep run after a job over the same
-// circuit adopts the job's cached boundary states (the engine-level reuse
-// promoted to service scope).
+// circuit adopts the job's cached spine states, and its response — elapsed
+// times aside, ops and prefix_hits included — is byte-identical to a
+// cache-disabled server's, where the sweep shares a spine of its own.
 func TestSweepUsesSharedSnapshotCache(t *testing.T) {
 	srv := New(Config{SnapshotCacheBytes: 64 << 20})
 	ts := httptest.NewServer(srv)
@@ -402,11 +404,78 @@ func TestSweepUsesSharedSnapshotCache(t *testing.T) {
 		Circuit: "qft_n8", Noise: []tqsim.SweepNoisePoint{{Name: "DC"}},
 		Shots: []int{400}, Seed: 1, CopyCost: 5, Backend: "statevec",
 	}, Stream: &stream}
-	if resp, body := postRaw(t, ts.URL+"/v1/sweeps", req); resp.StatusCode != http.StatusOK {
+	resp, body := postRaw(t, ts.URL+"/v1/sweeps", req)
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep failed: %d: %s", resp.StatusCode, body)
 	}
 	if st := srv.Snapshot(); st.SnapshotHits <= st0.SnapshotHits {
 		t.Fatalf("sweep booked no snapshot hits: before %d after %d", st0.SnapshotHits, st.SnapshotHits)
+	}
+
+	refTS := httptest.NewServer(New(Config{}))
+	defer refTS.Close()
+	respRef, bodyRef := postRaw(t, refTS.URL+"/v1/sweeps", req)
+	if respRef.StatusCode != http.StatusOK {
+		t.Fatalf("reference sweep failed: %d: %s", respRef.StatusCode, bodyRef)
+	}
+	got, want := sweepTimeless(t, body), sweepTimeless(t, bodyRef)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the shared cache changed the sweep response\ncache %s\nown   %s", got, want)
+	}
+	if !bytes.Contains(got, []byte(`"prefix_hits":`)) {
+		t.Fatalf("the sweep reused nothing, so the comparison proves nothing: %s", got)
+	}
+}
+
+// sweepTimeless re-renders a non-streaming sweep body with every elapsed
+// time zeroed: what two runs of one sweep must agree on byte for byte.
+func sweepTimeless(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var sr SweepResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatalf("decode sweep: %v in %s", err, body)
+	}
+	sr.ElapsedMS = 0
+	for i := range sr.Results {
+		sr.Results[i].ElapsedMS = 0
+	}
+	out, err := json.Marshal(&sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestNoSpineWithoutReuse: a statevec job whose quiet-segment reuse the
+// memory budget drops — one byte under the reuse footprint — is admitted on
+// the base footprint and runs without a spine, so it neither computes nor
+// caches one.
+func TestNoSpineWithoutReuse(t *testing.T) {
+	req := JobRequest{Circuit: "qft_n12", Noise: "DC", Shots: 2000, Seed: 1, Parallelism: 1}
+	j, herr := New(Config{}).prepare(&req)
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	plan := j.runFor(0).Plan
+	footprint, _ := core.DensePeakBytes(plan, 1, true, 0)
+	base, _ := core.DensePeakBytes(plan, 1, false, 0)
+	req.MemoryBudgetBytes = footprint - 1
+
+	srv := New(Config{SnapshotCacheBytes: 64 << 20})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, body := postRaw(t, ts.URL+"/v1/jobs", &req)
+	var jr JobResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &jr) != nil {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if jr.Backend != "statevec" || jr.Structure != plan.Structure() || jr.Decision.EstPeakBytes != base {
+		t.Fatalf("ran %s %s admitted at %d bytes, want statevec %s at the base footprint %d",
+			jr.Backend, jr.Structure, jr.Decision.EstPeakBytes, plan.Structure(), base)
+	}
+	if st := srv.Snapshot(); st.SnapshotMisses != 0 || st.SnapshotBytes != 0 {
+		t.Errorf("budget %d under the reuse footprint %d: snapshot_misses %d, snapshot_bytes %d; want 0 and 0",
+			req.MemoryBudgetBytes, footprint, st.SnapshotMisses, st.SnapshotBytes)
 	}
 }
 

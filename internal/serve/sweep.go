@@ -123,6 +123,10 @@ func (s *Server) prepareSweep(req *SweepRequest) (*sweepJob, *httpError) {
 		}
 		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
+	if n := prep.MaxOutcomes(); n > s.cfg.MaxShots {
+		return nil, errf(http.StatusRequestEntityTooLarge,
+			"a sweep point samples %d outcomes, above the server limit %d", n, s.cfg.MaxShots)
+	}
 
 	// Admission: one point's peak times the in-process point concurrency
 	// (points beyond it never run simultaneously here; distributed points
@@ -135,12 +139,10 @@ func (s *Server) prepareSweep(req *SweepRequest) (*sweepJob, *httpError) {
 		estPeak: prep.MaxEstPeakBytes() * int64(conc),
 		stream:  req.Stream == nil || *req.Stream,
 	}
-	// Route the sweep's ideal-prefix snapshots through the cross-job cache:
-	// points whose circuit prefixes match an earlier job or sweep adopt the
-	// already-computed boundary states instead of rebuilding them.
-	if s.snapCache != nil {
-		prep.UseSnapshotCache(s.snapCache)
-	}
+	// Points take their spines from the cross-job cache (when enabled, else
+	// the sweep's own): spine states an earlier job or sweep computed over a
+	// shared gate prefix are adopted instead of rebuilt.
+	prep.UseSnapshotCache(s.snapCache)
 	wire := SweepRequest{Spec: *prep.Spec()}
 	stream := false
 	wire.Stream = &stream
@@ -152,11 +154,12 @@ func (s *Server) prepareSweep(req *SweepRequest) (*sweepJob, *httpError) {
 // served from the worker's small LRU when an earlier lease of the same
 // sweep already prepared it. A coordinator cuts one sweep into several
 // leases per worker; without the cache every lease would re-expand the
-// grid, re-run every planner decision, and rebuild the lazily built
-// ideal-prefix snapshots the previous lease already paid for. Safe to
-// share: a Prepared is immutable after Prepare apart from sync.Once-guarded
-// lazy state, so concurrent leases may run ranges of one instance — each
-// through its own copy of the sweepJob around it.
+// grid, re-run every planner decision, and — with the snapshot cache off —
+// rebuild the spines the previous lease already paid for in the sweep's own
+// cache. Safe to share: a Prepared is immutable after Prepare apart from
+// sync.Once-guarded ideal distributions and its concurrency-safe spine
+// cache, so concurrent leases may run ranges of one instance — each through
+// its own copy of the sweepJob around it.
 func (s *Server) preparedSweepForLease(req *SweepRequest) (*sweepJob, *httpError) {
 	// Key by the pinned wire spec: the coordinator sends every lease of a
 	// sweep with the identical (already-pinned) spec, so re-pinning here is

@@ -11,10 +11,11 @@
 //     distinct (circuit, noise-if-it-shapes-the-plan, shots, partitioner)
 //     key, not once per point, so repeat and noise axes hit the cache.
 //   - Spine sharing: the dense executor reuses quiet segments inside every
-//     run (core.Executor), which needs the ideal state at each plan boundary
-//     (core.PrefixSnapshots). Those states depend only on (circuit, bounds),
-//     so points over the same plan boundaries share one set instead of each
-//     run computing its own — one ideal pass saved per point.
+//     run (core.Executor), which needs the ideal state at each spine cut
+//     (core.PrefixSnapshots). Those states depend only on the gate prefix
+//     before the cut, so every point takes its spine from one
+//     core.SnapshotCache — the sweep's own, or tqsimd's — instead of each
+//     reusing run computing its own: one ideal pass saved per point.
 //
 // Determinism contract: point i runs at the derived seed
 // rng.SeedAt(Spec.Seed, i) and its histogram is a pure function of (spec,
@@ -32,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -189,7 +191,7 @@ func (ps PartitionSpec) plan(c *circuit.Circuit, m *noise.Model, shots int, opt 
 		if c.Len() < ps.levels() {
 			return nil, fmt.Errorf("xcp: circuit %s has %d gates, fewer than %d levels", c.Name, c.Len(), ps.levels())
 		}
-		return partition.Exponential(c, shots, ps.levels()), nil
+		return partition.Exponential(c, shots, ps.levels())
 	case "structure":
 		if len(ps.Structure) == 0 {
 			return nil, errors.New("structure partition needs a non-empty arity tuple")
@@ -197,19 +199,14 @@ func (ps PartitionSpec) plan(c *circuit.Circuit, m *noise.Model, shots int, opt 
 		if c.Len() < len(ps.Structure) {
 			return nil, fmt.Errorf("structure: circuit %s has %d gates, fewer than %d levels", c.Name, c.Len(), len(ps.Structure))
 		}
+		p := partition.FromStructure(c, ps.Structure)
 		if len(ps.Bounds) > 0 {
-			p := &partition.Plan{
-				Circuit:  c,
-				Bounds:   append([]int(nil), ps.Bounds...),
-				Arities:  append([]int(nil), ps.Structure...),
-				Strategy: "manual",
-			}
-			if err := p.Validate(); err != nil {
-				return nil, fmt.Errorf("structure: %w", err)
-			}
-			return p, nil
+			p.Bounds = slices.Clone(ps.Bounds)
 		}
-		return partition.FromStructure(c, ps.Structure), nil
+		if err := p.Validate(); err != nil {
+			return nil, fmt.Errorf("structure: %w", err)
+		}
+		return p, nil
 	default:
 		return nil, fmt.Errorf("unknown partition strategy %q (have dcp, ucp, xcp, structure)", ps.Strategy)
 	}
@@ -362,7 +359,8 @@ type PointResult struct {
 	Counts   map[uint64]int
 	// GateApplications, StateCopies, PrefixReuseHits and PeakStateBytes
 	// carry the executor's work accounting; PrefixReuseHits counts tree
-	// nodes served from the ideal spine, shared or the run's own.
+	// nodes served from the ideal spine, which comes from the sweep's cache
+	// and is not booked in the point's work.
 	GateApplications int64
 	StateCopies      int64
 	PrefixReuseHits  int64
@@ -413,18 +411,8 @@ func (e *PlanError) Unwrap() error { return e.Err }
 
 // planEntry is one distinct (plan, noise) cell shared by its points.
 type planEntry struct {
-	run *planner.Resolved
-	// prefixKey names the ideal spine the cell's points share; "" where the
-	// run would build none (engine, noise model, or Spec.NoReuse).
-	prefixKey string
-	points    int // how many grid points share this entry
-}
-
-// prefixEntry lazily builds one shared snapshot set.
-type prefixEntry struct {
-	once sync.Once
-	ps   *core.PrefixSnapshots
-	err  error
+	run    *planner.Resolved
+	points int // how many grid points share this entry
 }
 
 // idealEntry lazily builds one circuit's ideal distribution.
@@ -444,23 +432,26 @@ type Prepared struct {
 	entries  map[string]*planEntry
 	keys     []string // entry key per point index
 	plans    int      // distinct partition plans built
-
-	prefixes map[string]*prefixEntry
 	ideals   []idealEntry
 
-	// snapCache, when set, sources the ideal-prefix snapshots from the
-	// shared cross-job cache instead of building sweep-private sets — see
-	// UseSnapshotCache.
-	snapCache *core.SnapshotCache
+	// spines is the cache every point's reusing run takes its ideal spine
+	// from: the sweep's own unbounded one unless UseSnapshotCache swapped
+	// in a shared one.
+	spines *core.SnapshotCache
 }
 
-// UseSnapshotCache routes the sweep's ideal-prefix snapshots through a
-// shared cross-job cache: boundary states another job or sweep already
-// computed are adopted instead of rebuilt, and states this sweep computes
-// are published for the next one. Histograms are unaffected — the cache
-// yields sets bitwise equal to NewPrefixSnapshots. Call before RunRange; the
-// serve layer attaches its daemon-wide cache here.
-func (p *Prepared) UseSnapshotCache(sc *core.SnapshotCache) { p.snapCache = sc }
+// UseSnapshotCache makes every point take its ideal spine from a shared
+// cross-job cache instead of the sweep's own: spine states another job or
+// sweep already computed are adopted instead of rebuilt, and states this
+// sweep computes are published for the next one. Histograms are unaffected
+// — a cached spine is bitwise the one a run would compute. nil keeps the
+// sweep's own. Call before RunRange; the serve layer attaches its
+// daemon-wide cache here.
+func (p *Prepared) UseSnapshotCache(sc *core.SnapshotCache) {
+	if sc != nil {
+		p.spines = sc
+	}
+}
 
 // Prepare validates the spec, expands the grid, and builds every distinct
 // plan and planner decision once. A *PlanError distinguishes "no engine can
@@ -509,8 +500,8 @@ func Prepare(spec *Spec) (*Prepared, error) {
 		spec:     s,
 		circuits: circuits,
 		entries:  make(map[string]*planEntry),
-		prefixes: make(map[string]*prefixEntry),
 		ideals:   make([]idealEntry, len(circuits)),
+		spines:   core.NewSnapshotCache(0),
 	}
 	planCache := make(map[string]*partition.Plan)
 
@@ -618,18 +609,7 @@ func (p *Prepared) ensureEntry(planCache map[string]*partition.Plan, pt Point) (
 	if err != nil {
 		return "", &PlanError{Err: fmt.Errorf("sweep point %d (%s): %w", pt.Index, entryKey, err)}
 	}
-	e := &planEntry{run: run, points: 1}
-
-	// Spine sharing: only where the executor would build a spine anyway,
-	// and sharing is not disabled. The executor re-checks the same
-	// condition, so a wrong answer here costs work, never correctness.
-	if !s.NoReuse && core.QuietReuse(run.Backend, m) {
-		e.prefixKey = fmt.Sprintf("%d|%s", pt.CircuitIndex, core.PrefixKey(plan))
-		if _, ok := p.prefixes[e.prefixKey]; !ok {
-			p.prefixes[e.prefixKey] = &prefixEntry{}
-		}
-	}
-	p.entries[entryKey] = e
+	p.entries[entryKey] = &planEntry{run: run, points: 1}
 	return entryKey, nil
 }
 
@@ -647,6 +627,16 @@ func (p *Prepared) Circuit(i int) *circuit.Circuit {
 // Spec returns the normalized spec (axes defaulted, repeats clamped).
 func (p *Prepared) Spec() *Spec { return &p.spec }
 
+// MaxOutcomes returns the largest leaf count of any point's plan — the
+// samples a point draws, which a partition axis can push past the shots axis.
+func (p *Prepared) MaxOutcomes() int {
+	n := 0
+	for _, e := range p.entries {
+		n = max(n, e.run.Plan.TotalOutcomes())
+	}
+	return n
+}
+
 // MaxEstPeakBytes returns the largest single-point admission estimate —
 // the planner's, which already holds the spine and quiet-child states of a
 // reusing point whether the spine is shared or the point's own — the number
@@ -658,24 +648,6 @@ func (p *Prepared) MaxEstPeakBytes() int64 {
 		maxPeak = max(maxPeak, e.run.EstPeakBytes)
 	}
 	return maxPeak
-}
-
-// prefix returns the entry's shared snapshots, building them exactly once
-// across all points and workers. Build failures disable reuse for the entry
-// (correctness never depends on the snapshots existing).
-func (p *Prepared) prefix(e *planEntry) *core.PrefixSnapshots {
-	pe := p.prefixes[e.prefixKey]
-	pe.once.Do(func() {
-		if p.snapCache != nil {
-			pe.ps, pe.err = p.snapCache.ForPlan(e.run.Plan)
-			return
-		}
-		pe.ps, pe.err = core.NewPrefixSnapshots(e.run.Plan)
-	})
-	if pe.err != nil {
-		return nil
-	}
-	return pe.ps
 }
 
 // idealDist returns circuit ci's ideal outcome distribution, computed once.
@@ -787,14 +759,10 @@ feed:
 // "baseline" on the trajectory engine — so sweep estimates are byte-identical
 // to the facade's standalone estimators at the derived seeds.
 func (p *Prepared) execute(ctx context.Context, e *planEntry, seed uint64) (*core.Result, *observable.EstimateStats, error) {
-	var prefix *core.PrefixSnapshots
-	if e.prefixKey != "" {
-		prefix = p.prefix(e)
-	}
 	run, h := e.run, p.spec.Observable
 	switch {
 	case h == nil:
-		res, err := run.Run(ctx, seed, prefix)
+		res, err := run.Run(ctx, seed, p.spines)
 		return res, nil, err
 	case p.spec.mode() == "baseline":
 		res, err := trajectory.RunExpectation(run.Plan.Circuit, run.Noise, h,
@@ -810,7 +778,7 @@ func (p *Prepared) execute(ctx context.Context, e *planEntry, seed uint64) (*cor
 			Elapsed:          res.Elapsed,
 		}, &res.Stats, nil
 	}
-	ex, err := run.Executor(ctx, seed, prefix)
+	ex, err := run.Executor(ctx, seed, p.spines)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -77,6 +77,12 @@ func TestSpecValidation(t *testing.T) {
 		func(s *Spec) { s.Partitions = []PartitionSpec{{Strategy: "wat"}} },
 		func(s *Spec) { s.Partitions = []PartitionSpec{{Strategy: "structure"}} }, // empty tuple
 		func(s *Spec) { s.Shots = []int{1}; s.Repeats = MaxPoints + 1 },           // grid cap
+		// Leaf counts past int, which must error rather than loop or wrap:
+		// XCP deep enough that 2^(k(k-1)/2) is +Inf, a 2^64-leaf tuple.
+		func(s *Spec) { s.Partitions = []PartitionSpec{{Strategy: "xcp", Levels: 60}} },
+		func(s *Spec) {
+			s.Partitions = []PartitionSpec{{Strategy: "structure", Structure: []int{65536, 65536, 65536, 65536}}}
+		},
 	}
 	for i, mut := range bad {
 		s := validSpec()

@@ -11,8 +11,8 @@ import (
 // is a first-class grid workload — circuit family × noise axis × shots ×
 // partitioner × repeats — where every point routes through the planner and
 // the grid executes with cross-point reuse: points sharing a circuit
-// structure share one plan/decision, and Pauli-noise points over the same
-// plan share ideal-prefix snapshots so only noise-divergent suffixes
+// structure share one plan/decision, and Pauli-noise points take their
+// ideal spines from one snapshot cache so only noise-divergent suffixes
 // re-run.
 type (
 	// SweepSpec describes the grid, the seed policy, and the shared

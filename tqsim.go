@@ -333,9 +333,9 @@ func RunPlanContext(ctx context.Context, p *Plan, m *NoiseModel, opt Options) (*
 }
 
 // NewSnapshotCache returns a SnapshotCache holding at most maxBytes of
-// boundary states (LRU-evicted beyond it; maxBytes <= 0 is unbounded).
-// tqsimd constructs one per daemon (-snapshot-cache-mb) and threads it into
-// every eligible job and sweep.
+// spine states (LRU-evicted beyond it; maxBytes <= 0 is unbounded).
+// tqsimd constructs one per daemon (-snapshot-cache-mb) and hands it to
+// every job batch and sweep point; only runs that reuse take a spine.
 func NewSnapshotCache(maxBytes int64) *SnapshotCache {
 	return core.NewSnapshotCache(maxBytes)
 }
