@@ -38,13 +38,14 @@ test:
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '/benchmark$$')
 
-# Short fuzz smoke: the QASM parser/round-trip fuzzer and the sweep
-# Prepare fuzzer (error or GridSize() points, never a panic or a hang), each
-# with its committed regression corpus. Go runs one fuzz target per
-# invocation.
+# Short fuzz smoke: the QASM parser/round-trip fuzzer, the sweep Prepare
+# fuzzer (error or GridSize() points) and the tqsimd job-prepare fuzzer (a
+# 4xx or a job whose every batch is resolved), none of which may panic or
+# hang, each from its seed corpus. Go runs one fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test ./internal/qasm -run xxx -fuzz FuzzParseQASM -fuzztime 10s
 	$(GO) test ./internal/sweep -run xxx -fuzz FuzzSweepPrepare -fuzztime 10s
+	$(GO) test ./internal/serve -run xxx -fuzz FuzzJobPrepare -fuzztime 10s
 
 # Full figure/table benchmark sweep (slow).
 bench:

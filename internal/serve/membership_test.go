@@ -447,11 +447,24 @@ func TestCoordinatorDrainWithLeasesInFlight(t *testing.T) {
 		sweepCh <- postSweep(t, ts.URL, sweepReq())
 	}()
 
-	// Drain once the first lease is demonstrably in flight.
+	// Drain once the first lease is demonstrably in flight and both
+	// submissions are past the drain gate: the job plans in well under a
+	// millisecond, so its first lease can otherwise beat the sweep's arrival.
 	select {
 	case <-slow.first:
 	case <-time.After(10 * time.Second):
 		t.Fatal("no lease ever reached the worker")
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		coord.pendMu.Lock()
+		n := coord.pending
+		coord.pendMu.Unlock()
+		if n == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the job and the sweep admitted after 10 s", n)
+		}
 	}
 	coord.BeginDrain()
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -347,6 +348,28 @@ func TestRequestValidation(t *testing.T) {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs", &req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("case %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestUnknownCircuit: an unknown suite name is a 400 naming the circuit on
+// both decoding doors that resolve names.
+func TestUnknownCircuit(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+	for _, tc := range []struct {
+		path string
+		req  any
+		msg  string
+	}{
+		{"/v1/jobs", &JobRequest{Circuit: "nope_n3", Shots: 1}, `unknown suite circuit \"nope_n3\"`},
+		{"/v1/sweeps", &SweepRequest{Spec: tqsim.SweepSpec{Circuit: "nope_n3", Shots: []int{1}}},
+			`sweep: unknown suite circuit \"nope_n3\"`},
+	} {
+		resp, body := postJSON(t, ts.URL+tc.path, tc.req)
+		want := `{"error":"` + tc.msg + `"}`
+		if resp.StatusCode != http.StatusBadRequest || strings.TrimSpace(string(body)) != want {
+			t.Errorf("%s: status %d body %s, want 400 %s", tc.path, resp.StatusCode, body, want)
 		}
 	}
 }

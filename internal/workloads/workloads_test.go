@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -382,6 +383,67 @@ func TestByName(t *testing.T) {
 	if ByName("nope_n3") != nil {
 		t.Fatal("unknown name resolved")
 	}
+	// The index is warm now: an unknown name is a map miss, nothing built.
+	if n := testing.AllocsPerRun(100, func() { ByName("nope_n3") }); n != 0 {
+		t.Fatalf("unknown name allocates %v times per call, want 0", n)
+	}
+}
+
+// TestByNameMatchesSuite: every suite circuit resolves by its name to the
+// same gates and class, and the 48 names the index is keyed by are distinct.
+func TestByNameMatchesSuite(t *testing.T) {
+	seen := map[string]bool{}
+	for _, b := range Suite(0) {
+		name := b.Circuit.Name
+		if seen[name] {
+			t.Fatalf("suite name %s appears twice", name)
+		}
+		seen[name] = true
+		c := ByName(name)
+		if c == nil {
+			t.Fatalf("ByName(%q) = nil", name)
+		}
+		if c.Name != name || c.Digest() != b.Circuit.Digest() {
+			t.Errorf("ByName(%q) builds %s, not the suite circuit", name, c.Name)
+		}
+		if ClassOf(name) != b.Class {
+			t.Errorf("ClassOf(%q) = %q, suite class %q", name, ClassOf(name), b.Class)
+		}
+	}
+	if len(seen) != 48 {
+		t.Fatalf("%d distinct names, want 48", len(seen))
+	}
+}
+
+// TestByNameOwnedCopy: a returned circuit is the caller's; changing it does
+// not change what the next call returns.
+func TestByNameOwnedCopy(t *testing.T) {
+	first := ByName("qft_n8")
+	n, digest := first.Len(), first.Digest()
+	first.Append(gate.New(gate.KindX, 0))
+	again := ByName("qft_n8")
+	if again.Len() != n || again.Digest() != digest {
+		t.Fatalf("ByName after Append: %d gates, want %d; digest changed: %v",
+			again.Len(), n, again.Digest() != digest)
+	}
+}
+
+// TestByNameConcurrent: concurrent first calls share one index build and
+// all resolve (make race runs this).
+func TestByNameConcurrent(t *testing.T) {
+	byName = sync.OnceValue(indexSuite) // cold index
+	names := []string{"bv_n6", "qft_n10", "qpe_n9_1", "adder_n4_2", "qv_n10", "qsc_n8", "qaoa_n6", "mul_n13"}
+	var wg sync.WaitGroup
+	for _, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if c := ByName(name); c == nil || c.Name != name {
+				t.Errorf("concurrent ByName(%q) did not resolve", name)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestClassOf(t *testing.T) {

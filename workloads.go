@@ -88,8 +88,9 @@ func QVCircuit(width int, seed uint64) *Circuit {
 // The suite is fixed: repeated calls regenerate gate-identical circuits.
 func BenchmarkSuite(maxQubits int) []Benchmark { return workloads.Suite(maxQubits) }
 
-// BenchmarkByName regenerates one suite circuit from its conventional name
-// (e.g. "qft_n14"); nil when unknown.
+// BenchmarkByName builds only the named suite circuit (e.g. "qft_n14"), a
+// fresh one per call that the caller owns; an unknown name is a map miss
+// that returns nil.
 func BenchmarkByName(name string) *Circuit { return workloads.ByName(name) }
 
 // Graph constructors for the QAOA workloads (Figure 18's three families).
