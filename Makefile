@@ -39,7 +39,8 @@ race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '/benchmark$$')
 
 # Short fuzz smoke: the QASM parser/round-trip fuzzer, the sweep Prepare
-# fuzzer (error or GridSize() points) and the tqsimd job-prepare fuzzer (a
+# fuzzer (error or GridSize() points; a grid of a few small points is also
+# run, each delivered once) and the tqsimd job-prepare fuzzer (a
 # 4xx or a job whose every batch is resolved), none of which may panic or
 # hang, each from its seed corpus. Go runs one fuzz target per invocation.
 fuzz-smoke:

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"tqsim"
+	"tqsim/internal/planner"
 )
 
 // config carries the global experiment knobs. Quick mode (the default, like
@@ -73,10 +74,8 @@ func main() {
 	flag.StringVar(&cfg.backend, "backend", "",
 		"execution engine for suite experiments: auto, "+strings.Join(tqsim.Backends(), ", "))
 	flag.Parse()
-	if cfg.backend != "" && cfg.backend != tqsim.AutoBackend &&
-		!slices.Contains(tqsim.Backends(), cfg.backend) {
-		fmt.Fprintf(os.Stderr, "experiments: unknown backend %q (have auto, %s)\n",
-			cfg.backend, strings.Join(tqsim.Backends(), ", "))
+	if err := planner.CheckBackend(cfg.backend); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -30,12 +30,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"tqsim"
+	"tqsim/internal/planner"
 )
 
 func main() {
@@ -70,10 +70,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *backendName != "" && *backendName != tqsim.AutoBackend &&
-		!slices.Contains(tqsim.Backends(), *backendName) {
-		fatal(fmt.Errorf("unknown backend %q (have auto, %s)",
-			*backendName, strings.Join(tqsim.Backends(), ", ")))
+	if err := planner.CheckBackend(*backendName); err != nil {
+		fatal(err)
 	}
 	model, err := tqsim.LookupNoise(*noiseName)
 	if err != nil {

@@ -313,3 +313,34 @@ func (e *Executor) runWithLeafHook(plan *partition.Plan, hook func()) (*Result, 
 	}
 	return res, nil
 }
+
+// TestRunSegmentAllocatesNothing: a PlainBackend segment runs the kernels
+// its run lowered, so on a 9-qubit register (serial kernels) a segment whose
+// noise draws fire nothing allocates nothing.
+func TestRunSegmentAllocatesNothing(t *testing.T) {
+	c := workloads.ByName("qpe_n9_0")
+	if c == nil || c.NumQubits != 9 {
+		t.Fatal("qpe_n9_0 is not a 9-qubit suite circuit")
+	}
+	gs := c.Gates[:24]
+	ks := lowerGates(c.NumQubits, gs)
+	e := &Executor{Noise: noise.ByName("DC")}
+	var quiet uint64
+	for seed := uint64(1); ; seed++ {
+		if fired, _ := e.Noise.SegmentFires(gs, rng.New(seed)); !fired {
+			quiet = seed
+			break
+		}
+	}
+	st := statevec.NewZero(c.NumQubits)
+	r0, r := rng.New(quiet), new(rng.RNG)
+	allocs := testing.AllocsPerRun(20, func() {
+		*r = *r0
+		if ops := e.runSegment(st, PlainBackend{}, gs, ks, r); ops != int64(len(gs)) {
+			t.Fatalf("%d kernel ops, want %d (no channel fires)", ops, len(gs))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("runSegment allocated %v times per call", allocs)
+	}
+}

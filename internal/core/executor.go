@@ -104,13 +104,20 @@ func (e *Executor) cancelled() bool {
 	return e.Context != nil && e.Context.Err() != nil
 }
 
-// runSegment applies one subcircuit instance with fresh noise sampling.
-func (e *Executor) runSegment(st *statevec.State, be Backend, gs []gate.Gate, r *rng.RNG) int64 {
+// runSegment applies one subcircuit instance with fresh noise sampling. ks,
+// when non-nil, holds gs lowered for the state's width (a PlainBackend run)
+// and is run in place of Backend.Apply; the noise channels read the gates.
+func (e *Executor) runSegment(st *statevec.State, be Backend, gs []gate.Gate, ks []statevec.Kernel, r *rng.RNG) int64 {
 	var ops int64
 	shadow, shadowed := be.(StateShadow)
-	for _, g := range gs {
+	for i := range gs {
+		g := &gs[i]
 		if g.Kind != gate.KindI {
-			be.Apply(st, g)
+			if ks != nil {
+				st.Run(&ks[i])
+			} else {
+				be.Apply(st, *g)
+			}
 			ops++
 		}
 		if !e.Noise.Ideal() {
@@ -119,13 +126,13 @@ func (e *Executor) runSegment(st *statevec.State, be Backend, gs []gate.Gate, r 
 			// Clifford fast path alive through noisy segments. Anything the
 			// shadow cannot express materializes and runs densely.
 			if shadowed {
-				if n, handled := shadow.ApplyNoise(st, g, e.Noise, r); handled {
+				if n, handled := shadow.ApplyNoise(st, *g, e.Noise, r); handled {
 					ops += int64(n)
 					continue
 				}
 			}
 			be.Flush(st)
-			ops += int64(e.Noise.ApplyAfterGate(st, g, r))
+			ops += int64(e.Noise.ApplyAfterGate(st, *g, r))
 		}
 	}
 	// Shadow backends keep the state in its cheap representation across the
@@ -288,6 +295,19 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 	var reuse bool
 	res.PeakStateBytes, reuse = DensePeakBytes(plan, workers,
 		plain && quietNoise(e.Noise) && !e.FullWalk, e.MemoryBudgetBytes)
+	// A PlainBackend run lowers its circuit for the register width once:
+	// segments, quiet children and its own spine run kernels, and each
+	// level's slice of them lines up with its subcircuit's gates.
+	var kernels []statevec.Kernel
+	levelKernels := make([][]statevec.Kernel, levels)
+	if plain {
+		kernels = lowerGates(n, plan.Circuit.Gates)
+		start := 0
+		for level, sub := range subs {
+			levelKernels[level] = kernels[start : start+sub.Len()]
+			start += sub.Len()
+		}
+	}
 	var spine *PrefixSnapshots
 	switch {
 	case reuse && e.Spines != nil:
@@ -297,7 +317,7 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 		}
 	case reuse:
 		spine = newSpine(plan)
-		res.GateApplications += spine.fill(plan.Circuit)
+		res.GateApplications += spine.fillLowered(plan.Circuit.Gates, kernels)
 		res.StateCopies += int64(len(spine.states))
 	}
 
@@ -362,7 +382,7 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 			// numbers starting at seqBase + i*blockLen.
 			var walk func(level int, parent *statevec.State, onSpine bool, seqBase uint64, first, stride int)
 			walk = func(level int, parent *statevec.State, onSpine bool, seqBase uint64, first, stride int) {
-				gates := subs[level].Gates
+				gates, ks := subs[level].Gates, levelKernels[level]
 				blockLen := SubtreeSpan(plan.Arities, level)
 				quietReady := false
 				for child := first; child < plan.Arities[level]; child += stride {
@@ -383,7 +403,9 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 						}
 						copyState(be, st, src)
 						sh.copies++
-						sh.ops += e.runSegment(st, be, gates[from:], r)
+						// ks is nil only off PlainBackend, where nothing
+						// reuses and from is always 0.
+						sh.ops += e.runSegment(st, be, gates[from:], ks[from:], r)
 					case onSpine:
 						st, childOnSpine = at, true
 						sh.prefixHits++
@@ -397,7 +419,7 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 						st = quiet[level]
 						st.CopyFrom(parent)
 						sh.copies++
-						sh.ops += applyIdeal(st, gates)
+						sh.ops += applyIdeal(st, gates, ks)
 						quietReady = true
 					}
 					if level == levels-1 {

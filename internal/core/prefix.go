@@ -116,11 +116,17 @@ var layout = spineCuts
 
 // fill computes every state the spine does not hold yet and returns the
 // kernel applications that cost (the executor books them, and one copy per
-// state, when a run builds its own spine). It is the one place spine states
-// are made: each missing cut extends a private copy of the state before it
-// (held states are read-only and may be shared) with the kernels and gate
-// order of applyIdeal.
+// state, when a run builds its own spine). It lowers the circuit for the
+// spine's width; a run that has already lowered it calls fillLowered.
 func (ps *PrefixSnapshots) fill(c *circuit.Circuit) int64 {
+	return ps.fillLowered(c.Gates, lowerGates(ps.n, c.Gates))
+}
+
+// fillLowered is fill given the circuit's gates and their kernels. It is the
+// one place spine states are made: each missing cut extends a private copy
+// of the state before it (held states are read-only and may be shared) with
+// the kernels and gate order of applyIdeal.
+func (ps *PrefixSnapshots) fillLowered(gs []gate.Gate, ks []statevec.Kernel) int64 {
 	var ops int64
 	prev := 0
 	for i, cut := range ps.cuts {
@@ -131,7 +137,7 @@ func (ps *PrefixSnapshots) fill(c *circuit.Circuit) int64 {
 			} else {
 				st = ps.states[i-1].Clone()
 			}
-			ops += applyIdeal(st, c.Gates[prev:cut])
+			ops += applyIdeal(st, gs[prev:cut], ks[prev:cut])
 			ps.states[i] = st
 		}
 		prev = cut
@@ -139,16 +145,25 @@ func (ps *PrefixSnapshots) fill(c *circuit.Circuit) int64 {
 	return ops
 }
 
-// applyIdeal applies a gate segment with no noise, through the plain dense
-// kernels in the per-gate order runSegment uses, and returns the kernel
+// lowerGates lowers every gate of gs for an n-qubit register.
+func lowerGates(n int, gs []gate.Gate) []statevec.Kernel {
+	ks := make([]statevec.Kernel, len(gs))
+	for i := range gs {
+		ks[i] = statevec.Lower(n, &gs[i])
+	}
+	return ks
+}
+
+// applyIdeal applies a gate segment with no noise, running its lowered
+// kernels ks in the per-gate order runSegment uses, and returns the kernel
 // applications. Spine states, cached boundary states and quiet children are
 // all computed here, which is what makes each bitwise equal to the state a
 // trajectory that fires nothing computes.
-func applyIdeal(st *statevec.State, gs []gate.Gate) int64 {
+func applyIdeal(st *statevec.State, gs []gate.Gate, ks []statevec.Kernel) int64 {
 	var ops int64
-	for _, g := range gs {
-		if g.Kind != gate.KindI {
-			st.Apply(g)
+	for i := range gs {
+		if gs[i].Kind != gate.KindI {
+			st.Run(&ks[i])
 			ops++
 		}
 	}

@@ -32,8 +32,9 @@ func (ro Readout) Flip(bits uint64, n int, r *rng.RNG) uint64 {
 
 // Model binds noise channels to circuit execution. OneQubit channels follow
 // every one-qubit gate (on its operand); TwoQubit channels follow every gate
-// touching two or more qubits. Readout, when non-nil, perturbs sampled
-// outcomes.
+// touching two or more qubits (on its first two operands), and a
+// three-qubit gate draws the OneQubit channels on its third as well.
+// Readout, when non-nil, perturbs sampled outcomes.
 type Model struct {
 	ModelName string
 	OneQubit  []Channel // arity-1 channels
@@ -55,20 +56,38 @@ func (m *Model) Ideal() bool {
 }
 
 // GateErrorProb returns the probability that at least one channel fires
-// after gate g — the e_i of the paper's Equation 4.
+// after gate g — the e_i of the paper's Equation 4. It counts the channels
+// ApplyAfterGate applies: a three-qubit gate draws the two-qubit channels
+// and the one-qubit channels.
 func (m *Model) GateErrorProb(g gate.Gate) float64 {
 	if m == nil {
 		return 0
 	}
-	chans := m.OneQubit
-	if g.Arity() >= 2 {
-		chans = m.TwoQubit
-	}
 	keep := 1.0
-	for _, c := range chans {
+	one, two := m.afterGate(g.Arity())
+	for _, c := range two {
+		keep *= 1 - c.ErrorProb()
+	}
+	for _, c := range one {
 		keep *= 1 - c.ErrorProb()
 	}
 	return 1 - keep
+}
+
+// afterGate is the one rule for which channels follow a gate of the given
+// arity: the two-qubit channels, drawn first, on its first two operands, and
+// the one-qubit channels on its last operand. A one-qubit gate draws only
+// the one-qubit channels, a two-qubit gate only the two-qubit ones, and a
+// three-qubit gate both. ApplyAfterGate, ApplyPauliAfterGate, SegmentFires,
+// GateErrorProb and TrajectoryOps all read it.
+func (m *Model) afterGate(arity int) (one, two []Channel) {
+	switch arity {
+	case 1:
+		return m.OneQubit, nil
+	case 2:
+		return nil, m.TwoQubit
+	}
+	return m.OneQubit, m.TwoQubit
 }
 
 // SegmentErrorProb returns 1 - prod(1 - e_i) over the gates — the paper's
@@ -82,31 +101,22 @@ func (m *Model) SegmentErrorProb(gs []gate.Gate) float64 {
 }
 
 // ApplyAfterGate stochastically applies the model's channels following gate
-// g and returns the number of kernel applications performed. For gates on
-// three qubits (e.g. un-decomposed Toffolis) the two-qubit channels are
-// applied to the first two operands and the one-qubit channels to the
-// third, a conservative approximation noted in DESIGN.md.
+// g and returns the number of kernel applications performed. Which channels
+// act on which operands is afterGate's rule: for gates on three qubits (e.g.
+// un-decomposed Toffolis) the two-qubit channels act on the first two
+// operands and the one-qubit channels on the third, a conservative
+// approximation noted in DESIGN.md.
 func (m *Model) ApplyAfterGate(s *statevec.State, g gate.Gate, r *rng.RNG) int {
 	if m == nil {
 		return 0
 	}
 	ops := 0
-	switch g.Arity() {
-	case 1:
-		for _, c := range m.OneQubit {
-			ops += c.ApplyTrajectory(s, g.Qubits, r)
-		}
-	case 2:
-		for _, c := range m.TwoQubit {
-			ops += c.ApplyTrajectory(s, g.Qubits, r)
-		}
-	default:
-		for _, c := range m.TwoQubit {
-			ops += c.ApplyTrajectory(s, g.Qubits[:2], r)
-		}
-		for _, c := range m.OneQubit {
-			ops += c.ApplyTrajectory(s, g.Qubits[2:3], r)
-		}
+	one, two := m.afterGate(len(g.Qubits))
+	for _, c := range two {
+		ops += c.ApplyTrajectory(s, g.Qubits[:2], r)
+	}
+	for _, c := range one {
+		ops += c.ApplyTrajectory(s, g.Qubits[len(g.Qubits)-1:], r)
 	}
 	return ops
 }
@@ -127,40 +137,25 @@ func (m *Model) ApplyPauliAfterGate(g gate.Gate, r *rng.RNG, apply func(q, pauli
 	if m == nil {
 		return 0, true
 	}
-	one := func(q int) {
-		for _, c := range m.OneQubit {
-			d := c.(Depolarizing1Q)
-			if r.Float64() < d.P {
-				apply(q, 1+r.Intn(3))
+	one, two := m.afterGate(len(g.Qubits))
+	for _, c := range two {
+		if r.Float64() < c.(Depolarizing2Q).P {
+			k := 1 + r.Intn(15)
+			if a := k & 3; a != 0 {
+				apply(g.Qubits[0], a)
+				ops++
+			}
+			if b := k >> 2; b != 0 {
+				apply(g.Qubits[1], b)
 				ops++
 			}
 		}
 	}
-	two := func(qa, qb int) {
-		for _, c := range m.TwoQubit {
-			d := c.(Depolarizing2Q)
-			if r.Float64() < d.P {
-				k := 1 + r.Intn(15)
-				if a := k & 3; a != 0 {
-					apply(qa, a)
-					ops++
-				}
-				if b := k >> 2; b != 0 {
-					apply(qb, b)
-					ops++
-				}
-			}
+	for _, c := range one {
+		if r.Float64() < c.(Depolarizing1Q).P {
+			apply(g.Qubits[len(g.Qubits)-1], 1+r.Intn(3))
+			ops++
 		}
-	}
-	switch g.Arity() {
-	case 1:
-		one(g.Qubits[0])
-	case 2:
-		two(g.Qubits[0], g.Qubits[1])
-	default:
-		// Same conservative three-qubit approximation as ApplyAfterGate.
-		two(g.Qubits[0], g.Qubits[1])
-		one(g.Qubits[2])
 	}
 	return ops, true
 }
@@ -187,36 +182,17 @@ func (m *Model) SegmentFires(gs []gate.Gate, r *rng.RNG) (fired, ok bool) {
 	if !m.PauliOnly() {
 		return false, false
 	}
-	one := func() bool {
-		for _, c := range m.OneQubit {
-			if r.Float64() < c.(Depolarizing1Q).P {
-				return true
-			}
-		}
-		return false
-	}
-	two := func() bool {
-		for _, c := range m.TwoQubit {
+	for i := range gs {
+		// len of the operand list, not Arity: a method call on gs[i] copies
+		// the gate, and this loop runs once per gate of every tree node.
+		one, two := m.afterGate(len(gs[i].Qubits))
+		for _, c := range two {
 			if r.Float64() < c.(Depolarizing2Q).P {
-				return true
+				return true, true
 			}
 		}
-		return false
-	}
-	for _, g := range gs {
-		switch g.Arity() {
-		case 1:
-			if one() {
-				return true, true
-			}
-		case 2:
-			if two() {
-				return true, true
-			}
-		default:
-			// Same conservative three-qubit split as ApplyAfterGate: two-qubit
-			// channels on the first two operands, one-qubit on the third.
-			if two() || one() {
+		for _, c := range one {
+			if r.Float64() < c.(Depolarizing1Q).P {
 				return true, true
 			}
 		}
@@ -256,15 +232,14 @@ func (m *Model) FlipReadout(bits uint64, n int, r *rng.RNG) uint64 {
 }
 
 // TrajectoryOps returns an upper bound on the extra kernel applications the
-// model adds per gate, used for computation accounting.
+// model adds per gate, used for computation accounting: one per channel
+// ApplyAfterGate draws after it.
 func (m *Model) TrajectoryOps(g gate.Gate) int {
 	if m == nil {
 		return 0
 	}
-	if g.Arity() == 1 {
-		return len(m.OneQubit)
-	}
-	return len(m.TwoQubit)
+	one, two := m.afterGate(g.Arity())
+	return len(one) + len(two)
 }
 
 // Sycamore-derived default error rates used throughout the paper

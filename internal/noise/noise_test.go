@@ -208,6 +208,26 @@ func TestModelGateErrorProb(t *testing.T) {
 	if p := m.GateErrorProb(g2); math.Abs(p-0.015) > 1e-12 {
 		t.Fatalf("2q error prob %v", p)
 	}
+	// A three-qubit gate draws the two-qubit channels on its first two
+	// operands and the one-qubit channels on its third (ApplyAfterGate), so
+	// Equation 4 counts both, and the dry run fires at that rate.
+	dc := ByName("DC")
+	ccx := gate.New(gate.KindCCX, 0, 1, 2)
+	want := 1 - (1-SycamoreTwoQubitError)*(1-SycamoreOneQubitError)
+	if p := dc.GateErrorProb(ccx); math.Abs(p-want) > 1e-12 {
+		t.Fatalf("ccx error prob %v, want %v", p, want)
+	}
+	const draws = 200000
+	r, fires := rng.New(9), 0
+	for i := 0; i < draws; i++ {
+		if fired, _ := dc.SegmentFires([]gate.Gate{ccx}, r); fired {
+			fires++
+		}
+	}
+	sigma := math.Sqrt(want * (1 - want) / draws)
+	if rate := float64(fires) / draws; math.Abs(rate-want) > 4*sigma {
+		t.Fatalf("ccx fires at %v over %d draws, Equation 4 says %v (4σ = %v)", rate, draws, want, 4*sigma)
+	}
 }
 
 func TestSegmentErrorProbEquation4(t *testing.T) {
@@ -287,6 +307,9 @@ func TestTrajectoryOpsAccounting(t *testing.T) {
 	}
 	if m.TrajectoryOps(gate.New(gate.KindCX, 0, 1)) != 1 {
 		t.Fatal("2q op count")
+	}
+	if m.TrajectoryOps(gate.New(gate.KindCCX, 0, 1, 2)) != 2 {
+		t.Fatal("3q op count: the two-qubit and the one-qubit channel")
 	}
 	var nilM *Model
 	if nilM.TrajectoryOps(gate.New(gate.KindH, 0)) != 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tqsim/internal/circuit"
+	"tqsim/internal/core"
 	"tqsim/internal/noise"
 	"tqsim/internal/partition"
 	"tqsim/internal/stabilizer"
@@ -299,5 +300,21 @@ func TestResolve(t *testing.T) {
 	}
 	if _, err := Resolve(qft, pauli, Auto, tiny); err == nil {
 		t.Fatal("auto Resolve accepted a plan no engine can run inside the budget")
+	}
+}
+
+// TestCheckBackend: "", Auto and every registered engine pass; any other
+// name is an error that lists the choices.
+func TestCheckBackend(t *testing.T) {
+	for _, name := range append([]string{"", Auto}, core.Backends()...) {
+		if err := CheckBackend(name); err != nil {
+			t.Errorf("CheckBackend(%q) = %v, want nil", name, err)
+		}
+	}
+	for _, name := range []string{"abacus", "AUTO", " statevec"} {
+		err := CheckBackend(name)
+		if err == nil || !strings.Contains(err.Error(), "statevec") {
+			t.Errorf("CheckBackend(%q) = %v, want an error listing the engines", name, err)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"tqsim/internal/cluster"
@@ -22,6 +24,16 @@ import (
 // Auto is the backend name that delegates engine selection to Decide; ""
 // means the same to Resolve (the facade substitutes its own defaults first).
 const Auto = "auto"
+
+// CheckBackend is the one rule for which backend names a request may carry:
+// "", Auto, or a registered engine. It returns an error naming the choices
+// for anything else, so callers can reject a bad name before any work.
+func CheckBackend(name string) error {
+	if name == "" || name == Auto || slices.Contains(core.Backends(), name) {
+		return nil
+	}
+	return fmt.Errorf("unknown backend %q (have %s, %s)", name, Auto, strings.Join(core.Backends(), ", "))
+}
 
 // Resolved is a run with nothing left to decide, and the only road to an
 // engine: the facade, the sweep engine and tqsimd all obtain one from Resolve

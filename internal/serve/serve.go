@@ -46,7 +46,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -668,9 +667,8 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 	if backend == "" {
 		backend = tqsim.AutoBackend
 	}
-	if backend != tqsim.AutoBackend && !slices.Contains(tqsim.Backends(), backend) {
-		return nil, errf(http.StatusBadRequest, "unknown backend %q (have auto, %v)",
-			req.Backend, tqsim.Backends())
+	if err := planner.CheckBackend(backend); err != nil {
+		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
 
 	var c *tqsim.Circuit

@@ -2,6 +2,7 @@ package statevec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"tqsim/internal/gate"
@@ -77,13 +78,38 @@ var allKinds = []gate.Kind{
 	gate.KindSWAP, gate.KindCCX, gate.KindCSWAP,
 }
 
-// checkGate applies g both ways and compares amplitudes.
+// checkGate applies g both ways and compares amplitudes. It then lowers g
+// once and runs that one kernel on st and on a second state of the same
+// width: each result must be bitwise equal to State.Apply on a copy.
 func checkGate(t *testing.T, st *State, g gate.Gate) {
 	t.Helper()
 	want := naiveApply(st.Amplitudes(), g.Qubits, g.Matrix())
 	got := st.Clone()
 	got.Apply(g)
 	compareAmps(t, got, want, "%v on %d qubits", g, st.NumQubits())
+	k := Lower(st.NumQubits(), &g)
+	for _, src := range []*State{st, mirror(st)} {
+		ref, run := src.Clone(), src.Clone()
+		ref.Apply(g)
+		run.Run(&k)
+		for i := 0; i < ref.Dim(); i++ {
+			a, b := run.Amplitude(uint64(i)), ref.Amplitude(uint64(i))
+			if math.Float64bits(real(a)) != math.Float64bits(real(b)) || math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+				t.Fatalf("%v on %d qubits: lowered kernel gives %v at %d, Apply %v", g, st.NumQubits(), a, i, b)
+			}
+		}
+	}
+}
+
+// mirror returns a different state of st's width: st's amplitudes in
+// reverse order, conjugated.
+func mirror(st *State) *State {
+	amps := st.Amplitudes()
+	out := make([]complex128, len(amps))
+	for i, a := range amps {
+		out[len(amps)-1-i] = complex(real(a), -imag(a))
+	}
+	return FromAmplitudes(out)
 }
 
 // TestKernelEquivalence exercises every gate kind at randomized positions on
@@ -176,6 +202,45 @@ func TestKernelEquivalenceWide(t *testing.T) {
 		gate.NewParam(gate.KindCRY, []float64{1.1}, 4, 13),
 	} {
 		checkGate(t, st, g)
+	}
+}
+
+// TestRunAllocatesNothing pins the serial path's allocation count at zero:
+// running a lowered kernel of every kind, and State.Apply of the gates with
+// no matrix (X, Z, S, T, RZ, P, CX, CZ, CP, SWAP), at every width whose
+// kernels stay below ParallelThreshold.
+func TestRunAllocatesNothing(t *testing.T) {
+	r := rng.New(73)
+	for n := 1; n <= 14; n++ {
+		st := randomState(n, r)
+		var gates []gate.Gate
+		for _, kind := range allKinds {
+			if kind.Arity() <= n {
+				gates = append(gates, randomGate(kind, n, r))
+			}
+		}
+		for arity := 1; arity <= 3 && arity <= n; arity++ {
+			u := qmath.RandomUnitary(1<<uint(arity), r)
+			gates = append(gates, gate.NewUnitary(u, "rand", randomQubits(n, arity, r)...))
+		}
+		for _, g := range gates {
+			k := Lower(n, &g)
+			if a := testing.AllocsPerRun(20, func() { st.Run(&k) }); a != 0 {
+				t.Errorf("Run(Lower(%v)) on %d qubits: %v allocations", g, n, a)
+			}
+			switch g.Kind {
+			case gate.KindX, gate.KindZ, gate.KindS, gate.KindT, gate.KindRZ, gate.KindP,
+				gate.KindCX, gate.KindCZ, gate.KindCP, gate.KindSWAP:
+				if a := testing.AllocsPerRun(20, func() { st.Apply(g) }); a != 0 {
+					t.Errorf("Apply(%v) on %d qubits: %v allocations", g, n, a)
+				}
+			}
+		}
+		if n >= 2 {
+			if a := testing.AllocsPerRun(20, func() { st.ApplyDiag2Q(0, n-1, 1i, 1, -1, 0.5) }); a != 0 {
+				t.Errorf("ApplyDiag2Q on %d qubits: %v allocations", n, a)
+			}
+		}
 	}
 }
 

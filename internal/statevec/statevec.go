@@ -11,16 +11,24 @@
 // (H, RY, fused real products) skip the imaginary half of the arithmetic
 // entirely.
 //
-// Kernels: every gate kind is written against one enumerator, forStreams. A
-// k-qubit gate acts on groups of 2^k amplitudes whose base index has the
-// gate bits clear; forStreams validates the qubits, decides serial versus
-// pooled execution, and hands the kernel arithmetic progressions of bases —
+// Kernels: every gate reaches the amplitudes one way, Lower then Run.
+// Lower binds a gate to a register width — it validates and sorts the
+// qubits, lays out the base-index progressions (a k-qubit gate acts on
+// groups of 2^k amplitudes whose base index has the gate bits clear:
 // contiguous runs when the lowest gate qubit is high enough, strided
-// progressions over small cache-blocked tiles otherwise. The kernel itself
-// is its masks plus calls into a few stream primitives (mixReal, mixCplx,
-// scale, scaleReal, swapStreams, mix4Real, mix4Cplx, mix8). ApplyPhaseRun
-// (a subset-product table walked with the index) and Prob1 (a reduction)
-// are different algorithms and keep their own loops.
+// progressions over small cache-blocked tiles otherwise), and precomputes
+// the slot masks, phases and split matrices. The resulting Kernel is its
+// masks and constants plus one of a few stream primitives (mixReal,
+// mixCplx, scale, scaleReal, swapStreams, mix4Real, mix4Cplx, mix8). Run
+// decides serial versus pooled execution and walks the progressions; below
+// ParallelThreshold it allocates nothing. The split exists because a tree
+// run applies the same few hundred gates millions of times, and on small
+// registers setup repeated per application was about a quarter of the run:
+// internal/core lowers a circuit once per run and only runs kernels after
+// that. State.Apply and the per-kind methods (ApplyX, ApplyDiag1Q, ...)
+// lower and run in one call. ApplyPhaseRun (a subset-product table walked
+// with the index) and Prob1 (a reduction) are different algorithms and
+// keep their own loops.
 //
 // Numerics are pinned: each primitive evaluates complex products term by
 // term and sums rows left to right in one fixed association, whatever the
@@ -409,12 +417,12 @@ func (s *State) SampleMany(k int, r *rng.RNG) []uint64 {
 	return out
 }
 
-// The gate kernels (see the package comment): forStreams hands a kernel's
-// body arithmetic progressions of bases (base, base+stride, ...,
-// base+(n-1)*stride), and the body adds its gate masks and calls the stream
-// primitives. mixReal, mixCplx, scale, scaleReal and swapStreams each have
-// one slice loop for stride 1 and one indexed loop otherwise; the 4x4 and
-// 8x8 mixes gather and scatter by index at any stride.
+// The gate kernels (see the package comment). A lowered Kernel hands its
+// stream primitive arithmetic progressions of bases (base, base+stride, ...,
+// base+(n-1)*stride), adding its slot masks to each base. mixReal, mixCplx,
+// scale, scaleReal and swapStreams each have one slice loop for stride 1 and
+// one indexed loop otherwise; the 4x4 and 8x8 mixes gather and scatter by
+// index at any stride.
 
 const (
 	// minRunBits: a progression should be able to run for 2^minRunBits
@@ -429,8 +437,8 @@ const (
 	blockAmps = 1 << 10
 )
 
-// streamPlan is the base-index layout of one gate application. It stays a
-// small by-value struct so that building one per gate allocates nothing.
+// streamPlan is the base-index layout of one gate on one register width.
+// Lower builds it once; every Run of the kernel walks it.
 type streamPlan struct {
 	groups    int    // 2^(n-k) bases: the length of the parallel loop
 	runTiles  int    // consecutive tiles between interruptions by a gate qubit
@@ -441,23 +449,23 @@ type streamPlan struct {
 	pos       [3]int // the gate qubits, ascending
 }
 
-// checkQubit panics unless q names a qubit of the register.
-func (s *State) checkQubit(q int) {
-	if q < 0 || q >= s.n {
+// checkQubit panics unless q names a qubit of an n-qubit register.
+func checkQubit(n, q int) {
+	if q < 0 || q >= n {
 		panic(fmt.Sprintf("statevec: qubit %d out of range", q))
 	}
 }
 
 // planStreams validates the gate qubits (in range, distinct, at most three)
-// and lays out their bases.
-func (s *State) planStreams(qubits []int) streamPlan {
+// and lays out their bases on an n-qubit register.
+func planStreams(n int, qubits []int) streamPlan {
 	k := len(qubits)
-	p := streamPlan{groups: len(s.re) >> uint(k), maxTiles: len(s.re), k: uint8(k)}
+	p := streamPlan{groups: 1 << uint(n) >> uint(k), maxTiles: 1 << uint(n), k: uint8(k)}
 	if k < 1 || k > len(p.pos) {
 		panic(fmt.Sprintf("statevec: unsupported arity %d", k))
 	}
 	for i, q := range qubits {
-		s.checkQubit(q)
+		checkQubit(n, q)
 		j := i
 		for ; j > 0 && p.pos[j-1] > q; j-- {
 			p.pos[j] = p.pos[j-1]
@@ -472,7 +480,7 @@ func (s *State) planStreams(qubits []int) streamPlan {
 	// below the stretch is the tile.
 	longest := -1
 	for i, from := 0, 0; i <= k && longest < minRunBits; i++ {
-		to := s.n
+		to := n
 		if i < k {
 			to = p.pos[i]
 		}
@@ -489,10 +497,11 @@ func (s *State) planStreams(qubits []int) streamPlan {
 	return p
 }
 
-// run hands the body every base of groups [start, end). Parallel chunks cut
-// the group range anywhere; a tile belongs to the chunk its first group
-// falls in, so chunks still partition the tiles.
-func (p streamPlan) run(start, end int, body func(base, n, stride int)) {
+// walk hands body the progressions (base, n, stride) that together visit
+// every index of groups [start, end) whose gate bits are clear, each once.
+// Parallel chunks cut the group range anywhere; a tile belongs to the chunk
+// its first group falls in, so chunks still partition the tiles.
+func (p *streamPlan) walk(start, end int, body func(base, n, stride int)) {
 	perTile, stride := 1<<p.freeBits, 1<<p.tileShift
 	first, last := (start+perTile-1)>>p.freeBits, (end+perTile-1)>>p.freeBits
 	low, high := p.pos[:p.nLow], p.pos[p.nLow:p.k]
@@ -505,21 +514,6 @@ func (p streamPlan) run(start, end int, body func(base, n, stride int)) {
 		}
 		t += n
 	}
-}
-
-// forStreams calls body with progressions that together visit every index
-// whose gate bits are clear exactly once. It owns the serial-or-pooled
-// decision for every gate kernel: below ParallelThreshold groups the caller
-// runs them all (and the per-gate cost is one closure, the body); above it
-// the pool's workers claim chunks of the group range. Bodies must be safe to
-// run concurrently on disjoint progressions.
-func (s *State) forStreams(body func(base, n, stride int), qubits ...int) {
-	p := s.planStreams(qubits)
-	if p.groups < ParallelThreshold {
-		p.run(0, p.groups, body)
-		return
-	}
-	getPool().run(p.groups, func(_, start, end int) { p.run(start, end, body) })
 }
 
 // insertZeroBits expands i by inserting zero bits at the (sorted ascending)
@@ -654,96 +648,6 @@ func swapStreams(p []float64, i0, i1, n, stride int) {
 	}
 }
 
-// Apply1Q applies the 2x2 matrix m to qubit t, mixing the dim/2 (i0, i0|2^t)
-// amplitude pairs. A matrix with no imaginary part (H, RY, fused real
-// products) transforms the re and im planes independently (re' = M·re,
-// im' = M·im) at half the arithmetic of the complex mix.
-func (s *State) Apply1Q(t int, m qmath.Matrix) {
-	if m.N != 2 {
-		panic("statevec: Apply1Q needs a 2x2 matrix")
-	}
-	m00, m01, m10, m11 := m.Data[0], m.Data[1], m.Data[2], m.Data[3]
-	mask := 1 << uint(t)
-	re, im := s.re, s.im
-	if imag(m00) == 0 && imag(m01) == 0 && imag(m10) == 0 && imag(m11) == 0 {
-		r00, r01, r10, r11 := real(m00), real(m01), real(m10), real(m11)
-		s.forStreams(func(base, n, stride int) {
-			mixReal(re, base, base|mask, n, stride, r00, r01, r10, r11)
-			mixReal(im, base, base|mask, n, stride, r00, r01, r10, r11)
-		}, t)
-		return
-	}
-	s.forStreams(func(base, n, stride int) {
-		mixCplx(re, im, base, base|mask, n, stride, m00, m01, m10, m11)
-	}, t)
-}
-
-// ApplyDiag1Q multiplies the qubit-t zero and one amplitudes by d0 and d1 —
-// the phase gates, and the phase flips, projectors and damping no-jump
-// operators of the noise channels, without building a matrix. An identity
-// half is skipped entirely (phase gates touch dim/2 amplitudes, not dim),
-// and a lone real scalar takes the real path; when both halves scale, both
-// are multiplied as complex numbers in one pass.
-func (s *State) ApplyDiag1Q(t int, d0, d1 complex128) {
-	mask := 1 << uint(t)
-	re, im := s.re, s.im
-	switch {
-	case d0 == 1 && d1 == 1:
-		s.checkQubit(t)
-	case d0 == 1:
-		s.forStreams(func(base, n, stride int) { scaleBy(re, im, base|mask, n, stride, d1) }, t)
-	case d1 == 1:
-		s.forStreams(func(base, n, stride int) { scaleBy(re, im, base, n, stride, d0) }, t)
-	default:
-		s.forStreams(func(base, n, stride int) {
-			scale(re, im, base, n, stride, real(d0), imag(d0))
-			scale(re, im, base|mask, n, stride, real(d1), imag(d1))
-		}, t)
-	}
-}
-
-// ApplyX applies Pauli-X to qubit t: the pair amplitudes trade places.
-func (s *State) ApplyX(t int) {
-	mask := 1 << uint(t)
-	re, im := s.re, s.im
-	s.forStreams(func(base, n, stride int) {
-		swapStreams(re, base, base|mask, n, stride)
-		swapStreams(im, base, base|mask, n, stride)
-	}, t)
-}
-
-// applyCX applies CNOT with the given control and target: within the
-// control=1 quarter of the index space, the target pair trades places.
-func (s *State) applyCX(ctl, tgt int) {
-	on := 1 << uint(ctl)
-	flipped := on | 1<<uint(tgt)
-	re, im := s.re, s.im
-	s.forStreams(func(base, n, stride int) {
-		swapStreams(re, base|on, base|flipped, n, stride)
-		swapStreams(im, base|on, base|flipped, n, stride)
-	}, ctl, tgt)
-}
-
-// applySwap exchanges qubits a and b: amplitudes whose (a,b) bits read 01
-// and 10 trade places, the 00 and 11 quarters are untouched.
-func (s *State) applySwap(a, b int) {
-	amask, bmask := 1<<uint(a), 1<<uint(b)
-	re, im := s.re, s.im
-	s.forStreams(func(base, n, stride int) {
-		swapStreams(re, base|amask, base|bmask, n, stride)
-		swapStreams(im, base|amask, base|bmask, n, stride)
-	}, a, b)
-}
-
-// ApplyCPhase multiplies amplitudes with both the qubit-a and qubit-b bits
-// set by phase — the CZ/CP kernel, which touches only that quarter of the
-// index space.
-func (s *State) ApplyCPhase(a, b int, phase complex128) {
-	both := 1<<uint(a) | 1<<uint(b)
-	re, im := s.re, s.im
-	s.forStreams(func(base, n, stride int) { scaleBy(re, im, base|both, n, stride, phase) }, a, b)
-}
-
 // ApplyPhaseRun applies a fused run of controlled-phase gates sharing one
 // anchor qubit in a single pass: amplitude i with the anchor bit set is
 // multiplied by the product of phases[k] over every k whose qubits[k] bit is
@@ -758,7 +662,7 @@ func (s *State) ApplyPhaseRun(anchor int, qubits []int, phases []complex128) {
 	if len(qubits) == 0 {
 		return
 	}
-	s.checkQubit(anchor)
+	checkQubit(s.n, anchor)
 	for _, q := range qubits {
 		if q < 0 || q >= s.n || q == anchor {
 			panic(fmt.Sprintf("statevec: bad phase-run qubit %d", q))
@@ -971,25 +875,6 @@ func (s *State) ApplyPhaseRun(anchor int, qubits []int, phases []complex128) {
 	})
 }
 
-// ApplyDiag2Q applies the diagonal 4x4 diag(d00, d01, d10, d11) to qubits
-// (q0, q1), q0 the low bit of the diagonal's basis index. Fused same-pair
-// blocks whose product collapses to a diagonal (e.g. the CX·RZ·CX
-// ZZ-interaction pattern) route here instead of the dense kernel. Unit
-// entries leave their quarter of the index space untouched.
-func (s *State) ApplyDiag2Q(q0, q1 int, d00, d01, d10, d11 complex128) {
-	m0, m1 := 1<<uint(q0), 1<<uint(q1)
-	slots := [4]int{0, m0, m1, m0 | m1}
-	d := [4]complex128{d00, d01, d10, d11}
-	re, im := s.re, s.im
-	s.forStreams(func(base, n, stride int) {
-		for sel, off := range slots {
-			if d[sel] != 1 {
-				scale(re, im, base|off, n, stride, real(d[sel]), imag(d[sel]))
-			}
-		}
-	}, q0, q1)
-}
-
 // mix4Real applies the real 4x4 matrix m (row-major) to one plane's slot
 // streams at base, base|m0, base|m1 and base|m0|m1. Rows sum left to right,
 // ((t0+t1)+t2)+t3; the association is pinned.
@@ -1037,28 +922,6 @@ func splitMatrix(data []complex128, mr, mi []float64) (allReal bool) {
 	return allReal
 }
 
-// Apply2Q applies the 4x4 matrix m to qubits (q0, q1), q0 the low bit of
-// the matrix basis index.
-func (s *State) Apply2Q(q0, q1 int, m qmath.Matrix) {
-	if m.N != 4 {
-		panic("statevec: Apply2Q needs a 4x4 matrix")
-	}
-	var mr, mi [16]float64
-	allReal := splitMatrix(m.Data, mr[:], mi[:])
-	m0, m1 := 1<<uint(q0), 1<<uint(q1)
-	re, im := s.re, s.im
-	if allReal {
-		s.forStreams(func(base, n, stride int) {
-			mix4Real(re, base, m0, m1, n, stride, &mr)
-			mix4Real(im, base, m0, m1, n, stride, &mr)
-		}, q0, q1)
-		return
-	}
-	s.forStreams(func(base, n, stride int) {
-		mix4Cplx(re, im, base, m0, m1, n, stride, &mr, &mi)
-	}, q0, q1)
-}
-
 // mix8 applies the 8x8 matrix to the eight slot streams at base|offs[b]:
 // gather, multiply, scatter. Row sums accumulate left to right from zero;
 // the association is pinned. A matrix with no imaginary part (mi == nil)
@@ -1087,76 +950,399 @@ func mix8(re, im []float64, base, n, stride int, offs *[8]int, mr, mi *[64]float
 	}
 }
 
-// Apply3Q applies the 8x8 matrix m to qubits (q0, q1, q2), q0 the low bit.
-func (s *State) Apply3Q(q0, q1, q2 int, m qmath.Matrix) {
+// kernelOp names the stream primitive a lowered kernel calls per
+// progression.
+type kernelOp uint8
+
+const (
+	opIdentity  kernelOp = iota // nothing: the identity, diag(1, 1), a diagonal of ones
+	opSwap                      // swapStreams between slots offs[0] and offs[1]
+	opScaleReal                 // scaleReal of slot offs[0] by real(c[0])
+	opScale                     // scale of slots offs[j] by c[j], j < scales
+	opMixReal                   // mixReal of slots 0 and offs[0] by real(c), both planes
+	opMixCplx                   // mixCplx of slots 0 and offs[0] by c
+	opMix4Real                  // mix4Real over masks offs[0], offs[1] by m4.r, both planes
+	opMix4Cplx                  // mix4Cplx over masks offs[0], offs[1] by m4
+	opMix8                      // mix8 by m8
+)
+
+// Kernel is a gate lowered for one register width: its qubits validated and
+// sorted into a streamPlan, its slot masks, and its arithmetic constants —
+// diagonal phases, real or complex 2x2 entries, and split 4x4 or 8x8
+// matrices, held by reference so that a Kernel stays small. Lower builds
+// one; State.Run applies it to any state of that width, as often as needed.
+// A Kernel is read-only once built and safe to run from several goroutines.
+type Kernel struct {
+	n      int
+	op     kernelOp
+	scales uint8 // slots opScale multiplies
+	plan   streamPlan
+	offs   [4]int        // slot masks the primitive adds to each base
+	c      [4]complex128 // 2x2 entries, row-major (opMix*), or slot factors (opScale*)
+	m4     *mat4
+	m8     *mat8
+}
+
+// mat4 is a 4x4 gate matrix split into real and imaginary parts, row-major.
+type mat4 struct{ r, i [16]float64 }
+
+// mat8 is an 8x8 gate matrix split into real and imaginary parts, with the
+// basis-slot offsets mix8 gathers from; mi is nil when the matrix is real.
+type mat8 struct {
+	offs [8]int
+	r, i [64]float64
+	mi   *[64]float64
+}
+
+// The T and T† phases, e^{±iπ/4}.
+var (
+	tPhase   = cmplx.Exp(1i * math.Pi / 4)
+	tdgPhase = cmplx.Exp(-1i * math.Pi / 4)
+)
+
+// Lower binds gate g to an n-qubit register: every check and every constant
+// a gate application needs is computed here, once, so that State.Run does
+// nothing but the arithmetic. The named kinds with a cheaper form than their
+// matrix take it; every other gate mixes by its matrix. It panics on qubits
+// outside the register, repeated qubits and arities other than 1 to 3.
+func Lower(n int, g *gate.Gate) (k Kernel) {
+	q := g.Qubits
+	switch g.Kind {
+	case gate.KindI:
+		k.diag1(n, q[0], 1, 1)
+	case gate.KindX:
+		k.swap(n, 0, 1<<uint(q[0]), q[0])
+	case gate.KindZ:
+		k.diag1(n, q[0], 1, -1)
+	case gate.KindS:
+		k.diag1(n, q[0], 1, 1i)
+	case gate.KindSdg:
+		k.diag1(n, q[0], 1, -1i)
+	case gate.KindT:
+		k.diag1(n, q[0], 1, tPhase)
+	case gate.KindTdg:
+		k.diag1(n, q[0], 1, tdgPhase)
+	case gate.KindP:
+		k.diag1(n, q[0], 1, cmplx.Exp(complex(0, g.Params[0])))
+	case gate.KindRZ:
+		t := g.Params[0] / 2
+		k.diag1(n, q[0], cmplx.Exp(complex(0, -t)), cmplx.Exp(complex(0, t)))
+	case gate.KindCX:
+		// Within the control=1 quarter the target pair trades places.
+		on := 1 << uint(q[0])
+		k.swap(n, on, on|1<<uint(q[1]), q[0], q[1])
+	case gate.KindCZ:
+		k.cphase(n, q[0], q[1], -1)
+	case gate.KindCP:
+		k.cphase(n, q[0], q[1], cmplx.Exp(complex(0, g.Params[0])))
+	case gate.KindSWAP:
+		// The 01 and 10 quarters trade places; 00 and 11 are untouched.
+		k.swap(n, 1<<uint(q[0]), 1<<uint(q[1]), q[0], q[1])
+	default:
+		switch len(q) {
+		case 1:
+			k.mix1(n, q[0], g.Matrix())
+		case 2:
+			k.mix2(n, q[0], q[1], g.Matrix())
+		case 3:
+			k.mix3(n, q[0], q[1], q[2], g.Matrix())
+		default:
+			panic(fmt.Sprintf("statevec: unsupported arity %d", len(q)))
+		}
+	}
+	return k
+}
+
+// bind sets the kernel's width and primitive and lays out its progressions
+// over the gate qubits, validating them.
+func (k *Kernel) bind(n int, op kernelOp, qubits ...int) {
+	k.n, k.op, k.plan = n, op, planStreams(n, qubits)
+}
+
+// swap: the amplitudes in slots a and b trade places.
+func (k *Kernel) swap(n, a, b int, qubits ...int) {
+	k.bind(n, opSwap, qubits...)
+	k.offs[0], k.offs[1] = a, b
+}
+
+// diag1 multiplies the qubit-t zero and one amplitudes by d0 and d1. An
+// identity half is skipped entirely (phase gates touch dim/2 amplitudes, not
+// dim), and a lone real scalar takes the real path; when both halves scale,
+// both are multiplied as complex numbers in one pass.
+func (k *Kernel) diag1(n, t int, d0, d1 complex128) {
+	switch {
+	case d0 == 1 && d1 == 1:
+		checkQubit(n, t)
+		k.n, k.op = n, opIdentity
+	case d0 == 1:
+		k.scaleBy(n, 1<<uint(t), d1, t)
+	case d1 == 1:
+		k.scaleBy(n, 0, d0, t)
+	default:
+		k.bind(n, opScale, t)
+		k.scales = 2
+		k.offs[1] = 1 << uint(t)
+		k.c[0], k.c[1] = d0, d1
+	}
+}
+
+// scaleBy multiplies slot off by d, on the real path when d has no
+// imaginary part.
+func (k *Kernel) scaleBy(n, off int, d complex128, qubits ...int) {
+	op := opScale
+	if imag(d) == 0 {
+		op = opScaleReal
+	}
+	k.bind(n, op, qubits...)
+	k.scales = 1
+	k.offs[0], k.c[0] = off, d
+}
+
+// cphase multiplies the amplitudes with both the qubit-a and qubit-b bits
+// set by phase: a quarter of the index space.
+func (k *Kernel) cphase(n, a, b int, phase complex128) {
+	k.scaleBy(n, 1<<uint(a)|1<<uint(b), phase, a, b)
+}
+
+// diag2 multiplies each quarter of the (q0, q1) index space by its entry of
+// d, q0 the low bit of the entry index; unit entries leave their quarter
+// untouched.
+func (k *Kernel) diag2(n, q0, q1 int, d [4]complex128) {
+	k.bind(n, opScale, q0, q1)
+	slots := [4]int{0, 1 << uint(q0), 1 << uint(q1), 1<<uint(q0) | 1<<uint(q1)}
+	for sel, off := range slots {
+		if d[sel] != 1 {
+			k.offs[k.scales], k.c[k.scales] = off, d[sel]
+			k.scales++
+		}
+	}
+	if k.scales == 0 {
+		k.op = opIdentity
+	}
+}
+
+// mix1 mixes the (i0, i0|2^t) amplitude pairs by the 2x2 matrix m. A matrix
+// with no imaginary part (H, RY, fused real products) transforms the re and
+// im planes independently (re' = M·re, im' = M·im) at half the arithmetic of
+// the complex mix.
+func (k *Kernel) mix1(n, t int, m qmath.Matrix) {
+	if m.N != 2 {
+		panic("statevec: Apply1Q needs a 2x2 matrix")
+	}
+	op := opMixCplx
+	if imag(m.Data[0]) == 0 && imag(m.Data[1]) == 0 && imag(m.Data[2]) == 0 && imag(m.Data[3]) == 0 {
+		op = opMixReal
+	}
+	k.bind(n, op, t)
+	k.offs[0] = 1 << uint(t)
+	copy(k.c[:], m.Data)
+}
+
+// mix2 mixes the four slot streams of (q0, q1) by the 4x4 matrix m, q0 the
+// low bit of the matrix basis index.
+func (k *Kernel) mix2(n, q0, q1 int, m qmath.Matrix) {
+	if m.N != 4 {
+		panic("statevec: Apply2Q needs a 4x4 matrix")
+	}
+	m4 := new(mat4)
+	op := opMix4Cplx
+	if splitMatrix(m.Data, m4.r[:], m4.i[:]) {
+		op = opMix4Real
+	}
+	k.bind(n, op, q0, q1)
+	k.offs[0], k.offs[1], k.m4 = 1<<uint(q0), 1<<uint(q1), m4
+}
+
+// mix3 mixes the eight slot streams of (q0, q1, q2) by the 8x8 matrix m, q0
+// the low bit.
+func (k *Kernel) mix3(n, q0, q1, q2 int, m qmath.Matrix) {
 	if m.N != 8 {
 		panic("statevec: Apply3Q needs an 8x8 matrix")
 	}
-	var mr, mi [64]float64
-	cplx := &mi
-	if splitMatrix(m.Data, mr[:], mi[:]) {
-		cplx = nil
+	m8 := new(mat8)
+	if !splitMatrix(m.Data, m8.r[:], m8.i[:]) {
+		m8.mi = &m8.i
 	}
 	// Basis-slot offsets: bit k of the slot selects qubit k's mask.
-	var offs [8]int
-	for b := range offs {
-		offs[b] = b&1<<uint(q0) | b>>1&1<<uint(q1) | b>>2&1<<uint(q2)
+	for b := range m8.offs {
+		m8.offs[b] = b&1<<uint(q0) | b>>1&1<<uint(q1) | b>>2&1<<uint(q2)
 	}
-	re, im := s.re, s.im
-	s.forStreams(func(base, n, stride int) {
-		mix8(re, im, base, n, stride, &offs, &mr, cplx)
-	}, q0, q1, q2)
+	k.bind(n, opMix8, q0, q1, q2)
+	k.m8 = m8
 }
 
-// Apply applies a gate instance, choosing a fast path when one exists.
-func (s *State) Apply(g gate.Gate) {
-	switch g.Kind {
-	case gate.KindI:
-		return
-	case gate.KindX:
-		s.ApplyX(g.Qubits[0])
-	case gate.KindZ:
-		s.ApplyDiag1Q(g.Qubits[0], 1, -1)
-	case gate.KindS:
-		s.ApplyDiag1Q(g.Qubits[0], 1, 1i)
-	case gate.KindSdg:
-		s.ApplyDiag1Q(g.Qubits[0], 1, -1i)
-	case gate.KindT:
-		s.ApplyDiag1Q(g.Qubits[0], 1, cmplx.Exp(1i*math.Pi/4))
-	case gate.KindTdg:
-		s.ApplyDiag1Q(g.Qubits[0], 1, cmplx.Exp(-1i*math.Pi/4))
-	case gate.KindP:
-		s.ApplyDiag1Q(g.Qubits[0], 1, cmplx.Exp(complex(0, g.Params[0])))
-	case gate.KindRZ:
-		t := g.Params[0] / 2
-		s.ApplyDiag1Q(g.Qubits[0], cmplx.Exp(complex(0, -t)), cmplx.Exp(complex(0, t)))
-	case gate.KindCX:
-		s.applyCX(g.Qubits[0], g.Qubits[1])
-	case gate.KindCZ:
-		s.ApplyCPhase(g.Qubits[0], g.Qubits[1], -1)
-	case gate.KindCP:
-		s.ApplyCPhase(g.Qubits[0], g.Qubits[1], cmplx.Exp(complex(0, g.Params[0])))
-	case gate.KindSWAP:
-		s.applySwap(g.Qubits[0], g.Qubits[1])
-	default:
-		switch g.Arity() {
+// run hands the kernel's primitive every progression of groups [start, end)
+// through streamPlan.walk. The primitive and its constants are bound into
+// the walk's body once per call, so each progression costs one call of a
+// small body holding the constants as values (a switch per progression
+// measured 5-15 % slower on short progressions); the body does not escape,
+// so nothing is allocated.
+func (k *Kernel) run(re, im []float64, start, end int) {
+	p := &k.plan
+	switch k.op {
+	case opSwap:
+		a, b := k.offs[0], k.offs[1]
+		p.walk(start, end, func(base, n, stride int) {
+			swapStreams(re, base|a, base|b, n, stride)
+			swapStreams(im, base|a, base|b, n, stride)
+		})
+	case opScaleReal:
+		off, d := k.offs[0], real(k.c[0])
+		p.walk(start, end, func(base, n, stride int) {
+			scaleReal(re, im, base|off, n, stride, d)
+		})
+	case opScale:
+		// One or two slots (the phase gates, CP, RZ) are nearly every scale
+		// kernel. Their bodies hold the factors as values: a loop over the
+		// slots cost 7-22 % more per short progression.
+		o0, o1, d0, d1 := k.offs[0], k.offs[1], k.c[0], k.c[1]
+		switch k.scales {
 		case 1:
-			s.Apply1Q(g.Qubits[0], g.Matrix())
+			p.walk(start, end, func(base, n, stride int) {
+				scale(re, im, base|o0, n, stride, real(d0), imag(d0))
+			})
 		case 2:
-			s.Apply2Q(g.Qubits[0], g.Qubits[1], g.Matrix())
-		case 3:
-			s.Apply3Q(g.Qubits[0], g.Qubits[1], g.Qubits[2], g.Matrix())
+			p.walk(start, end, func(base, n, stride int) {
+				scale(re, im, base|o0, n, stride, real(d0), imag(d0))
+				scale(re, im, base|o1, n, stride, real(d1), imag(d1))
+			})
 		default:
-			panic(fmt.Sprintf("statevec: unsupported arity %d", g.Arity()))
+			offs, c := k.offs[:k.scales], k.c[:k.scales]
+			p.walk(start, end, func(base, n, stride int) {
+				for j, off := range offs {
+					scale(re, im, base|off, n, stride, real(c[j]), imag(c[j]))
+				}
+			})
 		}
+	case opMixReal:
+		off, c := k.offs[0], &k.c
+		m00, m01, m10, m11 := real(c[0]), real(c[1]), real(c[2]), real(c[3])
+		p.walk(start, end, func(base, n, stride int) {
+			mixReal(re, base, base|off, n, stride, m00, m01, m10, m11)
+			mixReal(im, base, base|off, n, stride, m00, m01, m10, m11)
+		})
+	case opMixCplx:
+		off, c := k.offs[0], &k.c
+		m00, m01, m10, m11 := c[0], c[1], c[2], c[3]
+		p.walk(start, end, func(base, n, stride int) {
+			mixCplx(re, im, base, base|off, n, stride, m00, m01, m10, m11)
+		})
+	case opMix4Real:
+		m0, m1, m := k.offs[0], k.offs[1], &k.m4.r
+		p.walk(start, end, func(base, n, stride int) {
+			mix4Real(re, base, m0, m1, n, stride, m)
+			mix4Real(im, base, m0, m1, n, stride, m)
+		})
+	case opMix4Cplx:
+		m0, m1, m4 := k.offs[0], k.offs[1], k.m4
+		p.walk(start, end, func(base, n, stride int) {
+			mix4Cplx(re, im, base, m0, m1, n, stride, &m4.r, &m4.i)
+		})
+	case opMix8:
+		m8 := k.m8
+		p.walk(start, end, func(base, n, stride int) {
+			mix8(re, im, base, n, stride, &m8.offs, &m8.r, m8.mi)
+		})
 	}
+}
+
+// Run applies a kernel lowered for the state's width; a kernel of another
+// width panics. It owns the serial-or-pooled decision for every gate: below
+// ParallelThreshold groups the calling goroutine walks every progression and
+// nothing is allocated; above it the pool's workers claim chunks of the group
+// range (streams of different chunks are disjoint).
+func (s *State) Run(k *Kernel) {
+	if k.n != s.n {
+		panic(fmt.Sprintf("statevec: kernel lowered for %d qubits run on %d", k.n, s.n))
+	}
+	if k.op == opIdentity {
+		return
+	}
+	if k.plan.groups < ParallelThreshold {
+		k.run(s.re, s.im, 0, k.plan.groups)
+		return
+	}
+	// The pooled job outlives this frame's view of k, so it takes a copy:
+	// the caller's kernel stays where the caller put it.
+	kc, re, im := *k, s.re, s.im
+	getPool().run(kc.plan.groups, func(_, start, end int) { kc.run(re, im, start, end) })
+}
+
+// Apply applies a gate instance: Lower, then Run.
+func (s *State) Apply(g gate.Gate) {
+	k := Lower(s.n, &g)
+	s.Run(&k)
 }
 
 // ApplyAll applies every gate of the circuit in order.
 func (s *State) ApplyAll(gs []gate.Gate) {
-	for _, g := range gs {
-		s.Apply(g)
+	for i := range gs {
+		k := Lower(s.n, &gs[i])
+		s.Run(&k)
 	}
+}
+
+// The per-kind entry points below serve callers that hold no gate.Gate —
+// the noise channels, the fusion backend's fused blocks, the sharded
+// simulator. Each builds its kernel exactly as Lower does and runs it.
+
+// ApplyX applies Pauli-X to qubit t: the pair amplitudes trade places.
+func (s *State) ApplyX(t int) {
+	var k Kernel
+	k.swap(s.n, 0, 1<<uint(t), t)
+	s.Run(&k)
+}
+
+// ApplyDiag1Q multiplies the qubit-t zero and one amplitudes by d0 and d1 —
+// the phase gates, and the phase flips, projectors and damping no-jump
+// operators of the noise channels, without building a matrix.
+func (s *State) ApplyDiag1Q(t int, d0, d1 complex128) {
+	var k Kernel
+	k.diag1(s.n, t, d0, d1)
+	s.Run(&k)
+}
+
+// ApplyCPhase multiplies amplitudes with both the qubit-a and qubit-b bits
+// set by phase — the CZ/CP kernel, which touches only that quarter of the
+// index space.
+func (s *State) ApplyCPhase(a, b int, phase complex128) {
+	var k Kernel
+	k.cphase(s.n, a, b, phase)
+	s.Run(&k)
+}
+
+// ApplyDiag2Q applies the diagonal 4x4 diag(d00, d01, d10, d11) to qubits
+// (q0, q1), q0 the low bit of the diagonal's basis index. Fused same-pair
+// blocks whose product collapses to a diagonal (e.g. the CX·RZ·CX
+// ZZ-interaction pattern) route here instead of the dense kernel. Unit
+// entries leave their quarter of the index space untouched.
+func (s *State) ApplyDiag2Q(q0, q1 int, d00, d01, d10, d11 complex128) {
+	var k Kernel
+	k.diag2(s.n, q0, q1, [4]complex128{d00, d01, d10, d11})
+	s.Run(&k)
+}
+
+// Apply1Q applies the 2x2 matrix m to qubit t, mixing the dim/2 (i0, i0|2^t)
+// amplitude pairs.
+func (s *State) Apply1Q(t int, m qmath.Matrix) {
+	var k Kernel
+	k.mix1(s.n, t, m)
+	s.Run(&k)
+}
+
+// Apply2Q applies the 4x4 matrix m to qubits (q0, q1), q0 the low bit of
+// the matrix basis index.
+func (s *State) Apply2Q(q0, q1 int, m qmath.Matrix) {
+	var k Kernel
+	k.mix2(s.n, q0, q1, m)
+	s.Run(&k)
+}
+
+// Apply3Q applies the 8x8 matrix m to qubits (q0, q1, q2), q0 the low bit.
+func (s *State) Apply3Q(q0, q1, q2 int, m qmath.Matrix) {
+	var k Kernel
+	k.mix3(s.n, q0, q1, q2, m)
+	s.Run(&k)
 }
 
 // Marginal returns the measurement distribution over the listed qubits

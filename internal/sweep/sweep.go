@@ -470,6 +470,9 @@ func Prepare(spec *Spec) (*Prepared, error) {
 	if s.mode() != "tqsim" && s.mode() != "baseline" {
 		return nil, fmt.Errorf("sweep: mode must be tqsim or baseline, not %q", s.Mode)
 	}
+	if err := planner.CheckBackend(s.Backend); err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
+	}
 	if len(s.Shots) == 0 {
 		return nil, errors.New("sweep: shots axis needs at least one entry")
 	}

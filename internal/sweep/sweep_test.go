@@ -73,6 +73,7 @@ func TestSpecValidation(t *testing.T) {
 		func(s *Spec) { s.Noise = []NoisePoint{{Name: "DC", P1: 0.1}} }, // name + rates
 		func(s *Spec) { s.Noise = []NoisePoint{{P1: 1.5}} },             // rate out of range
 		func(s *Spec) { s.Mode = "magic" },
+		func(s *Spec) { s.Backend = "abacus" }, // accepted at the parent, failed every point
 		func(s *Spec) { s.Circuit = "nope_n9" },
 		func(s *Spec) { s.Partitions = []PartitionSpec{{Strategy: "wat"}} },
 		func(s *Spec) { s.Partitions = []PartitionSpec{{Strategy: "structure"}} }, // empty tuple
