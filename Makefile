@@ -31,7 +31,8 @@ test:
 # executor (on every registered backend via the conformance suite), the
 # tableau tree runner, the parallel-shot baseline, and the whole serve
 # layer (distributed, sweep, chaos, store and load-harness suites) all
-# carry concurrency. This is the one place those suites run in CI.
+# carry concurrency. This is the one place those suites run, and CI runs
+# this target.
 # ./benchmark is left out: its smoke test asserts a wall-time share
 # (in_limit_share) that the race detector and a busy host decide, not the
 # code; `make benchmark` runs it un-raced and checks its outputs.
@@ -40,9 +41,11 @@ race:
 
 # Short fuzz smoke: the QASM parser/round-trip fuzzer, the sweep Prepare
 # fuzzer (error or GridSize() points; a grid of a few small points is also
-# run, each delivered once) and the tqsimd job-prepare fuzzer (a
-# 4xx or a job whose every batch is resolved), none of which may panic or
-# hang, each from its seed corpus. Go runs one fuzz target per invocation.
+# run, each delivered once) and the tqsimd job-prepare fuzzer (a 4xx, 413
+# before planning for more batches than a sweep may have points, or a job
+# of one unit per batch; a job of a few small batches is also run, each
+# delivered once), none of which may panic or hang, each from its seed
+# corpus. Go runs one fuzz target per invocation. CI runs this target.
 fuzz-smoke:
 	$(GO) test ./internal/qasm -run xxx -fuzz FuzzParseQASM -fuzztime 10s
 	$(GO) test ./internal/sweep -run xxx -fuzz FuzzSweepPrepare -fuzztime 10s

@@ -1,9 +1,9 @@
 // Command tqsimd is the long-running TQSim batch service: an HTTP/JSON
 // daemon that accepts OpenQASM (or benchmark-suite) simulation jobs,
 // admission-controls them with the planner's cost and memory estimates,
-// batches shots through a bounded scheduler, caches plans in a bounded LRU
-// keyed by (circuit hash, noise, options), and streams per-batch
-// histograms.
+// batches shots through a bounded scheduler, and streams per-batch
+// histograms. A job is planned as a one-cell sweep, through the same
+// engine as POST /v1/sweeps.
 //
 // Roles: a plain tqsimd serves jobs single-process. With -worker it also
 // accepts shard leases (POST /v1/shard) from a coordinator; with -workers
@@ -110,7 +110,6 @@ func main() {
 		budgetMB     = flag.Int64("memory-budget-mb", 0, "total planner-estimated state memory across running jobs, MiB (0 = unlimited)")
 		maxShots     = flag.Int("max-shots", 0, "per-job shot cap (0 = default 4194304)")
 		batchShots   = flag.Int("batch-shots", 0, "default shots per batch when jobs don't choose (0 = one batch)")
-		planEntries  = flag.Int("plan-cache-entries", 0, "plan cache LRU cap (0 = default 256)")
 		worker       = flag.Bool("worker", false, "accept shard leases from a coordinator (POST /v1/shard)")
 		sweepPoints  = flag.Int("max-sweep-points", 0, "per-sweep expanded grid cap (0 = default 4096)")
 		leaseTimeout = flag.Duration("lease-timeout", 0, "per-lease round-trip bound (incl. retries) before a worker is declared dead (0 = default 10m, negative = unlimited)")
@@ -146,7 +145,6 @@ func main() {
 		MemoryBudgetBytes: *budgetMB << 20,
 		MaxShots:          *maxShots,
 		DefaultBatchShots: *batchShots,
-		PlanCacheEntries:  *planEntries,
 		MaxSweepPoints:    *sweepPoints,
 		WorkerMode:        *worker,
 		Workers:           pool,

@@ -1,6 +1,6 @@
 // Package lru is the repo's one least-recently-used cache: string keys, an
 // entry cap and/or a cost cap, and one Len/Cost/Evicted accounting shape.
-// tqsimd's plan cache and worker sweep-prep cache (entry-capped), the result
+// tqsimd's worker sweep-prep cache (entry-capped), the result
 // store's memory front (entry-capped, cost = body bytes) and the cross-job
 // snapshot cache (cost-capped, cost = state bytes) are all instances.
 //

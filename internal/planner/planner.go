@@ -11,8 +11,8 @@
 // The planner is deterministic in (plan, noise, budget, worker count): the
 // same inputs always produce the same Decision. With Budget.Parallelism 0
 // the worker count defaults to the host's GOMAXPROCS, so decisions agree
-// across hosts only when Parallelism is pinned; within one process (the
-// tqsimd plan cache's scope) repeated calls always agree. The chosen
+// across hosts only when Parallelism is pinned (tqsimd pins it before
+// planning); within one process repeated calls always agree. The chosen
 // *backend* is worker-count-independent except through a memory budget's
 // worker clamp. Cost estimates are in abstract work units (amplitude
 // touches for dense engines, tableau word operations scaled by WordOpCost

@@ -10,6 +10,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +21,8 @@ import (
 	"tqsim"
 	"tqsim/internal/metrics"
 	"tqsim/internal/rng"
+	"tqsim/internal/statevec"
+	"tqsim/internal/sweep"
 )
 
 // countingWorker wraps a worker handler and counts shard leases served.
@@ -154,6 +157,156 @@ func TestDistributedMergeByteIdenticalToSingleProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameJSONCounts(t, "one-worker merge", ref.Counts, jr2.Counts)
+}
+
+// TestDistributedBudgetPlansLikeSingleProcess: on servers with a memory
+// budget, a job plans under the budget it is admitted on — the request's,
+// else the server's — wherever it runs. The coordinator pins that budget
+// into its leases, so its worker must plan the tree a single-process server
+// with the same config plans, and a one-point sweep of the same cell plans
+// it too. The budget here caps DCP's levels (the unbudgeted plan of a batch
+// is two-level) while the tableau engine's own footprint fits either way.
+func TestDistributedBudgetPlansLikeSingleProcess(t *testing.T) {
+	c := tqsim.CliffordCircuit(12, 10, 3)
+	qasm, err := tqsim.SerializeQASM(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shots, batch, seed = 2000, 1000, 5
+	m := tqsim.NoiseByName("DC")
+	budget := statevec.StateBytes(c.NumQubits) * 5 / 2
+	free := tqsim.PlanDCP(c, m, batch, tqsim.Options{})
+	capped := tqsim.PlanDCP(c, m, batch, tqsim.Options{MemoryBudgetBytes: budget})
+	if free.Structure() == capped.Structure() {
+		t.Fatalf("budget %d does not cap DCP's levels: %s either way", budget, free.Structure())
+	}
+	req := &JobRequest{QASM: qasm, Noise: "DC", Shots: shots, Seed: seed, BatchShots: batch}
+	post := func(url string) *JobResponse {
+		t.Helper()
+		resp, body := postJSON(t, url+"/v1/jobs", req)
+		var jr JobResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &jr) != nil {
+			t.Fatalf("%s: status %d: %s", url, resp.StatusCode, body)
+		}
+		return &jr
+	}
+
+	single := httptest.NewServer(New(Config{MemoryBudgetBytes: budget}))
+	defer single.Close()
+	ref := post(single.URL)
+	if ref.Backend != "stabilizer" || ref.Structure != capped.Structure() {
+		t.Errorf("single process ran %s %s, want stabilizer %s (planned under the server budget)",
+			ref.Backend, ref.Structure, capped.Structure())
+	}
+	resp, body := postJSON(t, single.URL+"/v1/sweeps", &SweepRequest{Stream: new(bool), Spec: sweep.Spec{
+		QASM: qasm, Noise: []sweep.NoisePoint{{Name: "DC"}}, Shots: []int{batch}, Seed: seed}})
+	var sr SweepResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &sr) != nil || len(sr.Results) != 1 {
+		t.Fatalf("sweep: status %d: %s", resp.StatusCode, body)
+	}
+	if sr.Results[0].Structure != ref.Structure {
+		t.Errorf("one-point sweep ran %s, the job's batches %s", sr.Results[0].Structure, ref.Structure)
+	}
+
+	worker := httptest.NewServer(New(Config{WorkerMode: true, MemoryBudgetBytes: budget}))
+	defer worker.Close()
+	coord := httptest.NewServer(New(Config{Workers: []string{worker.URL}, MemoryBudgetBytes: budget}))
+	defer coord.Close()
+	jr := post(coord.URL)
+	if !jr.Distributed {
+		t.Fatal("job did not report distributed execution")
+	}
+	if jr.Backend != ref.Backend || jr.Structure != ref.Structure {
+		t.Errorf("distributed job ran %s %s, single process %s %s", jr.Backend, jr.Structure, ref.Backend, ref.Structure)
+	}
+	sameJSONCounts(t, "budgeted distributed merge", ref.Counts, jr.Counts)
+}
+
+// TestPinnedWireReprepares: what a coordinator leases is the pinned wire
+// form of a job or sweep, and a worker with the same config that
+// re-prepares it must arrive at the same work — per unit the same plan
+// structure, engine, mode and resolved worker count, and the same admission
+// estimate, which placement divides worker budgets by. Covered for both
+// doors, with and without a server budget that caps DCP's levels, on auto
+// and explicit engines, with and without a requested worker count.
+func TestPinnedWireReprepares(t *testing.T) {
+	clifford, err := tqsim.SerializeQASM(tqsim.CliffordCircuit(12, 10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both circuits are 12 qubits wide: two and a half states is a budget
+	// under which DCP plans flat where it would otherwise cut.
+	binding := statevec.StateBytes(12) * 5 / 2
+	// wire sends a lease through JSON, as the coordinator does.
+	wire := func(lease *ShardRequest) *ShardRequest {
+		t.Helper()
+		raw, err := json.Marshal(lease)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out ShardRequest
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		return &out
+	}
+	same := func(name string, a, b prepared) {
+		t.Helper()
+		if a.units() != b.units() || a.peak() != b.peak() {
+			t.Errorf("%s: %d units admitted on %d bytes, re-prepared %d units on %d bytes",
+				name, a.units(), a.peak(), b.units(), b.peak())
+			return
+		}
+		for i := range a.units() {
+			x, y := a.prep.Resolved(i), b.prep.Resolved(i)
+			if x.Plan.Structure() != y.Plan.Structure() || x.Backend != y.Backend || x.Mode != y.Mode || x.Parallelism != y.Parallelism {
+				t.Errorf("%s: unit %d resolved %s %s%s at %d workers, re-prepared %s %s%s at %d",
+					name, i, x.Plan.Structure(), x.Backend, x.Mode, x.Parallelism,
+					y.Plan.Structure(), y.Backend, y.Mode, y.Parallelism)
+			}
+		}
+	}
+	for _, budget := range []int64{0, binding} {
+		coord := New(Config{MemoryBudgetBytes: budget})
+		worker := New(Config{MemoryBudgetBytes: budget, WorkerMode: true})
+		for _, src := range []struct{ circuit, qasm string }{{"qft_n12", ""}, {"", clifford}} {
+			for _, backend := range []string{"auto", "statevec", "fusion", "stabilizer"} {
+				for _, par := range []int{0, 2} {
+					name := fmt.Sprintf("%s/budget=%d/%s/parallelism=%d", src.circuit, budget, backend, par)
+					if src.circuit == "" {
+						name = "clifford" + name
+					}
+
+					req := &JobRequest{Circuit: src.circuit, QASM: src.qasm, Noise: "DC", Shots: 2300,
+						BatchShots: 1000, Seed: 1, Backend: backend, Parallelism: par}
+					j, herr := coord.prepare(req)
+					if herr != nil {
+						t.Fatalf("%s: prepare job: %s", name, herr.msg)
+					}
+					lease := wire(j.lease(0, j.units()))
+					w, herr := worker.prepare(&lease.Job)
+					if herr != nil {
+						t.Fatalf("%s: re-prepare job: %s", name, herr.msg)
+					}
+					same(name+" job", j.prepared, w.prepared)
+
+					sreq := &SweepRequest{Spec: sweep.Spec{Circuit: src.circuit, QASM: src.qasm,
+						Noise: []sweep.NoisePoint{{Name: "DC"}}, Shots: []int{1000, 300}, Seed: 1,
+						Backend: backend, Parallelism: par}}
+					sj, herr := coord.prepareSweep(sreq)
+					if herr != nil {
+						t.Fatalf("%s: prepare sweep: %s", name, herr.msg)
+					}
+					lease = wire(sj.lease(0, sj.units()))
+					ws, herr := worker.preparedSweepForLease(lease.Sweep)
+					if herr != nil {
+						t.Fatalf("%s: re-prepare sweep: %s", name, herr.msg)
+					}
+					same(name+" sweep", sj.prepared, ws.prepared)
+				}
+			}
+		}
+	}
 }
 
 func TestDistributedFailoverKillWorkerMidJob(t *testing.T) {

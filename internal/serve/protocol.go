@@ -56,14 +56,15 @@ type ShardBatch struct {
 	// Backend and Structure echo the engine and tree the unit ran on.
 	Backend   string `json:"backend,omitempty"`
 	Structure string `json:"structure,omitempty"`
-	// Ops and PrefixHits carry the unit's work accounting (sweep points
-	// report them so coordinator-side totals match local execution).
+	// Ops and PrefixHits carry the unit's work accounting, so a sweep's
+	// coordinator-side totals match local execution. Job batches carry
+	// them too; the job response does not report them.
 	Ops        int64 `json:"ops,omitempty"`
 	PrefixHits int64 `json:"prefix_hits,omitempty"`
 	// Fidelity is the point's normalized fidelity, for sweep leases whose
 	// spec requested it (nil otherwise).
 	Fidelity *float64 `json:"fidelity,omitempty"`
-	// ElapsedMS is the unit's wall-clock duration (sweep points only).
+	// ElapsedMS is the unit's wall-clock duration.
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
 
 	// counts is the histogram by numeric key, set on batches that ran in

@@ -1,13 +1,14 @@
 // Package serve implements the tqsimd HTTP/JSON service: a long-running
 // entry point that accepts OpenQASM (or benchmark-suite) simulation jobs,
 // admission-controls them with the planner's cost/memory estimates, batches
-// shots through a bounded scheduler, caches simulation plans keyed by
-// (circuit hash, noise, options) in a bounded LRU, and streams per-batch
-// histograms as NDJSON. POST /v1/sweeps serves whole parameter/noise grids
-// through the internal/sweep engine (plan and ideal-spine reuse across
-// points), streaming one NDJSON line per point. Jobs, sweeps and shard
-// leases all run through one request pipeline (pipeline.go). cmd/tqsimd is
-// a thin main around New.
+// shots through a bounded scheduler, and streams per-batch histograms as
+// NDJSON. POST /v1/sweeps serves whole parameter/noise grids through the
+// internal/sweep engine (plan and ideal-spine reuse across points),
+// streaming one NDJSON line per point. A job is a one-cell sweep whose
+// shots axis is its batch split: both doors validate, plan and admit
+// through sweep.Prepare and run their units through the same runner, and
+// jobs, sweeps and shard leases all run through one request pipeline
+// (pipeline.go). cmd/tqsimd is a thin main around New.
 //
 // With Config.StoreEntries or Config.StoreDir set, finished jobs and sweeps
 // are recorded in a content-addressed result store (internal/resultstore)
@@ -38,8 +39,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -55,9 +54,9 @@ import (
 	"tqsim/internal/hpcmodel"
 	"tqsim/internal/lru"
 	"tqsim/internal/metrics"
-	"tqsim/internal/planner"
 	"tqsim/internal/resultstore"
 	"tqsim/internal/rng"
+	"tqsim/internal/sweep"
 )
 
 // Config tunes the service. Zero values select the documented defaults.
@@ -78,10 +77,6 @@ type Config struct {
 	// DefaultBatchShots splits jobs into batches of this many shots when
 	// the request doesn't choose (0 = one batch per job).
 	DefaultBatchShots int
-	// PlanCacheEntries caps the plan cache (default 256). The cache is LRU:
-	// under sustained traffic from many distinct circuits old plans are
-	// evicted instead of growing without bound.
-	PlanCacheEntries int
 	// MaxSweepPoints caps a sweep's expanded grid size (default 4096);
 	// larger sweeps are rejected 413 before any planning work.
 	MaxSweepPoints int
@@ -175,9 +170,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxShots <= 0 {
 		c.MaxShots = 1 << 22
 	}
-	if c.PlanCacheEntries <= 0 {
-		c.PlanCacheEntries = 256
-	}
 	if c.MaxSweepPoints <= 0 {
 		c.MaxSweepPoints = 4096
 	}
@@ -228,12 +220,14 @@ type Stats struct {
 	BatchesRun        uint64 `json:"batches_run"`
 	SweepsCompleted   uint64 `json:"sweeps_completed"`
 	SweepPointsRun    uint64 `json:"sweep_points_run"`
-	PlanCacheHits     uint64 `json:"plan_cache_hits"`
-	PlanCacheMisses   uint64 `json:"plan_cache_misses"`
-	PlanCacheEvicted  uint64 `json:"plan_cache_evicted"`
-	PlanCacheEntries  int    `json:"plan_cache_entries"`
-	MemoryInUseBytes  int64  `json:"memory_in_use_bytes"`
-	Draining          bool   `json:"draining"`
+	// PlanCacheHits and PlanCacheMisses always read 0: jobs plan through
+	// sweep.Prepare and there is no plan cache. They stay only because the
+	// repository benchmark reads them; the benchmark change of ROADMAP
+	// direction 5, step 1 drops them.
+	PlanCacheHits    uint64 `json:"plan_cache_hits"`
+	PlanCacheMisses  uint64 `json:"plan_cache_misses"`
+	MemoryInUseBytes int64  `json:"memory_in_use_bytes"`
+	Draining         bool   `json:"draining"`
 	// Coordinator-only counters: shard leases handed to workers, leases
 	// re-dispatched after a failure, and workers declared dead.
 	ShardsDispatched uint64 `json:"shards_dispatched,omitempty"`
@@ -298,12 +292,6 @@ type Server struct {
 
 	memMu    sync.Mutex
 	memInUse int64
-	// planMu guards planCache. Plans are tiny next to running state
-	// vectors, but they pin their circuits (gate slices), so the cache is
-	// entry-capped (Config.PlanCacheEntries) against sustained traffic from
-	// many distinct circuits.
-	planMu    sync.Mutex
-	planCache *lru.Cache[*planner.Resolved]
 	// sweepMu guards sweepPreps, the worker's cache of prepared sweeps:
 	// a coordinator cuts one sweep into several leases per worker, and
 	// re-preparing per lease would rebuild the grid's plans (and, with the
@@ -338,8 +326,6 @@ const (
 	statMemory
 	statDraining
 	statBatches
-	statPlanHits
-	statPlanMisses
 	statShardsDispatched
 	statShardsRequeued
 	statWorkerFailures
@@ -367,7 +353,6 @@ func New(cfg Config) *Server {
 		cfg: cfg.withDefaults(),
 		mux: http.NewServeMux(),
 	}
-	s.planCache = lru.New[*planner.Resolved](s.cfg.PlanCacheEntries, 0)
 	// A handful of entries suffices: the cache exists so the several
 	// leases of one in-flight sweep share one Prepared (and its spine
 	// cache), not to retain history. Spines pinned by idle entries are
@@ -484,9 +469,9 @@ type JobRequest struct {
 	// Stream requests an NDJSON per-batch stream instead of one JSON body.
 	Stream bool `json:"stream,omitempty"`
 	// CopyCost, MaxLevels, MemoryBudgetBytes, Parallelism, Epsilon and
-	// ClusterNodes forward to tqsim.Options (zero = defaults). CopyCost is
-	// never host-profiled in the daemon: plans must be deterministic so the
-	// plan cache and cross-host replay agree.
+	// ClusterNodes forward to the job's sweep.Spec (zero = defaults).
+	// CopyCost is never host-profiled in the daemon: plans must be
+	// deterministic so a worker's re-plan and cross-host replay agree.
 	CopyCost          float64 `json:"copy_cost,omitempty"`
 	MaxLevels         int     `json:"max_levels,omitempty"`
 	MemoryBudgetBytes int64   `json:"memory_budget_bytes,omitempty"`
@@ -542,7 +527,6 @@ type JobResponse struct {
 	Counts    map[string]int `json:"counts"`
 	ElapsedMS float64        `json:"elapsed_ms"`
 	Decision  *DecisionJSON  `json:"decision,omitempty"`
-	PlanHit   bool           `json:"plan_cache_hit"`
 	// Distributed reports whether batches were sharded across the worker
 	// pool (the histogram is byte-identical either way).
 	Distributed bool `json:"distributed,omitempty"`
@@ -566,25 +550,20 @@ type batchLine struct {
 	Error     string         `json:"error,omitempty"`
 }
 
-// job is a validated, planned request ready to execute.
+// job is a validated, planned request ready to execute: a one-cell sweep
+// whose shots axis is the batch split, so batch i is sweep point i and runs
+// at rng.SeedAt(seed, i) = BatchSeed(seed, i). What is job-specific is the
+// batch arithmetic, the pinned wire request and the wire rendering.
 type job struct {
-	circuit *tqsim.Circuit
-	seed    uint64
-	shots   int
-	// batchSize is the per-batch shot count; 0 runs one batch. Batches are
-	// never materialized as a slice: a max-shots job at batch size 1 is
-	// millions of batches but only two distinct sizes, so resolved runs are
-	// held per size and batch i's size is computed on demand.
+	prepared
+	shots int
+	// batchSize is the per-batch shot count; 0 runs one batch.
 	batchSize int
-	runBySize map[int]*planner.Resolved
-	planHit   bool
 	// wire is the request to forward in shard leases, with every value that
-	// shapes batch arithmetic pinned to the coordinator's resolution (the
-	// worker must never re-apply its own defaults and diverge).
+	// shapes batch arithmetic or planning pinned to the coordinator's
+	// resolution (the worker must never re-apply its own defaults and
+	// diverge).
 	wire *JobRequest
-	// snaps is the server's cross-job snapshot cache, handed to every batch
-	// run (nil when disabled: a reusing run then builds its own spine).
-	snaps *tqsim.SnapshotCache
 
 	// The response under construction: record folds batches in, finish
 	// renders it.
@@ -613,13 +592,6 @@ func (j *job) batchShots(i int) int {
 	return j.batchSize
 }
 
-// runFor returns batch i's resolved run: the plan, engine, worker count and
-// estimate the job was admitted on, which is exactly what executes.
-func (j *job) runFor(i int) *planner.Resolved { return j.runBySize[j.batchShots(i)] }
-
-// decision is the planner's candidate table for the job's first batch.
-func (j *job) decision() *tqsim.Decision { return j.runFor(0).Decision }
-
 // httpError carries a status code with the message.
 type httpError struct {
 	status int
@@ -632,8 +604,10 @@ func errf(status int, format string, args ...any) *httpError {
 	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
-// prepare validates the request, resolves the circuit and noise model,
-// plans every batch (through the cache) and records the planner decision.
+// prepare validates the request and plans it as a one-cell sweep: the
+// circuit, the noise model and the batch sizes in order as the shots axis.
+// sweep.Prepare validates noise, mode and backend, plans and admits each
+// distinct batch size once, and resolves the runs the batches execute.
 func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 	if (req.QASM == "") == (req.Circuit == "") {
 		return nil, errf(http.StatusBadRequest, "provide exactly one of qasm or circuit")
@@ -645,161 +619,103 @@ func (s *Server) prepare(req *JobRequest) (*job, *httpError) {
 		return nil, errf(http.StatusRequestEntityTooLarge,
 			"shots %d exceeds the server limit %d", req.Shots, s.cfg.MaxShots)
 	}
-	noiseName := req.Noise
-	if noiseName == "" {
-		noiseName = "DC"
+	j := &job{shots: req.Shots, batchSize: req.BatchShots, merged: make(map[uint64]int)}
+	if j.batchSize == 0 {
+		j.batchSize = s.cfg.DefaultBatchShots
 	}
-	m, err := tqsim.LookupNoise(noiseName) // nil for "ideal"
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, "%v", err)
-	}
-	// The canonical spelling, not the client's, goes into the wire request
-	// and with it into plan, store and lease keys: "dc" and "DC" are one job.
-	noiseName = m.Name()
-	mode := req.Mode
-	if mode == "" {
-		mode = "tqsim"
-	}
-	if mode != "tqsim" && mode != "baseline" {
-		return nil, errf(http.StatusBadRequest, "mode must be tqsim or baseline, not %q", req.Mode)
-	}
-	backend := req.Backend
-	if backend == "" {
-		backend = tqsim.AutoBackend
-	}
-	if err := planner.CheckBackend(backend); err != nil {
-		return nil, errf(http.StatusBadRequest, "%v", err)
+	n := j.numBatches()
+	if n > sweep.MaxPoints {
+		return nil, errf(http.StatusRequestEntityTooLarge,
+			"job splits into %d batches, above the limit %d", n, sweep.MaxPoints)
 	}
 
 	var c *tqsim.Circuit
 	if req.QASM != "" {
-		c, err = tqsim.ParseQASM("job", req.QASM)
-		if err != nil {
+		var err error
+		if c, err = tqsim.ParseQASM("job", req.QASM); err != nil {
 			return nil, errf(http.StatusBadRequest, "qasm: %v", err)
 		}
 	} else if c = tqsim.BenchmarkByName(req.Circuit); c == nil {
 		return nil, errf(http.StatusBadRequest, "unknown suite circuit %q", req.Circuit)
 	}
 
-	// opt shapes the plan and keys the plan cache; budget — the request's,
-	// else the server's — is what the job is planned and admitted under, and
-	// travels inside every resolved run to the executor's reuse decision.
-	opt := tqsim.Options{
-		CopyCost:          req.CopyCost,
-		MaxLevels:         req.MaxLevels,
-		MemoryBudgetBytes: req.MemoryBudgetBytes,
-		Backend:           backend,
-		ClusterNodes:      req.ClusterNodes,
-		Parallelism:       req.Parallelism,
-		Epsilon:           req.Epsilon,
-	}
-	budget := req.MemoryBudgetBytes
-	if budget == 0 {
-		budget = s.cfg.MemoryBudgetBytes
-	}
-	j := &job{
-		circuit:   c,
-		seed:      req.Seed,
-		shots:     req.Shots,
-		snaps:     s.snapCache,
-		merged:    make(map[uint64]int),
-		runBySize: make(map[int]*planner.Resolved, 2),
-	}
-	j.batchSize = req.BatchShots
-	if j.batchSize == 0 {
-		j.batchSize = s.cfg.DefaultBatchShots
-	}
 	wire := *req
 	wire.Stream = false
-	wire.Noise = noiseName
-	wire.Mode = mode
-	wire.Backend = backend
+	if wire.Noise == "" {
+		wire.Noise = "DC"
+	}
+	if wire.Mode == "" {
+		wire.Mode = "tqsim"
+	}
+	if wire.Backend == "" {
+		wire.Backend = tqsim.AutoBackend
+	}
 	wire.BatchShots = j.batchSize
 	if wire.BatchShots == 0 {
 		wire.BatchShots = -1 // pin "one batch" against remote defaults
 	}
+	spec := sweep.Spec{
+		Circuits:          []*tqsim.Circuit{c},
+		Noise:             []sweep.NoisePoint{{Name: wire.Noise}},
+		Shots:             make([]int, n),
+		Seed:              req.Seed,
+		Mode:              wire.Mode,
+		Backend:           wire.Backend,
+		CopyCost:          req.CopyCost,
+		MaxLevels:         req.MaxLevels,
+		MemoryBudgetBytes: req.MemoryBudgetBytes,
+		Parallelism:       req.Parallelism,
+		Epsilon:           req.Epsilon,
+		ClusterNodes:      req.ClusterNodes,
+	}
+	for i := range spec.Shots {
+		spec.Shots[i] = j.batchShots(i)
+	}
+	prep, herr := s.plan(&spec)
+	if herr != nil {
+		return nil, herr
+	}
+	j.prep = prep
+	// The canonical noise spelling, not the client's, goes into the wire
+	// request and with it into store and lease keys: "dc" and "DC" are one
+	// job. The pinned budget and worker count go with it.
+	wire.Noise = prep.Spec().Noise[0].Name
+	wire.MemoryBudgetBytes, wire.Parallelism = spec.MemoryBudgetBytes, spec.Parallelism
 	j.wire = &wire
-
-	// Resolve the (at most two) distinct batch sizes: the full batch and the
-	// ragged last one.
-	hash := circuitHash(c, noiseName, mode, &opt)
-	n := j.numBatches()
-	for _, i := range []int{0, n - 1} {
-		size := j.batchShots(i)
-		if _, done := j.runBySize[size]; done {
-			continue
-		}
-		run, hit, herr := s.planBatch(hash, c, m, size, mode, opt, budget)
-		if herr != nil {
-			return nil, herr
-		}
-		j.runBySize[size] = run
-		if i == 0 {
-			j.planHit = hit
-		}
-	}
-
-	// Pin the two planner inputs that default from host/server state —
-	// worker count (GOMAXPROCS) and memory budget (server config) — into
-	// the shard-lease request. Planner decisions are deterministic in
-	// (plan, noise, budget, worker count), so with these pinned a worker
-	// re-planning the wire request resolves "auto" to the same engine the
-	// coordinator did; left unpinned, a heterogeneous worker could pick a
-	// different engine (e.g. tableau vs dense, whose per-seed sampling
-	// differs) and break the byte-identical-merge guarantee.
-	if wire.Parallelism == 0 {
-		wire.Parallelism = j.decision().Parallelism
-	}
-	wire.MemoryBudgetBytes = budget
 	return j, nil
 }
 
-// planBatch returns the resolved run for one batch size (plan, decision and
-// the configuration that executes), computing and caching it on miss.
-func (s *Server) planBatch(hash string, c *tqsim.Circuit, m *tqsim.NoiseModel, shots int, mode string, opt tqsim.Options, budget int64) (*planner.Resolved, bool, *httpError) {
-	key := fmt.Sprintf("%s|%d", hash, shots)
-	s.planMu.Lock()
-	run, ok := s.planCache.Get(key)
-	s.planMu.Unlock()
-	if ok {
-		s.stats[statPlanHits].Add(1)
-		return run, true, nil
+// plan is the one pin rule for jobs and sweeps. It pins the two planner
+// inputs that default from host or server state — the memory budget (the
+// request's, else the server's) and the worker count (the request's, else
+// GOMAXPROCS) — into spec, then prepares it with the daemon's snapshot
+// cache attached. Planner decisions are deterministic in (plan, noise,
+// budget, worker count), and the budget also caps DCP's levels, so with both
+// pinned a worker re-preparing the wire form plans and resolves every unit
+// exactly as the coordinator did. Left unpinned, a heterogeneous worker
+// could pick a different plan or engine (tableau vs dense, whose per-seed
+// sampling differs) and break the byte-identical merge.
+func (s *Server) plan(spec *sweep.Spec) (*sweep.Prepared, *httpError) {
+	if spec.MemoryBudgetBytes == 0 {
+		spec.MemoryBudgetBytes = s.cfg.MemoryBudgetBytes
 	}
-	s.stats[statPlanMisses].Add(1)
-
-	var plan *tqsim.Plan
-	if mode == "baseline" {
-		plan = tqsim.PlanBaseline(c, shots)
-	} else {
-		plan = tqsim.PlanDCP(c, m, shots, opt)
+	if spec.Parallelism == 0 {
+		spec.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	// Admit: the planner checks the budget even for explicit backends.
-	run, err := planner.Admit(plan, m, opt.Backend, planner.Budget{
-		MemoryBytes:  budget,
-		Parallelism:  opt.Parallelism,
-		ClusterNodes: opt.ClusterNodes,
-	})
+	prep, err := sweep.Prepare(spec)
 	if err != nil {
-		s.stats[statMemory].Add(1)
-		return nil, false, errf(http.StatusRequestEntityTooLarge, "planner: %v", err)
+		var pe *sweep.PlanError
+		if errors.As(err, &pe) {
+			s.stats[statMemory].Add(1)
+			return nil, errf(http.StatusRequestEntityTooLarge, "planner: %v", err)
+		}
+		return nil, errf(http.StatusBadRequest, "%v", err)
 	}
-	s.planMu.Lock()
-	s.planCache.Add(key, run, 0)
-	s.planMu.Unlock()
-	return run, false, nil
-}
-
-// circuitHash keys the plan cache: the circuit's structural digest plus
-// every option that shapes the plan or the decision. The digest covers the
-// full gate content — including raw-unitary matrices with no QASM 2.0
-// form — because a cached plan carries its gate list: two same-shape
-// circuits that collide here would silently execute each other's gates.
-func circuitHash(c *tqsim.Circuit, noiseName, mode string, opt *tqsim.Options) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%g\x00%d\x00%d\x00%s\x00%d\x00%d\x00%g",
-		tqsim.CircuitDigest(c), noiseName, mode, opt.CopyCost, opt.MaxLevels, opt.MemoryBudgetBytes,
-		opt.Backend, opt.ClusterNodes, opt.Parallelism, opt.Epsilon)
-	return hex.EncodeToString(h.Sum(nil))
+	// Units take their spines from the cross-job cache (when enabled, else
+	// the prepared sweep's own): spine states an earlier job or sweep
+	// computed over a shared gate prefix are adopted instead of rebuilt.
+	prep.UseSnapshotCache(s.snapCache)
+	return prep, nil
 }
 
 // BatchSeed derives batch i's trajectory seed from the job seed. Batch 0
@@ -905,54 +821,22 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 // The work implementation: a job's units are its shot batches.
 
-func (j *job) units() int                      { return j.numBatches() }
-func (j *job) peak() int64                     { return j.runFor(0).EstPeakBytes }
+// units, peak and run come with the embedded prepared sweep.
+
 func (j *job) counters() (unit, completed int) { return statBatches, statCompleted }
 
 func (j *job) lease(from, to int) *ShardRequest {
 	return &ShardRequest{Job: *j.wire, From: from, To: to}
 }
 
-// run executes batches [from, to) in-process, threading ctx into the
-// executor so a client disconnect (or a coordinator re-leasing this shard)
-// stops in-flight trajectory work instead of computing results nobody will
-// read.
-func (j *job) run(ctx context.Context, from, to int, emit func(*ShardBatch) *httpError) *httpError {
-	for i := from; i < to; i++ {
-		if err := ctx.Err(); err != nil {
-			return errf(statusClientClosedRequest, "cancelled before batch %d: %v", i, err)
-		}
-		run := j.runFor(i)
-		seed := BatchSeed(j.seed, i)
-		res, err := run.Run(ctx, seed, j.snaps)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return errf(statusClientClosedRequest, "batch %d cancelled: %v", i, err)
-			}
-			return errf(http.StatusUnprocessableEntity, "batch %d: %v", i, err)
-		}
-		if herr := emit(&ShardBatch{
-			Batch:     i,
-			Seed:      seed,
-			Outcomes:  res.Outcomes,
-			Counts:    countsJSON(res.Counts),
-			Backend:   res.BackendName,
-			Structure: res.Structure,
-			counts:    res.Counts,
-		}); herr != nil {
-			return herr
-		}
-	}
-	return nil
-}
-
 func (j *job) header(bool) any {
+	run := j.prep.Resolved(0)
 	return &batchLine{
 		Type:      "plan",
 		Batches:   j.numBatches(),
-		Structure: j.runFor(0).Plan.Structure(),
-		Backend:   j.decision().Backend,
-		Decision:  decisionJSON(j.decision()),
+		Structure: run.Plan.Structure(),
+		Backend:   run.Decision.Backend,
+		Decision:  decisionJSON(run.Decision),
 	}
 }
 
@@ -977,17 +861,17 @@ func (j *job) record(sb *ShardBatch) (any, *httpError) {
 }
 
 func (j *job) finish(elapsedMS float64, distributed bool) (body, done any) {
+	c := j.prep.Circuit(0)
 	resp := &JobResponse{
-		Circuit:     j.circuit.Name,
-		Width:       j.circuit.NumQubits,
+		Circuit:     c.Name,
+		Width:       c.NumQubits,
 		Backend:     j.backend,
 		Structure:   j.structure,
 		Outcomes:    j.outcomes,
 		Batches:     j.numBatches(),
 		Counts:      countsJSON(j.merged),
 		ElapsedMS:   elapsedMS,
-		Decision:    decisionJSON(j.decision()),
-		PlanHit:     j.planHit,
+		Decision:    decisionJSON(j.prep.Resolved(0).Decision),
 		Distributed: distributed,
 	}
 	return resp, &batchLine{
@@ -1010,13 +894,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr.status, herr.msg)
 		return
 	}
+	c, run := j.prep.Circuit(0), j.prep.Resolved(0)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"circuit":   j.circuit.Name,
-		"width":     j.circuit.NumQubits,
-		"structure": j.runFor(0).Plan.Structure(),
+		"circuit":   c.Name,
+		"width":     c.NumQubits,
+		"structure": run.Plan.Structure(),
 		"batches":   j.numBatches(),
-		"decision":  decisionJSON(j.decision()),
-		"explain":   j.decision().String(),
+		"decision":  decisionJSON(run.Decision),
+		"explain":   run.Decision.String(),
 	})
 }
 
@@ -1036,9 +921,6 @@ func (s *Server) Snapshot() Stats {
 	s.memMu.Lock()
 	inUse := s.memInUse
 	s.memMu.Unlock()
-	s.planMu.Lock()
-	planEntries, planEvicted := s.planCache.Len(), s.planCache.Evicted()
-	s.planMu.Unlock()
 	st := Stats{
 		JobsCompleted:     s.stats[statCompleted].Load(),
 		JobsFailed:        s.stats[statFailed].Load(),
@@ -1049,10 +931,6 @@ func (s *Server) Snapshot() Stats {
 		BatchesRun:        s.stats[statBatches].Load(),
 		SweepsCompleted:   s.stats[statSweepsCompleted].Load(),
 		SweepPointsRun:    s.stats[statSweepPoints].Load(),
-		PlanCacheHits:     s.stats[statPlanHits].Load(),
-		PlanCacheMisses:   s.stats[statPlanMisses].Load(),
-		PlanCacheEvicted:  planEvicted,
-		PlanCacheEntries:  planEntries,
 		MemoryInUseBytes:  inUse,
 		Draining:          s.Draining(),
 		ShardsDispatched:  s.stats[statShardsDispatched].Load(),

@@ -222,8 +222,8 @@ func TestStreamingBatchesMergeDeterministically(t *testing.T) {
 	}
 }
 
-// TestPlanEndpointAndCache: /v1/plan explains without running, and repeated
-// jobs hit the plan cache.
+// TestPlanEndpointAndCache: /v1/plan explains without running, and jobs
+// after it run as usual.
 func TestPlanEndpointAndCache(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv)
@@ -255,9 +255,6 @@ func TestPlanEndpointAndCache(t *testing.T) {
 		}
 	}
 	st := srv.Snapshot()
-	if st.PlanCacheHits < 2 { // second job + the /v1/plan prewarm
-		t.Fatalf("expected plan cache hits, got %+v", st)
-	}
 	if st.JobsCompleted != 2 {
 		t.Fatalf("jobs completed %d, want 2", st.JobsCompleted)
 	}
@@ -442,49 +439,6 @@ func TestBatchArithmetic(t *testing.T) {
 	}
 	if BatchSeed(7, 1) == 7 || BatchSeed(7, 1) == BatchSeed(7, 2) {
 		t.Fatal("derived batch seeds must differ")
-	}
-}
-
-// TestPlanCacheLRUBounded: the plan cache must stay within its entry cap
-// under many distinct circuits, evicting (and counting) the excess.
-func TestPlanCacheLRUBounded(t *testing.T) {
-	srv := New(Config{PlanCacheEntries: 4})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	// 12 distinct cache keys (shots is part of the key via the batch size).
-	for shots := 100; shots < 112; shots++ {
-		resp, body := postJSON(t, ts.URL+"/v1/plan", &JobRequest{Circuit: "qft_n8", Shots: shots})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("plan %d: %d: %s", shots, resp.StatusCode, body)
-		}
-	}
-	st := srv.Snapshot()
-	if st.PlanCacheEntries > 4 {
-		t.Fatalf("cache grew past its cap: %+v", st)
-	}
-	if st.PlanCacheEvicted < 8 {
-		t.Fatalf("expected >= 8 evictions, got %+v", st)
-	}
-	if st.PlanCacheMisses != 12 {
-		t.Fatalf("expected 12 misses, got %+v", st)
-	}
-
-	// The most recent entry is still cached; the oldest was evicted.
-	resp, _ := postJSON(t, ts.URL+"/v1/plan", &JobRequest{Circuit: "qft_n8", Shots: 111})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatal("recache probe failed")
-	}
-	st2 := srv.Snapshot()
-	if st2.PlanCacheHits != st.PlanCacheHits+1 {
-		t.Fatalf("most recent entry was evicted: %+v", st2)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/plan", &JobRequest{Circuit: "qft_n8", Shots: 100})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatal("evicted-entry probe failed")
-	}
-	if srv.Snapshot().PlanCacheMisses != st2.PlanCacheMisses+1 {
-		t.Fatalf("oldest entry should have been evicted: %+v", srv.Snapshot())
 	}
 }
 

@@ -2,7 +2,7 @@ package serve
 
 // Conformance and regression suite for the content-addressed result store,
 // the cross-job snapshot cache, and the serve-layer cache-correctness
-// fixes (structural circuitHash, ctx-aware acquire, stats consistency).
+// fixes (ctx-aware acquire).
 
 import (
 	"bytes"
@@ -11,15 +11,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
 	"tqsim"
-	"tqsim/internal/circuit"
 	"tqsim/internal/core"
-	"tqsim/internal/gate"
-	"tqsim/internal/qmath"
 )
 
 // storeConfig mirrors tqsimd's defaults: store and snapshot cache on.
@@ -456,7 +452,7 @@ func TestNoSpineWithoutReuse(t *testing.T) {
 	if herr != nil {
 		t.Fatal(herr)
 	}
-	plan := j.runFor(0).Plan
+	plan := j.prep.Resolved(0).Plan
 	footprint, _ := core.DensePeakBytes(plan, 1, true, 0)
 	base, _ := core.DensePeakBytes(plan, 1, false, 0)
 	req.MemoryBudgetBytes = footprint - 1
@@ -476,35 +472,6 @@ func TestNoSpineWithoutReuse(t *testing.T) {
 	if st := srv.Snapshot(); st.SnapshotMisses != 0 || st.SnapshotBytes != 0 {
 		t.Errorf("budget %d under the reuse footprint %d: snapshot_misses %d, snapshot_bytes %d; want 0 and 0",
 			req.MemoryBudgetBytes, footprint, st.SnapshotMisses, st.SnapshotBytes)
-	}
-}
-
-// TestCircuitHashDistinguishesUnitaries is the plan-cache collision
-// regression. The old key hashed canonical QASM and fell back to
-// name/width/length for unserializable circuits, so two same-shape circuits
-// differing only in an explicit unitary matrix shared one plan-cache entry
-// — the second executed the first's cached gate list.
-func TestCircuitHashDistinguishesUnitaries(t *testing.T) {
-	build := func(p complex128) *tqsim.Circuit {
-		u := qmath.Identity(2)
-		u.Set(1, 1, p)
-		c := circuit.New("twin", 2)
-		c.H(0).CX(0, 1)
-		c.Append(gate.NewUnitary(u, "phase", 1))
-		return c
-	}
-	a, b := build(1i), build(-1i)
-	if _, err := tqsim.SerializeQASM(a); err == nil {
-		t.Skip("unitary gates became serializable; the fallback no longer applies")
-	}
-	opt := &tqsim.Options{Backend: tqsim.AutoBackend}
-	ha := circuitHash(a, "DC", "tqsim", opt)
-	hb := circuitHash(b, "DC", "tqsim", opt)
-	if ha == hb {
-		t.Fatal("same-shape circuits with different unitaries share a plan-cache key")
-	}
-	if ha != circuitHash(build(1i), "DC", "tqsim", opt) {
-		t.Fatal("circuitHash is not deterministic")
 	}
 }
 
@@ -570,50 +537,5 @@ func TestQueuedClientDisconnectCancels(t *testing.T) {
 	resp, rbody := postRaw(t, ts.URL+"/v1/jobs", &JobRequest{Circuit: "bv_n10", Noise: "DC", Shots: 100, Seed: 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-cancel job failed: %d: %s", resp.StatusCode, rbody)
-	}
-}
-
-// TestPlanCacheStatsConsistentUnderEviction hammers a tiny plan cache from
-// many goroutines with distinct keys and checks the counter algebra the
-// /v1/stats consumers rely on: every miss either stays resident or books an
-// eviction, under the race detector.
-func TestPlanCacheStatsConsistentUnderEviction(t *testing.T) {
-	srv := New(Config{PlanCacheEntries: 4})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	const goroutines = 8
-	const perG = 12
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				// Distinct shots → distinct plan-cache keys; the /v1/plan
-				// endpoint plans without executing.
-				req := JobRequest{Circuit: "bv_n10", Noise: "DC", Shots: 101 + g*perG + i}
-				buf, _ := json.Marshal(&req)
-				resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader(buf))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				resp.Body.Close()
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	st := srv.Snapshot()
-	if st.PlanCacheMisses != goroutines*perG {
-		t.Fatalf("misses %d, want %d (all keys distinct)", st.PlanCacheMisses, goroutines*perG)
-	}
-	if got := st.PlanCacheMisses - st.PlanCacheEvicted; got != uint64(st.PlanCacheEntries) {
-		t.Fatalf("misses-evicted=%d but entries=%d: a plan was double-counted or lost",
-			got, st.PlanCacheEntries)
-	}
-	if st.PlanCacheEntries > 4 {
-		t.Fatalf("plan cache over its cap: %d entries", st.PlanCacheEntries)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"runtime"
 	"sort"
 
 	"tqsim"
@@ -77,12 +76,70 @@ type sweepLine struct {
 	Error           string  `json:"error,omitempty"`
 }
 
+// prepared is what a job and a sweep share once planned: a prepared sweep
+// whose points are the request's units. Embedded in job and sweepJob, it
+// gives both the same unit count, admission estimate and unit runner.
+type prepared struct {
+	prep *sweep.Prepared
+}
+
+func (p prepared) units() int { return p.prep.NumPoints() }
+
+// peak is one point's admission estimate times the in-process point
+// concurrency: points beyond it never run simultaneously here, and
+// distributed points reserve on the workers that run them. Placement
+// divides worker budgets by the same number — conservative, since each
+// lease may run up to Concurrency points at once. A job's concurrency is 1.
+func (p prepared) peak() int64 {
+	conc := min(max(p.prep.Spec().Concurrency, 1), p.prep.NumPoints())
+	return p.prep.MaxEstPeakBytes() * int64(conc)
+}
+
+// run executes points [from, to) in-process through the prepared sweep,
+// emitting each point in wire form with its numeric histogram attached, so
+// a local unit is merged without parsing its counts back. Emit failures
+// keep their own status (a vanished streaming client books as canceled,
+// not failed).
+func (p prepared) run(ctx context.Context, from, to int, emit func(*ShardBatch) *httpError) *httpError {
+	_, err := tqsim.RunPreparedSweep(ctx, p.prep, from, to, func(pr *tqsim.SweepPointResult) error {
+		sb := &ShardBatch{
+			Batch:      pr.Index,
+			Seed:       pr.Seed,
+			Outcomes:   pr.Outcomes,
+			Counts:     countsJSON(pr.Counts),
+			Backend:    pr.Backend,
+			Structure:  pr.Structure,
+			Ops:        pr.GateApplications,
+			PrefixHits: pr.PrefixReuseHits,
+			ElapsedMS:  millis(pr.Elapsed),
+			counts:     pr.Counts,
+		}
+		if pr.HasFidelity {
+			f := pr.Fidelity
+			sb.Fidelity = &f
+		}
+		if herr := emit(sb); herr != nil {
+			return herr
+		}
+		return nil
+	})
+	var herr *httpError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &herr):
+		return herr
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return errf(statusClientClosedRequest, "cancelled: %v", err)
+	}
+	return errf(http.StatusUnprocessableEntity, "%v", err)
+}
+
 // sweepJob is a validated, fully planned sweep ready to execute.
 type sweepJob struct {
-	prep    *tqsim.PreparedSweep
-	wire    *SweepRequest // spec with host-derived planner inputs pinned
-	estPeak int64
-	stream  bool
+	prepared
+	wire   *SweepRequest // spec with host-derived planner inputs pinned
+	stream bool
 
 	// The response under construction: record folds points in, finish
 	// renders it.
@@ -90,18 +147,9 @@ type sweepJob struct {
 	ops, prefixHits int64
 }
 
-// prepareSweep validates and plans a sweep request. The two planner inputs
-// that default from host/server state — memory budget and worker count —
-// are pinned into the spec first, so a worker re-preparing the wire spec
-// resolves every point's "auto" decision to the same engine the
-// coordinator did (the same pinning the job path does).
+// prepareSweep validates and plans a sweep request under the pin rule
+// jobs use (Server.plan).
 func (s *Server) prepareSweep(req *SweepRequest) (*sweepJob, *httpError) {
-	if req.Spec.MemoryBudgetBytes == 0 {
-		req.Spec.MemoryBudgetBytes = s.cfg.MemoryBudgetBytes
-	}
-	if req.Spec.Parallelism == 0 {
-		req.Spec.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	for _, n := range req.Spec.Shots {
 		if n > s.cfg.MaxShots {
 			return nil, errf(http.StatusRequestEntityTooLarge,
@@ -114,40 +162,18 @@ func (s *Server) prepareSweep(req *SweepRequest) (*sweepJob, *httpError) {
 		return nil, errf(http.StatusRequestEntityTooLarge,
 			"sweep expands to %d points, above the server limit %d", n, s.cfg.MaxSweepPoints)
 	}
-	prep, err := tqsim.PrepareSweep(&req.Spec)
-	if err != nil {
-		var pe *sweep.PlanError
-		if errors.As(err, &pe) {
-			s.stats[statMemory].Add(1)
-			return nil, errf(http.StatusRequestEntityTooLarge, "planner: %v", err)
-		}
-		return nil, errf(http.StatusBadRequest, "%v", err)
+	prep, herr := s.plan(&req.Spec)
+	if herr != nil {
+		return nil, herr
 	}
 	if n := prep.MaxOutcomes(); n > s.cfg.MaxShots {
 		return nil, errf(http.StatusRequestEntityTooLarge,
 			"a sweep point samples %d outcomes, above the server limit %d", n, s.cfg.MaxShots)
 	}
-
-	// Admission: one point's peak times the in-process point concurrency
-	// (points beyond it never run simultaneously here; distributed points
-	// reserve on the workers that run them). Placement divides worker
-	// budgets by the same scaled estimate — conservative: each lease may
-	// run up to Concurrency points at once.
-	conc := min(max(prep.Spec().Concurrency, 1), prep.NumPoints())
-	sj := &sweepJob{
-		prep:    prep,
-		estPeak: prep.MaxEstPeakBytes() * int64(conc),
-		stream:  req.Stream == nil || *req.Stream,
-	}
-	// Points take their spines from the cross-job cache (when enabled, else
-	// the sweep's own): spine states an earlier job or sweep computed over a
-	// shared gate prefix are adopted instead of rebuilt.
-	prep.UseSnapshotCache(s.snapCache)
 	wire := SweepRequest{Spec: *prep.Spec()}
 	stream := false
 	wire.Stream = &stream
-	sj.wire = &wire
-	return sj, nil
+	return &sweepJob{prepared: prepared{prep}, wire: &wire, stream: req.Stream == nil || *req.Stream}, nil
 }
 
 // preparedSweepForLease returns the prepared sweep for a shard lease,
@@ -199,51 +225,13 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// The work implementation: a sweep's units are its grid points.
+// The work implementation: a sweep's units are its grid points; units,
+// peak and run come with the embedded prepared sweep.
 
-func (sj *sweepJob) units() int                      { return sj.prep.NumPoints() }
-func (sj *sweepJob) peak() int64                     { return sj.estPeak }
 func (sj *sweepJob) counters() (unit, completed int) { return statSweepPoints, statSweepsCompleted }
 
 func (sj *sweepJob) lease(from, to int) *ShardRequest {
 	return &ShardRequest{Sweep: sj.wire, From: from, To: to}
-}
-
-// run executes points [from, to) in-process through the prepared sweep,
-// emitting each point in wire form. Emit failures keep their own status (a
-// vanished streaming client books as canceled, not failed).
-func (sj *sweepJob) run(ctx context.Context, from, to int, emit func(*ShardBatch) *httpError) *httpError {
-	_, err := tqsim.RunPreparedSweep(ctx, sj.prep, from, to, func(pr *tqsim.SweepPointResult) error {
-		sb := &ShardBatch{
-			Batch:      pr.Index,
-			Seed:       pr.Seed,
-			Outcomes:   pr.Outcomes,
-			Counts:     countsJSON(pr.Counts),
-			Backend:    pr.Backend,
-			Structure:  pr.Structure,
-			Ops:        pr.GateApplications,
-			PrefixHits: pr.PrefixReuseHits,
-			ElapsedMS:  millis(pr.Elapsed),
-		}
-		if pr.HasFidelity {
-			f := pr.Fidelity
-			sb.Fidelity = &f
-		}
-		if herr := emit(sb); herr != nil {
-			return herr
-		}
-		return nil
-	})
-	var herr *httpError
-	switch {
-	case err == nil:
-		return nil
-	case errors.As(err, &herr):
-		return herr
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return errf(statusClientClosedRequest, "sweep cancelled: %v", err)
-	}
-	return errf(http.StatusUnprocessableEntity, "sweep: %v", err)
 }
 
 func (sj *sweepJob) header(distributed bool) any {

@@ -627,6 +627,11 @@ func (p *Prepared) Circuit(i int) *circuit.Circuit {
 	return p.circuits[p.points[i].CircuitIndex]
 }
 
+// Resolved returns the run point i executes: its plan, engine, worker count,
+// admission estimate and planner decision, shared by every point of its
+// cell.
+func (p *Prepared) Resolved(i int) *planner.Resolved { return p.entries[p.keys[i]].run }
+
 // Spec returns the normalized spec (axes defaulted, repeats clamped).
 func (p *Prepared) Spec() *Spec { return &p.spec }
 

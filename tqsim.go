@@ -228,8 +228,8 @@ func (o Options) dcpOptions() partition.DCPOptions {
 // PlanDCP builds the Dynamic Circuit Partition plan for a circuit, noise
 // model, and shot budget. Planning is deterministic: the same inputs (with
 // an explicit CopyCost — zero selects the fixed default, never a host
-// profile) always produce the same tree, which is what lets tqsimd cache
-// plans by job key.
+// profile) always produce the same tree, which is what lets a tqsimd
+// worker re-plan a leased job exactly as its coordinator did.
 func PlanDCP(c *Circuit, m *NoiseModel, shots int, opt Options) *Plan {
 	return partition.Dynamic(c, m, shots, opt.dcpOptions())
 }
@@ -344,7 +344,7 @@ func NewSnapshotCache(maxBytes int64) *SnapshotCache {
 // plus the full gate list (kinds, operand qubits, parameter bits, explicit
 // matrix bytes). Total where QASM serialization is not (raw unitaries have
 // no QASM 2.0 form), and collision-resistant where a name/shape fallback is
-// not — the identity tqsimd keys its plan cache and result store by.
+// not — the identity tqsimd keys its result store by.
 func CircuitDigest(c *Circuit) string { return c.Digest() }
 
 // IdealDistribution returns the exact noise-free outcome distribution —

@@ -17,7 +17,7 @@ type Benchmark = workloads.Bench
 // Workload generators — the paper's Table 2 benchmark classes. Every
 // generator is a pure function of its arguments: the same (width, inputs,
 // seed) always yields the gate-identical circuit, so seeded workloads can be
-// regenerated on any host (the tqsimd plan cache and the decision-table
+// regenerated on any host (tqsimd's named jobs and the decision-table
 // tests rely on this).
 
 // AdderCircuit builds a Cuccaro ripple-carry adder over nBits-bit operands
