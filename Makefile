@@ -51,7 +51,9 @@ fuzz-smoke:
 	$(GO) test ./internal/sweep -run xxx -fuzz FuzzSweepPrepare -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzJobPrepare -fuzztime 10s
 
-# Full figure/table benchmark sweep (slow).
+# Every root figure/table benchmark once (-benchtime 1x): a smoke run, so a
+# benchmark that panics fails the build. CI runs this target; time a
+# benchmark with -bench <name> -benchtime <d> instead.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
@@ -61,4 +63,4 @@ bench:
 benchmark:
 	bash benchmark/run.sh -seed 1
 
-ci: build vet lint race fuzz-smoke benchmark docs-check
+ci: build vet lint race fuzz-smoke bench benchmark docs-check

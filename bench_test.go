@@ -170,16 +170,16 @@ func BenchmarkFig12_FusionBackend(b *testing.B) {
 	reportComparison(b, last)
 }
 
-// BenchmarkFig13_Cluster measures the distributed engine and prices the
-// scaling model (Figure 13).
+// BenchmarkFig13_Cluster runs the qft_n12 gate stream on the cluster
+// backend over 16 shards and prices the scaling model (Figure 13).
 func BenchmarkFig13_Cluster(b *testing.B) {
 	m := noise.NewSycamore()
 	b.Run("diststate-16nodes", func(b *testing.B) {
 		c := workloads.QFT(12, true)
 		for i := 0; i < b.N; i++ {
-			d := cluster.NewDistState(12, 16)
+			be, st := cluster.NewBackend(16), statevec.NewZero(12)
 			for _, g := range c.Gates {
-				d.Apply(g)
+				be.Apply(st, g)
 			}
 		}
 	})

@@ -50,7 +50,7 @@ func main() {
 		copyCost    = flag.Float64("copycost", 0, "state copy cost in gate-equivalents (0 = profile)")
 		backendName = flag.String("backend", "", "execution engine: auto, "+strings.Join(tqsim.Backends(), ", ")+" (default: auto for tqsim/compare, statevec for baseline)")
 		explain     = flag.Bool("explain", false, "print the planner's engine decision (chosen + rejected candidates) before running")
-		nodes       = flag.Int("nodes", 0, "cluster backend shard count (power of two; 0 = default)")
+		nodes       = flag.Int("nodes", 0, "cluster backend shard count (0 = default; rounds down to a power of two)")
 		topK        = flag.Int("top", 8, "top outcomes to print")
 		list        = flag.Bool("list", false, "list the benchmark suite and exit")
 		sweepPath   = flag.String("sweep", "", "run a parameter/noise sweep from a JSON spec file (tqsim.SweepSpec)")

@@ -1,13 +1,21 @@
-// Backend adapts the sharded distributed-state engine to the tree
-// executor's gate-apply interface: every gate routes through a DistState
-// view built over the executor-owned amplitude array (see Over), so the
-// real inter-shard exchange code paths run — and their communication volume
-// is accounted — while the numerics stay bitwise identical to the
-// single-node engine (local gates reuse the statevec kernels; global-gate
-// loops use the same multiply-add ordering).
+// Package cluster implements the multi-node substrate of the paper's
+// Section 5.3 (the qHiPSTER role): a "cluster" backend that runs a state
+// vector as if its 2^n amplitudes were sharded over P (power-of-two) nodes,
+// plus an interconnect cost model that prices a gate stream's compute and
+// communication with configurable node and network parameters, which is how
+// a single machine reproduces the *shape* of 32-node scaling (Figure 13).
+//
+// Shard i owns the i-th contiguous 2^(n-g) amplitudes of the little-endian
+// array, g = log2(P), so qubits [n-g, n) are global: a gate on one of them
+// needs amplitudes from other shards. The backend applies every gate with
+// the single-node statevec kernels — the numerics are the dense engine's,
+// bit for bit — and books the exchange a real cluster would make for it
+// (Traffic); which exchange that is depends only on the register width, the
+// shard count and how many of the gate's qubits are global.
 package cluster
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"tqsim/internal/core"
@@ -15,112 +23,76 @@ import (
 	"tqsim/internal/statevec"
 )
 
-// trafficStats aggregates exchange accounting. It is shared (by pointer)
-// between a backend and its forks, so Traffic() on the caller's instance
-// sees parallel workers' totals; deltas are rolled in per gate with
-// atomics (one exchange moves at least a shard half, so the atomic adds
-// are noise).
-type trafficStats struct {
-	bytes     atomic.Int64
-	exchanges atomic.Int64
-}
-
 // DefaultNodes is the shard count used when none is configured — the
 // smallest cluster with two levels of global qubits.
 const DefaultNodes = 4
 
-// Backend implements core.Backend and core.Forker over DistState views.
+// log2floor returns floor(log2(v)) for v >= 1.
+func log2floor(v int) int { return bits.Len(uint(v)) - 1 }
+
+// Shards is the shard count a request for the given node count gets on an
+// n-qubit register: a request <= 0 means DefaultNodes, others round down to
+// a power of two (as a scheduler places shards), and every shard keeps at
+// least one local qubit, so a narrow register shards over fewer nodes (down
+// to one, plain single-node application).
+func Shards(requested, qubits int) int {
+	if requested <= 0 {
+		requested = DefaultNodes
+	}
+	return 1 << max(min(log2floor(requested), qubits-1), 0)
+}
+
+// exchange returns the traffic a one- or two-qubit gate books on an n-qubit
+// register split into nodes shards when global of its operands are global
+// qubits. One global qubit pairs shards whose index differs in that bit, and
+// each partner sends its whole shard to the other; two global qubits make an
+// all-to-all inside each group of four shards. A local gate books nothing.
+func exchange(n, nodes, global int) (bytes, exchanges int64) {
+	shard := statevec.StateBytes(n - log2floor(nodes))
+	switch global {
+	case 1:
+		return int64(nodes) * shard, int64(nodes / 2)
+	case 2:
+		return int64(nodes/4) * 3 * shard, int64(nodes/4) * 3
+	}
+	return 0, 0
+}
+
+// Backend implements core.Backend for the sharded engine. It holds no
+// per-state data, so one instance serves every worker of a parallel run.
 type Backend struct {
 	nodes int
-	// views caches one DistState per executor state buffer; buffers are
-	// reused across the whole tree walk, so this stays at one entry per
-	// tree level within a run (and is bounded across runs, see view).
-	views map[*statevec.State]*DistState
-	stats *trafficStats
+	// bytes and exchanges total the traffic booked by every gate applied
+	// through this instance.
+	bytes, exchanges atomic.Int64
 }
 
-// NewBackend returns a cluster backend sharding over the given node count
-// (<= 0 selects DefaultNodes; other values round down to a power of two,
-// matching how a scheduler would place shards). Registers too narrow to
-// give every shard at least one local qubit fall back to fewer nodes, down
-// to plain single-node application.
-func NewBackend(nodes int) *Backend {
-	if nodes <= 0 {
-		nodes = DefaultNodes
-	}
-	nodes = 1 << uint(log2floor(nodes))
-	return &Backend{
-		nodes: nodes,
-		views: make(map[*statevec.State]*DistState),
-		stats: &trafficStats{},
-	}
-}
-
-// log2floor returns floor(log2(v)) for v >= 1.
-func log2floor(v int) int {
-	g := 0
-	for 1<<uint(g+1) <= v {
-		g++
-	}
-	return g
-}
+// NewBackend returns a cluster backend sharding each state as Shards(nodes,
+// width) decides.
+func NewBackend(nodes int) *Backend { return &Backend{nodes: nodes} }
 
 // Name implements core.Backend.
 func (b *Backend) Name() string { return "cluster" }
 
-// Fork implements core.Forker: view caches are per-worker state; the
-// traffic counters stay shared so the caller's instance sees the totals.
-func (b *Backend) Fork() core.Backend {
-	return &Backend{
-		nodes: b.nodes,
-		views: make(map[*statevec.State]*DistState),
-		stats: b.stats,
-	}
-}
-
-// maxCachedViews bounds the view cache. A tree run touches levels+1 state
-// buffers, so the bound is never hit within a run; it exists so a backend
-// reused across many Executor runs (each allocating fresh buffers) does not
-// retain every dead run's amplitude arrays through stale views.
-const maxCachedViews = 64
-
-// view returns (building if needed) the DistState aliasing s, or nil when s
-// is too narrow to shard at all.
-func (b *Backend) view(s *statevec.State) *DistState {
-	if d, ok := b.views[s]; ok {
-		return d
-	}
-	if len(b.views) >= maxCachedViews {
-		// Accounting is rolled into stats per gate, so eviction loses
-		// nothing.
-		clear(b.views)
-	}
-	nodes := b.nodes
-	for nodes > 1 && s.NumQubits()-log2pow(nodes) < 1 {
-		nodes >>= 1
-	}
-	var d *DistState
-	if nodes > 1 {
-		d = Over(s, nodes)
-	}
-	b.views[s] = d
-	return d
-}
-
-// Apply implements core.Backend. Gates wider than two qubits are applied on
-// the gathered view (a real deployment would decompose them; the suite's
-// generators emit 1q/2q streams when asked).
+// Apply implements core.Backend: the gate runs through the statevec kernels
+// and its exchange is booked. Identity gates and gates wider than two qubits
+// (a real deployment decomposes them first) book nothing.
 func (b *Backend) Apply(s *statevec.State, g gate.Gate) {
-	d := b.view(s)
-	if d == nil || g.Arity() > 2 {
-		s.Apply(g)
+	s.Apply(g)
+	if g.Kind == gate.KindI || g.Arity() > 2 {
 		return
 	}
-	beforeBytes, beforeExch := d.BytesSent, d.Exchanges
-	d.Apply(g)
-	if delta := d.BytesSent - beforeBytes; delta != 0 {
-		b.stats.bytes.Add(delta)
-		b.stats.exchanges.Add(d.Exchanges - beforeExch)
+	n := s.NumQubits()
+	nodes := Shards(b.nodes, n)
+	local, global := n-log2floor(nodes), 0
+	for _, q := range g.Qubits {
+		if q >= local {
+			global++
+		}
+	}
+	if bytes, exch := exchange(n, nodes, global); bytes != 0 {
+		b.bytes.Add(bytes)
+		b.exchanges.Add(exch)
 	}
 }
 
@@ -128,18 +100,14 @@ func (b *Backend) Apply(s *statevec.State, g gate.Gate) {
 func (b *Backend) Flush(*statevec.State) {}
 
 // Traffic returns the communication accounting across every gate this
-// backend (and its forks, including parallel workers) has applied: total
-// bytes exchanged between shards and pairwise exchange rounds, cumulative
-// over the backend's lifetime.
+// backend has applied, parallel workers included: total bytes exchanged
+// between shards and pairwise exchange rounds, cumulative over the
+// backend's lifetime.
 func (b *Backend) Traffic() (bytesSent, exchanges int64) {
-	return b.stats.bytes.Load(), b.stats.exchanges.Load()
+	return b.bytes.Load(), b.exchanges.Load()
 }
 
-// Compile-time interface checks.
-var (
-	_ core.Backend = (*Backend)(nil)
-	_ core.Forker  = (*Backend)(nil)
-)
+var _ core.Backend = (*Backend)(nil)
 
 func init() {
 	core.Register("cluster", func() core.Backend { return NewBackend(0) })

@@ -44,93 +44,101 @@ func randomGateStream(n int, count int, seed uint64) []gate.Gate {
 	return gs
 }
 
+// applyBoth runs gs through a Backend over nodes shards and through
+// State.Apply, and fails unless the amplitudes are bitwise equal.
+func applyBoth(t *testing.T, n, nodes int, gs []gate.Gate) {
+	t.Helper()
+	ref, got := statevec.NewZero(n), statevec.NewZero(n)
+	b := NewBackend(nodes)
+	for _, g := range gs {
+		ref.Apply(g)
+		b.Apply(got, g)
+	}
+	rr, ri := ref.Components()
+	gr, gi := got.Components()
+	for i := range rr {
+		if gr[i] != rr[i] || gi[i] != ri[i] {
+			t.Fatalf("%d nodes: amplitude %d is %v, single node %v", nodes, i,
+				got.Amplitude(uint64(i)), ref.Amplitude(uint64(i)))
+		}
+	}
+}
+
+// TestDistStateMatchesSingleNode: a random 1q/2q stream on the cluster
+// backend gives the single-node amplitudes at every shard count.
 func TestDistStateMatchesSingleNode(t *testing.T) {
 	const n = 6
 	gs := randomGateStream(n, 40, 3)
-	ref := statevec.NewZero(n)
-	for _, g := range gs {
-		ref.Apply(g)
-	}
 	for _, nodes := range []int{1, 2, 4, 8, 16} {
-		d := NewDistState(n, nodes)
-		for _, g := range gs {
-			d.Apply(g)
-		}
-		got := d.Gather()
-		if dist := qmath.VecDistance(got.Amplitudes(), ref.Amplitudes()); dist > 1e-9 {
-			t.Errorf("%d nodes: distributed result deviates by %v", nodes, dist)
-		}
+		applyBoth(t, n, nodes, gs)
 	}
 }
 
+// TestDistStateCommunicationAccounting pins the traffic rule: each gate's
+// booked bytes and exchanges, on a fresh backend.
 func TestDistStateCommunicationAccounting(t *testing.T) {
-	const n = 5
-	d := NewDistState(n, 4) // global qubits: 3, 4
-	d.Apply(gate.New(gate.KindH, 0))
-	if d.BytesSent != 0 {
-		t.Fatalf("local gate sent %d bytes", d.BytesSent)
+	cases := []struct {
+		n, nodes        int
+		g               gate.Gate
+		bytes, exchange int64
+	}{
+		// 5 qubits on 4 shards: qubits 3 and 4 are global, a shard is
+		// 8 amplitudes = 128 B.
+		{5, 4, gate.New(gate.KindH, 0), 0, 0},
+		{5, 4, gate.New(gate.KindH, 4), 512, 2},
+		{5, 4, gate.New(gate.KindCX, 3, 4), 384, 3},
+		{5, 4, gate.New(gate.KindCX, 0, 4), 512, 2},
+		{5, 4, gate.NewParam(gate.KindRZ, []float64{0.3}, 3), 512, 2},
+		{5, 4, gate.New(gate.KindCCX, 2, 3, 4), 0, 0},
+		{5, 4, gate.New(gate.KindI, 4), 0, 0},
+		// 2 qubits cannot give 8 shards a local qubit each: 2 shards.
+		{2, 8, gate.New(gate.KindH, 1), 64, 1},
+		// A node count rounds down to a power of two: 6 books like 4.
+		{5, 6, gate.New(gate.KindH, 4), 512, 2},
+		{5, 6, gate.New(gate.KindCX, 3, 4), 384, 3},
+		// A single shard exchanges nothing.
+		{5, 1, gate.New(gate.KindH, 4), 0, 0},
 	}
-	d.Apply(gate.New(gate.KindH, 4))
-	if d.BytesSent == 0 {
-		t.Fatal("global gate sent nothing")
-	}
-	before := d.BytesSent
-	d.Apply(gate.New(gate.KindCX, 3, 4)) // both global
-	if d.BytesSent <= before {
-		t.Fatal("global 2q gate sent nothing")
+	for _, tc := range cases {
+		b := NewBackend(tc.nodes)
+		b.Apply(statevec.NewZero(tc.n), tc.g)
+		if bytes, exch := b.Traffic(); bytes != tc.bytes || exch != tc.exchange {
+			t.Errorf("%d qubits, %d nodes, %v: %d B / %d exchanges, want %d B / %d",
+				tc.n, tc.nodes, tc.g, bytes, exch, tc.bytes, tc.exchange)
+		}
 	}
 }
 
+// TestDistStateMixedLocalityGate: gates with one local and one global
+// operand, either way round, match the single-node engine bitwise.
 func TestDistStateMixedLocalityGate(t *testing.T) {
-	const n = 5
-	gs := []gate.Gate{
+	applyBoth(t, 5, 4, []gate.Gate{
 		gate.New(gate.KindH, 0),
 		gate.New(gate.KindCX, 0, 4),   // local control, global target
 		gate.New(gate.KindCX, 4, 1),   // global control, local target
 		gate.New(gate.KindCZ, 3, 4),   // both global
 		gate.New(gate.KindSWAP, 2, 3), // local/global
-	}
-	ref := statevec.NewZero(n)
-	for _, g := range gs {
-		ref.Apply(g)
-	}
-	d := NewDistState(n, 4)
-	for _, g := range gs {
-		d.Apply(g)
-	}
-	if dist := qmath.VecDistance(d.Gather().Amplitudes(), ref.Amplitudes()); dist > 1e-10 {
-		t.Fatalf("mixed locality deviates by %v", dist)
-	}
+	})
 }
 
-func TestDistStateCloneAndReset(t *testing.T) {
-	d := NewDistState(4, 2)
-	d.Apply(gate.New(gate.KindH, 0))
-	c := d.Clone()
-	c.Apply(gate.New(gate.KindX, 3))
-	if qmath.VecDistance(c.Gather().Amplitudes(), d.Gather().Amplitudes()) < 1e-12 {
-		t.Fatal("clone aliases parent")
-	}
-	d.ResetZero()
-	if d.Gather().Prob(0) != 1 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestDistStateRejectsBadShapes(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewDistState(4, 3) }, // not a power of two
-		func() { NewDistState(2, 8) }, // more shards than amplitudes/2
-		func() { NewDistState(3, 8).Apply(gate.New(gate.KindCCX, 0, 1, 2)) },
+// TestShards: the one shard-count rule, including requests whose log2 loop
+// would never end and counts that are not a power of two.
+func TestShards(t *testing.T) {
+	for _, tc := range []struct{ requested, qubits, want int }{
+		{0, 10, DefaultNodes},
+		{-3, 10, DefaultNodes},
+		{1, 10, 1},
+		{6, 10, 4},
+		{8, 10, 8},
+		{8, 3, 4},
+		{8, 1, 1},
+		{0, 2, 2},
+		{1 << 62, 12, 1 << 11},
+		{math.MaxInt, 30, 1 << 29},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("bad shape accepted")
-				}
-			}()
-			f()
-		}()
+		if got := Shards(tc.requested, tc.qubits); got != tc.want {
+			t.Errorf("Shards(%d, %d) = %d, want %d", tc.requested, tc.qubits, got, tc.want)
+		}
 	}
 }
 
@@ -197,15 +205,5 @@ func TestCostReportComposition(t *testing.T) {
 	rep1 := DefaultNetwork(1).EstimateBaseline(c, m, 10)
 	if rep1.CommSec != 0 {
 		t.Fatalf("1-node comm %v", rep1.CommSec)
-	}
-}
-
-func TestShardBytes(t *testing.T) {
-	d := NewDistState(10, 4)
-	if d.ShardBytes() != 16*(1<<8) {
-		t.Fatalf("shard bytes %d", d.ShardBytes())
-	}
-	if d.LocalQubits() != 8 || d.Nodes() != 4 || d.NumQubits() != 10 {
-		t.Fatal("shape accessors wrong")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"tqsim/internal/circuit"
 	"tqsim/internal/noise"
 	"tqsim/internal/partition"
+	"tqsim/internal/statevec"
 )
 
 // NetworkConfig parameterizes the interconnect and node compute rate of the
@@ -37,12 +38,11 @@ func DefaultNetwork(nodes int) NetworkConfig {
 }
 
 // globalQubits returns log2(nodes).
-func (c NetworkConfig) globalQubits() int {
-	g := 0
-	for 1<<uint(g) < c.Nodes {
-		g++
-	}
-	return g
+func (c NetworkConfig) globalQubits() int { return log2floor(max(c.Nodes, 1)) }
+
+// shardBytes returns one node's share of an n-qubit state.
+func (c NetworkConfig) shardBytes(n int) float64 {
+	return float64(statevec.StateBytes(n - c.globalQubits()))
 }
 
 // CostReport prices one workload on the modeled cluster.
@@ -75,8 +75,7 @@ func (c NetworkConfig) gateCost(n int, qubits []int, expectedNoiseOps float64) (
 		}
 	}
 	if global {
-		shardBytes := shardAmps * 16
-		comm = (c.LatencySec + shardBytes/c.BandwidthBytesPerSec) * kernels
+		comm = (c.LatencySec + c.shardBytes(n)/c.BandwidthBytesPerSec) * kernels
 	}
 	return compute, comm, global
 }
@@ -96,7 +95,7 @@ func (c NetworkConfig) EstimateShot(ckt *circuit.Circuit, m *noise.Model) CostRe
 		rep.CommSec += comm
 		if global {
 			globalGates++
-			rep.BytesPerNode += math.Pow(2, float64(ckt.NumQubits-c.globalQubits())) * 16
+			rep.BytesPerNode += c.shardBytes(ckt.NumQubits)
 		}
 	}
 	if len(ckt.Gates) > 0 {
@@ -120,7 +119,7 @@ func clamp01(x float64) float64 {
 // trajectories plus one state re-initialization each.
 func (c NetworkConfig) EstimateBaseline(ckt *circuit.Circuit, m *noise.Model, shots int) CostReport {
 	shot := c.EstimateShot(ckt, m)
-	shardBytes := math.Pow(2, float64(ckt.NumQubits-c.globalQubits())) * 16
+	shardBytes := c.shardBytes(ckt.NumQubits)
 	rep := CostReport{
 		Nodes:           c.Nodes,
 		ComputeSec:      shot.ComputeSec * float64(shots),
@@ -140,7 +139,7 @@ func (c NetworkConfig) EstimatePlan(plan *partition.Plan, m *noise.Model) CostRe
 	rep := CostReport{Nodes: c.Nodes}
 	subs := plan.Subcircuits()
 	inst := plan.Instances()
-	shardBytes := math.Pow(2, float64(plan.Circuit.NumQubits-c.globalQubits())) * 16
+	shardBytes := c.shardBytes(plan.Circuit.NumQubits)
 	for i, sc := range subs {
 		shot := c.EstimateShot(sc, m)
 		k := float64(inst[i])

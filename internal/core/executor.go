@@ -179,10 +179,12 @@ func SubtreeSpan(arities []int, level int) uint64 {
 
 // QuietReuse reports whether a dense tree run on the named backend under m
 // reuses quiet segments: plain dense kernels (shadow backends keep their own
-// cheap representation; buffering and sharded backends apply gates through
-// other code paths than the spine is built with) under a non-ideal model
-// whose firing decisions are state-independent (Pauli-only). An ideal run
-// walks the full tree, so its accounting stays plan-exact.
+// cheap representation; a buffering backend applies gates through other
+// code paths than the spine is built with; the cluster backend books
+// traffic per applied gate, so skipping gates would change its traffic and
+// gate-op counts) under a non-ideal model whose firing decisions are
+// state-independent (Pauli-only). An ideal run walks the full tree, so its
+// accounting stays plan-exact.
 func QuietReuse(backend string, m *noise.Model) bool {
 	return backend == PlainBackend{}.Name() && quietNoise(m)
 }

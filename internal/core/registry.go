@@ -8,7 +8,8 @@ import (
 
 // Factory constructs a fresh Backend instance. Factories must be cheap: the
 // facade builds a new backend per run so stateful backends (fusion buffers,
-// stabilizer shadows, cluster views) never leak state between runs.
+// stabilizer shadows, cluster traffic counters) never leak state between
+// runs.
 type Factory func() Backend
 
 // registry maps backend names to factories. Engine packages register

@@ -15,10 +15,9 @@ package hpcmodel
 import (
 	"fmt"
 	"math"
-)
 
-// BytesPerAmplitude is the storage of one complex128 amplitude.
-const BytesPerAmplitude = 16
+	"tqsim/internal/statevec"
+)
 
 // FormatBytes renders a byte count with a binary-prefix unit (KiB … EiB),
 // e.g. 17179869184 -> "16 GiB". Every memory estimate the planner, the
@@ -43,25 +42,25 @@ func FormatBytes(b float64) string {
 
 // StatevectorBytes returns the memory of an n-qubit state vector: 16 * 2^n.
 func StatevectorBytes(n int) float64 {
-	return BytesPerAmplitude * math.Pow(2, float64(n))
+	return statevec.AmpBytes * math.Pow(2, float64(n))
 }
 
 // DensityMatrixBytes returns the memory of an n-qubit density matrix:
 // 16 * 4^n.
 func DensityMatrixBytes(n int) float64 {
-	return BytesPerAmplitude * math.Pow(4, float64(n))
+	return statevec.AmpBytes * math.Pow(4, float64(n))
 }
 
 // MaxQubitsStatevector returns the widest register a memory budget holds as
 // a state vector.
 func MaxQubitsStatevector(budgetBytes float64) int {
-	return int(math.Floor(math.Log2(budgetBytes / BytesPerAmplitude)))
+	return int(math.Floor(math.Log2(budgetBytes / statevec.AmpBytes)))
 }
 
 // MaxQubitsDensityMatrix returns the widest register a memory budget holds
 // as a density matrix.
 func MaxQubitsDensityMatrix(budgetBytes float64) int {
-	return int(math.Floor(math.Log2(budgetBytes/BytesPerAmplitude) / 2))
+	return int(math.Floor(math.Log2(budgetBytes/statevec.AmpBytes) / 2))
 }
 
 // Reference memory capacities for Figure 4's horizontal lines.

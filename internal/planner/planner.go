@@ -22,6 +22,7 @@ package planner
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 
@@ -58,9 +59,9 @@ const (
 	// FusionNoisePenalty is the buffer-management overhead fusion pays when
 	// per-gate noise forces a flush after every gate.
 	FusionNoisePenalty = 0.02
-	// ClusterPenalty is the single-host overhead of the sharded engine's
-	// inter-shard exchanges. It keeps cluster from being auto-selected
-	// unless the caller asked for shards (Budget.ClusterNodes > 0).
+	// ClusterPenalty keeps cluster from being auto-selected unless the
+	// caller asked for shards (Budget.ClusterNodes > 0): on a single host it
+	// runs statevec's kernels and only adds the traffic booking.
 	ClusterPenalty = 0.20
 )
 
@@ -85,6 +86,7 @@ type Budget struct {
 	Parallelism int
 	// ClusterNodes requests the sharded engine with that many virtual nodes
 	// (0 = no preference; cluster then only runs if explicitly selected).
+	// The run gets cluster.Shards(ClusterNodes, width) of them.
 	ClusterNodes int
 	// FullWalk says the run will be a core.Executor.FullWalk one (a sweep's
 	// NoReuse reference), so dense peak estimates leave the quiet-segment
@@ -129,7 +131,8 @@ type Decision struct {
 	Mode string
 	// Parallelism is the chosen worker count.
 	Parallelism int
-	// ClusterNodes is the shard count when Backend is "cluster"; 0 otherwise.
+	// ClusterNodes is the shard count the run uses (cluster.Shards) when
+	// Backend is "cluster"; 0 otherwise.
 	ClusterNodes int
 	// EstCost and EstPeakBytes echo the chosen candidate's estimates.
 	EstCost      float64
@@ -228,7 +231,7 @@ func analyze(p *partition.Plan, m *noise.Model, b Budget) analysis {
 		model:    m,
 	}
 	a.clifford = a.prefix == a.total
-	a.denseAmps = hpcmodel.StatevectorBytes(a.n) / hpcmodel.BytesPerAmplitude
+	a.denseAmps = math.Pow(2, float64(a.n))
 	a.denseCost = (a.gateWork + a.copyWork) * a.denseAmps
 	a.workers = b.Parallelism
 	if a.workers < 1 {
@@ -335,10 +338,7 @@ func Decide(p *partition.Plan, m *noise.Model, b Budget) (*Decision, error) {
 	d.EstCost = chosen.EstCost
 	d.EstPeakBytes = chosen.EstPeakBytes
 	if chosen.Backend == "cluster" {
-		d.ClusterNodes = b.ClusterNodes
-		if d.ClusterNodes <= 0 {
-			d.ClusterNodes = cluster.DefaultNodes
-		}
+		d.ClusterNodes = cluster.Shards(b.ClusterNodes, a.n)
 	}
 	d.Why = fmt.Sprintf("%s (%s): %s", d.Backend, modeOrDefault(chosen), chosen.Reason)
 	return d, nil
@@ -459,10 +459,9 @@ func candFusion(a analysis, b Budget, m *noise.Model) Candidate {
 }
 
 func candCluster(a analysis, b Budget) Candidate {
-	nodes := b.ClusterNodes
 	why := fmt.Sprintf("single-host shard exchanges add ~%.0f%% overhead; select explicitly or set ClusterNodes", 100*ClusterPenalty)
-	if nodes > 0 {
-		why = fmt.Sprintf("explicit request for %d shards", nodes)
+	if b.ClusterNodes > 0 {
+		why = fmt.Sprintf("explicit request for %d shards", cluster.Shards(b.ClusterNodes, a.n))
 	}
 	return candDense(a, b, "cluster", a.denseCost*(1+ClusterPenalty), why)
 }

@@ -49,8 +49,9 @@ type Resolved struct {
 	Backend, Mode string
 	// Parallelism is the worker count the run uses, in [1, first-level
 	// arity]: the Decision's (memory-clamped) for an auto run, the requested
-	// one for an explicit run. ClusterNodes is the cluster engine's shard
-	// count (0 = its default).
+	// one for an explicit run. ClusterNodes is the requested shard count
+	// (0 = the default), which the cluster backend resolves per state with
+	// cluster.Shards.
 	Parallelism, ClusterNodes int
 	// EstPeakBytes is the peak state memory of this configuration: the
 	// admission estimate, and the PeakStateBytes the run will report.

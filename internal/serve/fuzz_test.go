@@ -12,8 +12,9 @@ import (
 
 // fuzzJobs seeds FuzzJobPrepare: a named circuit, an unknown name, inline
 // QASM, both programs at once, shots above the server's limit, a small
-// job of a ragged batch split that runs end to end, and a split into more
-// batches than a sweep may have points.
+// job of a ragged batch split that runs end to end, a split into more
+// batches than a sweep may have points, and a cluster job asking for 2^62
+// shards.
 var fuzzJobs = []string{
 	`{"circuit":"qft_n8","noise":"DC","shots":200,"seed":1,"batch_shots":64}`,
 	`{"circuit":"nope_n3","shots":1}`,
@@ -22,6 +23,7 @@ var fuzzJobs = []string{
 	`{"circuit":"bv_n10","shots":200000}`,
 	`{"qasm":"OPENQASM 2.0;\nqreg q[4];\nh q[0];\nh q[1];\nccx q[0],q[1],q[2];\ncx q[2],q[3];\n","shots":150,"seed":3,"batch_shots":40,"backend":"statevec"}`,
 	`{"circuit":"bv_n6","shots":70000,"batch_shots":1}`,
+	`{"circuit":"bv_n6","shots":100,"seed":2,"backend":"cluster","cluster_nodes":4611686018427387904}`,
 }
 
 // fuzzMaxShots bounds the fuzzed server's MaxShots: high enough that a

@@ -397,6 +397,45 @@ func TestBaselineModeMatchesRunBackend(t *testing.T) {
 	wantCounts(t, "baseline-mode", ref.Counts, jr.Counts)
 }
 
+// TestClusterNodesReportEffectiveShards: a cluster job with a shard request
+// that is not a power of two, or far beyond the register, runs promptly on
+// the shards it gets, reports that count, and returns statevec's histogram.
+func TestClusterNodesReportEffectiveShards(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+	job := func(backend string, nodes int) JobResponse {
+		t.Helper()
+		var jr JobResponse
+		within(t, fmt.Sprintf("%s on %d nodes", backend, nodes), func() {
+			resp, body := postJSON(t, ts.URL+"/v1/jobs", &JobRequest{
+				Circuit: "bv_n6", Noise: "DC", Shots: 300, Seed: 4, Backend: backend, ClusterNodes: nodes,
+			})
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("status %d: %s", resp.StatusCode, body)
+			} else if err := json.Unmarshal(body, &jr); err != nil {
+				t.Error(err)
+			}
+		})
+		return jr
+	}
+	ref := job("statevec", 0)
+	for _, tc := range []struct{ nodes, shards int }{{6, 4}, {1 << 62, 32}} {
+		jr := job("cluster", tc.nodes)
+		if jr.Decision == nil || jr.Decision.ClusterNodes != tc.shards ||
+			!strings.Contains(jr.Decision.Why, fmt.Sprintf("explicit request for %d shards", tc.shards)) {
+			t.Fatalf("cluster_nodes %d: decision %+v, want %d shards", tc.nodes, jr.Decision, tc.shards)
+		}
+		if len(jr.Counts) != len(ref.Counts) {
+			t.Fatalf("cluster_nodes %d: support %d, statevec %d", tc.nodes, len(jr.Counts), len(ref.Counts))
+		}
+		for k, v := range ref.Counts {
+			if jr.Counts[k] != v {
+				t.Fatalf("cluster_nodes %d: outcome %s: %d, statevec %d", tc.nodes, k, jr.Counts[k], v)
+			}
+		}
+	}
+}
+
 // TestBatchArithmetic pins the lazy batch sizing: batches are never
 // materialized, so sizes must come out right for every index.
 func TestBatchArithmetic(t *testing.T) {

@@ -34,7 +34,7 @@ import (
 func (j *job) storeKey() string {
 	w, c := j.wire, j.prep.Circuit(0)
 	h := sha256.New()
-	fmt.Fprintf(h, "tqsim-result-v4\x00%s\x00%s\x00%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00%g\x00%d\x00%d\x00%d\x00%g\x00%d",
+	fmt.Fprintf(h, "tqsim-result-v5\x00%s\x00%s\x00%s\x00%s\x00%s\x00%d\x00%d\x00%d\x00%g\x00%d\x00%d\x00%d\x00%g\x00%d",
 		tqsim.CircuitDigest(c), c.Name, w.Noise, w.Mode, w.Backend,
 		w.Shots, w.Seed, w.BatchShots, w.CopyCost, w.MaxLevels, w.MemoryBudgetBytes,
 		w.Parallelism, w.Epsilon, w.ClusterNodes)
@@ -52,7 +52,7 @@ func (sj *sweepJob) storeKey() string {
 		return ""
 	}
 	h := sha256.New()
-	h.Write([]byte("tqsim-sweep-v4\x00"))
+	h.Write([]byte("tqsim-sweep-v5\x00"))
 	h.Write(raw)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -402,7 +402,7 @@ func TestPoolConcurrentKernels(t *testing.T) {
 // TestAmplitudeRoundTrip pins the SoA boundary contract: interleaved
 // amplitudes survive FromAmplitudes -> Amplitudes and SetAmplitudes ->
 // Amplitudes unchanged, Amplitudes returns a snapshot (not a view), and
-// Components / FromComponents write through to the same planes.
+// Components writes through to the state's planes.
 func TestAmplitudeRoundTrip(t *testing.T) {
 	r := rng.New(23)
 	for trial := 0; trial < 8; trial++ {
@@ -435,53 +435,12 @@ func TestAmplitudeRoundTrip(t *testing.T) {
 				t.Fatalf("SetAmplitudes differs at %d", i)
 			}
 		}
-		// Components aliases the planes; FromComponents adopts without copy.
+		// Components aliases the planes.
 		re, im := st.Components()
 		re[0], im[0] = 42, -7
 		if st.Amplitude(0) != complex(42, -7) {
 			t.Fatal("Components did not write through")
 		}
-		adopted := FromComponents(re, im)
-		adopted.SetAmplitude(1, complex(3, 4))
-		if st.Amplitude(1) != complex(3, 4) {
-			t.Fatal("FromComponents copied instead of adopting")
-		}
-	}
-}
-
-// TestViewAliasing checks that View windows alias the parent planes: kernel
-// mutations through a view land in the parent, and amplitudes outside the
-// window are untouched. This is the contract cluster mode's zero-copy shard
-// windows rely on.
-func TestViewAliasing(t *testing.T) {
-	r := rng.New(29)
-	const n = 8
-	st := randomState(n, r)
-	before := st.Amplitudes()
-	const start, length = 64, 32 // a 5-qubit window
-	v := st.View(start, length)
-	if v.NumQubits() != 5 || v.Dim() != length {
-		t.Fatalf("View dims: n=%d dim=%d", v.NumQubits(), v.Dim())
-	}
-	v.Apply(gate.New(gate.KindH, 2))
-	after := st.Amplitudes()
-	changed := false
-	for i := range after {
-		inWindow := i >= start && i < start+length
-		if !inWindow && after[i] != before[i] {
-			t.Fatalf("amplitude %d outside view window changed", i)
-		}
-		if inWindow && after[i] != before[i] {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Fatal("kernel through view did not write through to parent")
-	}
-	// Direct writes through the view also land in the parent.
-	v.SetAmplitude(0, complex(9, 9))
-	if st.Amplitude(start) != complex(9, 9) {
-		t.Fatal("SetAmplitude through view did not alias parent")
 	}
 }
 

@@ -123,18 +123,6 @@ func FromAmplitudes(amps []complex128) *State {
 	return s
 }
 
-// FromComponents adopts existing re/im planes without copying. It exists for
-// engines (e.g. internal/cluster's sharded simulator) that manage their own
-// amplitude storage but want to reuse this package's kernels. Both slices
-// must have the same power-of-two length.
-func FromComponents(re, im []float64) *State {
-	if len(re) != len(im) {
-		panic("statevec: FromComponents plane length mismatch")
-	}
-	n := log2len(len(re), "component length")
-	return &State{n: n, re: re, im: im}
-}
-
 func log2len(l int, what string) int {
 	n := 0
 	for (1 << uint(n)) < l {
@@ -144,17 +132,6 @@ func log2len(l int, what string) int {
 		panic("statevec: " + what + " must be a power of two >= 2")
 	}
 	return n
-}
-
-// View returns an aliasing sub-state over amplitudes [start, start+length):
-// mutations through the view mutate s. length must be a power of two >= 2.
-// Cluster mode uses views as zero-copy shard windows onto one backing state.
-func (s *State) View(start, length int) *State {
-	if start < 0 || length < 2 || start+length > len(s.re) {
-		panic(fmt.Sprintf("statevec: View [%d,+%d) out of range for dim %d", start, length, len(s.re)))
-	}
-	n := log2len(length, "View length")
-	return &State{n: n, re: s.re[start : start+length : start+length], im: s.im[start : start+length : start+length]}
 }
 
 // NumQubits returns n.
@@ -1283,8 +1260,8 @@ func (s *State) ApplyAll(gs []gate.Gate) {
 }
 
 // The per-kind entry points below serve callers that hold no gate.Gate —
-// the noise channels, the fusion backend's fused blocks, the sharded
-// simulator. Each builds its kernel exactly as Lower does and runs it.
+// the noise channels, the fusion backend's fused blocks, the density-matrix
+// engine. Each builds its kernel exactly as Lower does and runs it.
 
 // ApplyX applies Pauli-X to qubit t: the pair amplitudes trade places.
 func (s *State) ApplyX(t int) {

@@ -276,28 +276,6 @@ func TestCloneAndCopyFrom(t *testing.T) {
 	}
 }
 
-func TestFromComponentsSharesStorage(t *testing.T) {
-	re := []float64{1, 0, 0, 0}
-	im := []float64{0, 0, 0, 0}
-	s := FromComponents(re, im)
-	if s.NumQubits() != 2 {
-		t.Fatalf("wrapped width %d", s.NumQubits())
-	}
-	s.Apply(gate.New(gate.KindX, 0))
-	if re[1] != 1 {
-		t.Fatal("FromComponents copied instead of sharing")
-	}
-}
-
-func TestFromComponentsRejectsBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-power-of-two accepted")
-		}
-	}()
-	FromComponents(make([]float64, 3), make([]float64, 3))
-}
-
 func TestBasisState(t *testing.T) {
 	s := NewBasis(3, 5)
 	if s.Prob(5) != 1 {
@@ -306,7 +284,8 @@ func TestBasisState(t *testing.T) {
 }
 
 func TestNormalizePanicsOnZero(t *testing.T) {
-	s := FromComponents(make([]float64, 4), make([]float64, 4))
+	s := NewZero(2)
+	s.ZeroAmplitudes()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("normalizing zero state did not panic")

@@ -157,8 +157,9 @@ type Options struct {
 	// kernels at the first non-Clifford gate. "densmat" computes the exact
 	// noisy distribution (<= 12 qubits) and samples outcomes from it.
 	Backend string
-	// ClusterNodes sets the shard count for the cluster backend (a power
-	// of two; 0 selects the default). Ignored by other backends.
+	// ClusterNodes sets the shard count for the cluster backend (0 selects
+	// the default; other counts round down to a power of two, at most
+	// 2^(width-1)). Ignored by other backends.
 	ClusterNodes int
 	// Parallelism sets worker counts: shot-level for the baseline and
 	// first-level-subtree for TQSim trees (0 = sequential). Histograms are
