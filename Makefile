@@ -41,15 +41,19 @@ race:
 
 # Short fuzz smoke: the QASM parser/round-trip fuzzer, the sweep Prepare
 # fuzzer (error or GridSize() points; a grid of a few small points is also
-# run, each delivered once) and the tqsimd job-prepare fuzzer (a 4xx, 413
+# run, each delivered once), the tqsimd job-prepare fuzzer (a 4xx, 413
 # before planning for more batches than a sweep may have points, or a job
 # of one unit per batch; a job of a few small batches is also run, each
-# delivered once), none of which may panic or hang, each from its seed
-# corpus. Go runs one fuzz target per invocation. CI runs this target.
+# delivered once), none of which may panic or hang, and the noise draw
+# fuzzer (a reuse dry run that fires nothing leaves the RNG stream where the
+# dense draw leaves it; one that fires means the dense draw applied an
+# operator), each from its seed corpus. Go runs one fuzz target per
+# invocation. CI runs this target.
 fuzz-smoke:
 	$(GO) test ./internal/qasm -run xxx -fuzz FuzzParseQASM -fuzztime 10s
 	$(GO) test ./internal/sweep -run xxx -fuzz FuzzSweepPrepare -fuzztime 10s
 	$(GO) test ./internal/serve -run xxx -fuzz FuzzJobPrepare -fuzztime 10s
+	$(GO) test ./internal/noise -run xxx -fuzz FuzzDraw -fuzztime 10s
 
 # Every root figure/table benchmark once (-benchtime 1x): a smoke run, so a
 # benchmark that panics fails the build. CI runs this target; time a

@@ -101,20 +101,21 @@ func runOracle(cfg config) {
 	p1, p2 := 0.005, 0.02
 	fmt.Printf("depolarizing rates: 1q %.3f, 2q %.3f; %d shots per engine\n", p1, p2, shots)
 	fmt.Printf("%-10s %6s %8s\n", "Circuit", "Gates", "TVD")
+	m := tqsim.DepolarizingNoise(p1, p2)
 	for _, w := range []int{6, 8, 10, 12} {
 		c := workloads.BV(w, workloads.BVSecret(w))
-		stab, err := stabilizer.Counts(c, p1, p2, shots, cfg.seed)
+		stab, err := stabilizer.RunTree(tqsim.PlanBaseline(c, shots), m, cfg.seed, 8)
 		if err != nil {
 			fmt.Printf("%-10s error: %v\n", c.Name, err)
 			continue
 		}
-		sv, err := tqsim.RunBaselineBackend(c, tqsim.DepolarizingNoise(p1, p2), shots,
+		sv, err := tqsim.RunBaselineBackend(c, m, shots,
 			tqsim.Options{Seed: tqsim.SweepSeed(cfg.seed, 1), Parallelism: 8})
 		if err != nil {
 			fmt.Printf("%-10s error: %v\n", c.Name, err)
 			continue
 		}
-		a := metrics.FromCounts(stab, 1<<uint(w))
+		a := metrics.FromCounts(stab.Counts, 1<<uint(w))
 		b := metrics.FromCounts(sv.Counts, 1<<uint(w))
 		fmt.Printf("%-10s %6d %8.4f\n", c.Name, c.Len(), metrics.TVD(a, b))
 	}

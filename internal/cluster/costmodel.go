@@ -86,9 +86,10 @@ func (c NetworkConfig) EstimateShot(ckt *circuit.Circuit, m *noise.Model) CostRe
 	globalGates := 0
 	for _, g := range ckt.Gates {
 		exp := m.GateErrorProb(g)
-		// Expected trajectory kernel count: a Pauli channel inserts an
-		// operator with probability equal to its error rate, so the
-		// expected extra kernels per gate are e * channelCount.
+		// Expected noise term: e times the number of channels drawn after
+		// the gate (TrajectoryOps). It counts channels, not operators: a
+		// two-qubit Pauli pair or a damping channel on each operand
+		// applies more than one.
 		noiseOps := clamp01(exp) * float64(m.TrajectoryOps(g))
 		comp, comm, global := c.gateCost(ckt.NumQubits, g.Qubits, noiseOps)
 		rep.ComputeSec += comp

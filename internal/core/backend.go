@@ -62,15 +62,14 @@ type StateShadow interface {
 	// SampleState draws one measurement outcome from st without forcing a
 	// dense materialization when a shadow can sample directly.
 	SampleState(st *statevec.State, r *rng.RNG) uint64
-	// ApplyNoise applies the model's post-gate channels for g on the
-	// shadow representation when both the shadow is live and the model is
-	// expressible there (e.g. Pauli channels on a tableau), returning the
-	// kernel-op count and handled=true. handled=false means no randomness
-	// was consumed and the executor must materialize and run the dense
-	// channels. Implementations must consume the RNG exactly as the dense
-	// channels would, so a later materialization continues the identical
-	// trajectory.
-	ApplyNoise(st *statevec.State, g gate.Gate, m *noise.Model, r *rng.RNG) (ops int, handled bool)
+	// ApplyNoise applies the model's channels following a gate on qubits
+	// to the shadow representation when both the shadow is live and the
+	// model is expressible there (e.g. Pauli channels on a tableau),
+	// returning the operator count and handled=true. handled=false means no
+	// randomness was consumed and the executor must materialize and run the
+	// dense channels. Implementations draw through noise.Model.Draw, so a
+	// later materialization continues the identical trajectory.
+	ApplyNoise(st *statevec.State, qubits []int, m *noise.Model, r *rng.RNG) (ops int, handled bool)
 }
 
 // PlainBackend applies every gate immediately through the state-vector

@@ -106,7 +106,8 @@ func (e *Executor) cancelled() bool {
 
 // runSegment applies one subcircuit instance with fresh noise sampling. ks,
 // when non-nil, holds gs lowered for the state's width (a PlainBackend run)
-// and is run in place of Backend.Apply; the noise channels read the gates.
+// and is run in place of Backend.Apply; the noise draw reads the gates'
+// operands.
 func (e *Executor) runSegment(st *statevec.State, be Backend, gs []gate.Gate, ks []statevec.Kernel, r *rng.RNG) int64 {
 	var ops int64
 	shadow, shadowed := be.(StateShadow)
@@ -122,17 +123,17 @@ func (e *Executor) runSegment(st *statevec.State, be Backend, gs []gate.Gate, ks
 		}
 		if !e.Noise.Ideal() {
 			// Shadow backends get first refusal: Pauli channels land on the
-			// tableau (with dense-identical RNG consumption), keeping the
+			// tableau (through the same Model.Draw), keeping the
 			// Clifford fast path alive through noisy segments. Anything the
 			// shadow cannot express materializes and runs densely.
 			if shadowed {
-				if n, handled := shadow.ApplyNoise(st, *g, e.Noise, r); handled {
+				if n, handled := shadow.ApplyNoise(st, g.Qubits, e.Noise, r); handled {
 					ops += int64(n)
 					continue
 				}
 			}
 			be.Flush(st)
-			ops += int64(e.Noise.ApplyAfterGate(st, *g, r))
+			ops += int64(e.Noise.Draw(g.Qubits, r, (*noise.Dense)(st)))
 		}
 	}
 	// Shadow backends keep the state in its cheap representation across the
@@ -242,11 +243,12 @@ func (e *Executor) treeWorkers(plan *partition.Plan) int {
 // Quiet-segment reuse. Under a Pauli-only model a channel's firing decision
 // is a fixed-probability draw that never reads the state, so every node
 // dry-runs its segment's draws first (noise.Model.SegmentFires on a copy of
-// the node stream, RNG-identical to the real path). A segment that fires
-// nothing is quiet: its output is the parent state with the segment's gates
-// applied and no noise kernel, so it depends on the parent alone and every
-// quiet child of one parent has the bitwise-same state. The walk computes
-// that state at most once per parent:
+// the node stream: runSegment's own Model.Draw, stopped at the first
+// operator, so RNG-identical to the real path by construction). A segment
+// that fires nothing is quiet: its output is the parent state with the
+// segment's gates applied and no noise kernel, so it depends on the parent
+// alone and every quiet child of one parent has the bitwise-same state. The
+// walk computes that state at most once per parent:
 //
 //   - a parent on the ideal spine (the root, or a quiet child of a spine
 //     node) hands its quiet children the spine's boundary state — from the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -114,6 +115,9 @@ func TestQuietReuseMatchesFullWalk(t *testing.T) {
 		noise.ByName("DC"),
 		noise.ByName("DCR"),
 		noise.NewDepolarizing(0.0005, 0.002),
+		// A library-built model is never validated; a NaN rate fires after
+		// every gate, and the dry run must say so too.
+		noise.NewDepolarizing(math.NaN(), 0.01),
 	}
 	cell := uint64(0)
 	var spineHits, siblingHits, checkpointStarts int64

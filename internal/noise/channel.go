@@ -5,11 +5,14 @@
 //
 //   - Kraus operators, consumed by the density-matrix reference simulator
 //     (internal/densmat), and
-//   - stochastic trajectory application, consumed by the pure-state Monte
-//     Carlo simulators (internal/trajectory and internal/core). Pauli
-//     channels insert a sampled Pauli operator; damping channels use the
+//   - stochastic trajectory draws, consumed by every Monte Carlo engine.
+//     Pauli channels draw a Pauli operator; damping channels use the
 //     quantum-jump method (jump probability from the qubit's |1> marginal,
-//     renormalization after the no-jump branch).
+//     renormalization after the no-jump branch). Model.Draw is the only
+//     place a channel consumes randomness: it hands each drawn operator to
+//     a Target — the dense state (Dense), a stabilizer tableau, or the
+//     reuse dry run behind SegmentFires — so every engine and the dry run
+//     read one stream the same way.
 //
 // A Model binds channels to gates: every one-qubit gate is followed by the
 // model's one-qubit channels on its operand, every two-qubit gate by the
@@ -26,7 +29,9 @@ import (
 	"tqsim/internal/statevec"
 )
 
-// Channel is a noise channel on one or two qubits.
+// Channel is a noise channel on one or two qubits. Its trajectory draw is
+// unexported, so the channels of this package are the only ones: Model.Draw
+// and SegmentFires rely on knowing how each consumes randomness.
 type Channel interface {
 	// Name returns a short identifier, e.g. "depolarizing(0.001)".
 	Name() string
@@ -35,15 +40,91 @@ type Channel interface {
 	// Kraus returns the channel's Kraus operators (dimension 2^Arity).
 	// They satisfy sum_i K_i† K_i = I.
 	Kraus() []qmath.Matrix
-	// ApplyTrajectory stochastically applies one trajectory branch of the
-	// channel to the state on the given qubits (len == Arity). The state
-	// remains normalized afterwards. It returns the number of kernel
-	// applications performed, for computation accounting.
-	ApplyTrajectory(s *statevec.State, qubits []int, r *rng.RNG) int
 	// ErrorProb returns the probability that the channel perturbs the state
 	// (the "error rate" e_i used by DCP's Equation 4).
 	ErrorProb() float64
+	// draw samples one trajectory branch of the channel on the given qubits
+	// (len == Arity) and hands its operators to t. It returns the number of
+	// operators handed over and more=false when t asked to stop.
+	draw(qubits []int, r *rng.RNG, t Target) (ops int, more bool)
 }
+
+// OpKind names a trajectory operator.
+type OpKind uint8
+
+// The operators a channel draws. OpJump is amplitude damping's
+// (unnormalized) jump |0><1|; OpDiag is diag(D0, D1). Both leave the state
+// unnormalized, so a target renormalizes after them.
+const (
+	OpX OpKind = iota + 1
+	OpY
+	OpZ
+	OpJump
+	OpDiag
+)
+
+// Op is one drawn operator; D0 and D1 are OpDiag's diagonal.
+type Op struct {
+	Kind   OpKind
+	D0, D1 float64
+}
+
+// pauliOps indexes the Pauli operators by 1=X, 2=Y, 3=Z.
+var pauliOps = [4]Op{{}, {Kind: OpX}, {Kind: OpY}, {Kind: OpZ}}
+
+// Target receives the operators a channel draws.
+type Target interface {
+	// Apply applies op to qubit q and reports whether the draw goes on.
+	Apply(q int, op Op) bool
+	// Prob1 returns the probability of reading qubit q as 1, which damping
+	// channels read to draw their jump.
+	Prob1(q int) float64
+}
+
+// Dense is a state vector as a Target: every operator runs on its
+// amplitudes, and the state stays normalized.
+type Dense statevec.State
+
+// Preallocated trajectory operators. Channels fire after every gate of every
+// tree node, so per-application qmath.FromRows allocations would be pure
+// hot-path garbage. X and Z go through the statevec swap and diagonal
+// subspace kernels instead of the generic 2x2 path.
+var (
+	pauliYMat = qmath.FromRows([][]complex128{{0, -1i}, {1i, 0}})
+	adJumpMat = qmath.FromRows([][]complex128{{0, 1}, {0, 0}})
+)
+
+// Apply implements Target.
+func (d *Dense) Apply(q int, op Op) bool {
+	s := (*statevec.State)(d)
+	switch op.Kind {
+	case OpX:
+		s.ApplyX(q)
+	case OpY:
+		s.Apply1Q(q, pauliYMat)
+	case OpZ:
+		s.ApplyDiag1Q(q, 1, -1)
+	case OpJump:
+		s.Apply1Q(q, adJumpMat)
+		s.Normalize()
+	case OpDiag:
+		s.ApplyDiag1Q(q, complex(op.D0, 0), complex(op.D1, 0))
+		s.Normalize()
+	}
+	return true
+}
+
+// Prob1 implements Target.
+func (d *Dense) Prob1(q int) float64 { return (*statevec.State)(d).Prob1(q) }
+
+// dryRun is the Target of the reuse dry run: it stops the draw at the first
+// operator and reads no state, so only state-independent (Pauli) draws may
+// reach it.
+type dryRun struct{}
+
+func (dryRun) Apply(int, Op) bool { return false }
+
+func (dryRun) Prob1(int) float64 { panic("noise: a dry run cannot draw a state-dependent channel") }
 
 // pauli1 returns the four single-qubit Paulis I, X, Y, Z.
 func pauli1() [4]qmath.Matrix {
@@ -52,29 +133,6 @@ func pauli1() [4]qmath.Matrix {
 		qmath.FromRows([][]complex128{{0, 1}, {1, 0}}),
 		qmath.FromRows([][]complex128{{0, -1i}, {1i, 0}}),
 		qmath.FromRows([][]complex128{{1, 0}, {0, -1}}),
-	}
-}
-
-// Preallocated trajectory operators. Channels fire after every gate of every
-// tree node, so the per-application qmath.FromRows allocations the originals
-// made were pure hot-path garbage. X and Z go through the statevec swap and
-// diagonal subspace kernels instead of the generic 2x2 path.
-var (
-	pauliYMat = qmath.FromRows([][]complex128{{0, -1i}, {1i, 0}})
-	// adJumpMat is amplitude damping's (unnormalized) jump operator
-	// K1/sqrt(gamma): |0><1|.
-	adJumpMat = qmath.FromRows([][]complex128{{0, 1}, {0, 0}})
-)
-
-// applyPauli applies Pauli index p (1=X, 2=Y, 3=Z) to qubit q.
-func applyPauli(s *statevec.State, q, p int) {
-	switch p {
-	case 1:
-		s.ApplyX(q)
-	case 2:
-		s.Apply1Q(q, pauliYMat)
-	case 3:
-		s.ApplyDiag1Q(q, 1, -1)
 	}
 }
 
@@ -103,13 +161,13 @@ func (d Depolarizing1Q) Kraus() []qmath.Matrix {
 	return out
 }
 
-// ApplyTrajectory implements Channel.
-func (d Depolarizing1Q) ApplyTrajectory(s *statevec.State, qubits []int, r *rng.RNG) int {
-	if r.Float64() >= d.P {
-		return 0
+// draw implements Channel. It fires on a uniform draw below P, so a NaN rate
+// never fires.
+func (d Depolarizing1Q) draw(qubits []int, r *rng.RNG, t Target) (int, bool) {
+	if r.Float64() < d.P {
+		return 1, t.Apply(qubits[0], pauliOps[1+r.Intn(3)])
 	}
-	applyPauli(s, qubits[0], 1+r.Intn(3))
-	return 1
+	return 0, true
 }
 
 // Depolarizing2Q is the two-qubit depolarizing channel: with probability P
@@ -144,23 +202,25 @@ func (d Depolarizing2Q) Kraus() []qmath.Matrix {
 	return out
 }
 
-// ApplyTrajectory implements Channel.
-func (d Depolarizing2Q) ApplyTrajectory(s *statevec.State, qubits []int, r *rng.RNG) int {
-	if r.Float64() >= d.P {
-		return 0
+// draw implements Channel, firing as Depolarizing1Q's does.
+func (d Depolarizing2Q) draw(qubits []int, r *rng.RNG, t Target) (int, bool) {
+	if !(r.Float64() < d.P) {
+		return 0, true
 	}
 	k := 1 + r.Intn(15) // index into the 15 non-identity pairs
 	a, b := k&3, k>>2
 	ops := 0
 	if a != 0 {
-		applyPauli(s, qubits[0], a)
 		ops++
+		if !t.Apply(qubits[0], pauliOps[a]) {
+			return ops, false
+		}
 	}
 	if b != 0 {
-		applyPauli(s, qubits[1], b)
 		ops++
+		return ops, t.Apply(qubits[1], pauliOps[b])
 	}
-	return ops
+	return ops, true
 }
 
 // AmplitudeDamping models energy relaxation with damping ratio Gamma:
@@ -184,24 +244,19 @@ func (a AmplitudeDamping) Kraus() []qmath.Matrix {
 	}
 }
 
-// ApplyTrajectory implements Channel. The jump probability is
-// Gamma * P(|1>); the no-jump branch applies K0 and renormalizes.
-func (a AmplitudeDamping) ApplyTrajectory(s *statevec.State, qubits []int, r *rng.RNG) int {
+// draw implements Channel. The jump probability is Gamma * P(|1>); the
+// no-jump branch applies K0 and renormalizes.
+func (a AmplitudeDamping) draw(qubits []int, r *rng.RNG, t Target) (int, bool) {
 	if a.Gamma <= 0 {
-		return 0
+		return 0, true
 	}
 	q := qubits[0]
-	p1 := s.Prob1(q)
-	pJump := a.Gamma * p1
-	if r.Float64() < pJump {
-		// Jump: |1> -> |0| with K1; resulting state is |0> on q.
-		s.Apply1Q(q, adJumpMat)
-	} else {
-		// No-jump K0 = diag(1, sqrt(1-gamma)): subspace kernel, no matrix.
-		s.ApplyDiag1Q(q, 1, complex(math.Sqrt(1-a.Gamma), 0))
+	if r.Float64() < a.Gamma*t.Prob1(q) {
+		// Jump: |1> -> |0> with K1; resulting state is |0> on q.
+		return 1, t.Apply(q, Op{Kind: OpJump})
 	}
-	s.Normalize()
-	return 1
+	// No-jump K0 = diag(1, sqrt(1-gamma)): subspace kernel, no matrix.
+	return 1, t.Apply(q, Op{Kind: OpDiag, D0: 1, D1: math.Sqrt(1 - a.Gamma)})
 }
 
 // PhaseDamping models pure dephasing with ratio Lambda:
@@ -225,22 +280,16 @@ func (p PhaseDamping) Kraus() []qmath.Matrix {
 	}
 }
 
-// ApplyTrajectory implements Channel.
-func (p PhaseDamping) ApplyTrajectory(s *statevec.State, qubits []int, r *rng.RNG) int {
+func (p PhaseDamping) draw(qubits []int, r *rng.RNG, t Target) (int, bool) {
 	if p.Lambda <= 0 {
-		return 0
+		return 0, true
 	}
 	q := qubits[0]
-	p1 := s.Prob1(q)
-	pJump := p.Lambda * p1
-	if r.Float64() < pJump {
+	if r.Float64() < p.Lambda*t.Prob1(q) {
 		// Jump: project onto |1><1| (up to normalization).
-		s.ApplyDiag1Q(q, 0, 1)
-	} else {
-		s.ApplyDiag1Q(q, 1, complex(math.Sqrt(1-p.Lambda), 0))
+		return 1, t.Apply(q, Op{Kind: OpDiag, D0: 0, D1: 1})
 	}
-	s.Normalize()
-	return 1
+	return 1, t.Apply(q, Op{Kind: OpDiag, D0: 1, D1: math.Sqrt(1 - p.Lambda)})
 }
 
 // ThermalRelaxation models decoherence from T1 (relaxation) and T2
@@ -294,12 +343,14 @@ func (t ThermalRelaxation) Kraus() []qmath.Matrix {
 	return out
 }
 
-// ApplyTrajectory implements Channel.
-func (t ThermalRelaxation) ApplyTrajectory(s *statevec.State, qubits []int, r *rng.RNG) int {
+func (t ThermalRelaxation) draw(qubits []int, r *rng.RNG, tg Target) (int, bool) {
 	g, l := t.params()
-	ops := PhaseDamping{Lambda: l}.ApplyTrajectory(s, qubits, r)
-	ops += AmplitudeDamping{Gamma: g}.ApplyTrajectory(s, qubits, r)
-	return ops
+	ops, more := PhaseDamping{Lambda: l}.draw(qubits, r, tg)
+	if !more {
+		return ops, false
+	}
+	n, more := AmplitudeDamping{Gamma: g}.draw(qubits, r, tg)
+	return ops + n, more
 }
 
 // PerQubit adapts a single-qubit channel to two-qubit gates by applying it
@@ -332,9 +383,11 @@ func (p PerQubit) Kraus() []qmath.Matrix {
 	return out
 }
 
-// ApplyTrajectory implements Channel.
-func (p PerQubit) ApplyTrajectory(s *statevec.State, qubits []int, r *rng.RNG) int {
-	ops := p.C.ApplyTrajectory(s, qubits[:1], r)
-	ops += p.C.ApplyTrajectory(s, qubits[1:2], r)
-	return ops
+func (p PerQubit) draw(qubits []int, r *rng.RNG, t Target) (int, bool) {
+	ops, more := p.C.draw(qubits[:1], r, t)
+	if !more {
+		return ops, false
+	}
+	n, more := p.C.draw(qubits[1:2], r, t)
+	return ops + n, more
 }

@@ -57,8 +57,8 @@ func (m *Model) Ideal() bool {
 
 // GateErrorProb returns the probability that at least one channel fires
 // after gate g — the e_i of the paper's Equation 4. It counts the channels
-// ApplyAfterGate applies: a three-qubit gate draws the two-qubit channels
-// and the one-qubit channels.
+// Draw draws: a three-qubit gate draws the two-qubit channels and the
+// one-qubit channels.
 func (m *Model) GateErrorProb(g gate.Gate) float64 {
 	if m == nil {
 		return 0
@@ -78,8 +78,8 @@ func (m *Model) GateErrorProb(g gate.Gate) float64 {
 // arity: the two-qubit channels, drawn first, on its first two operands, and
 // the one-qubit channels on its last operand. A one-qubit gate draws only
 // the one-qubit channels, a two-qubit gate only the two-qubit ones, and a
-// three-qubit gate both. ApplyAfterGate, ApplyPauliAfterGate, SegmentFires,
-// GateErrorProb and TrajectoryOps all read it.
+// three-qubit gate both. Draw (and through it every engine and the reuse
+// dry run), GateErrorProb and TrajectoryOps all read it.
 func (m *Model) afterGate(arity int) (one, two []Channel) {
 	switch arity {
 	case 1:
@@ -100,75 +100,49 @@ func (m *Model) SegmentErrorProb(gs []gate.Gate) float64 {
 	return 1 - keep
 }
 
-// ApplyAfterGate stochastically applies the model's channels following gate
-// g and returns the number of kernel applications performed. Which channels
-// act on which operands is afterGate's rule: for gates on three qubits (e.g.
-// un-decomposed Toffolis) the two-qubit channels act on the first two
-// operands and the one-qubit channels on the third, a conservative
-// approximation noted in DESIGN.md.
-func (m *Model) ApplyAfterGate(s *statevec.State, g gate.Gate, r *rng.RNG) int {
+// Draw draws the model's channels following a gate on qubits and hands
+// every drawn operator to t; it returns the number of operators handed over.
+// It is the one place a channel consumes randomness, and afterGate's operand
+// rule lives only here: the two-qubit channels act on the first two
+// operands, the one-qubit channels on the last (for gates on three qubits,
+// e.g. un-decomposed Toffolis, a conservative approximation noted in
+// DESIGN.md). The walk stops early when t.Apply returns false.
+func (m *Model) Draw(qubits []int, r *rng.RNG, t Target) int {
 	if m == nil {
 		return 0
 	}
 	ops := 0
-	one, two := m.afterGate(len(g.Qubits))
+	one, two := m.afterGate(len(qubits))
 	for _, c := range two {
-		ops += c.ApplyTrajectory(s, g.Qubits[:2], r)
+		n, more := c.draw(qubits[:2], r, t)
+		if ops += n; !more {
+			return ops
+		}
 	}
 	for _, c := range one {
-		ops += c.ApplyTrajectory(s, g.Qubits[len(g.Qubits)-1:], r)
+		n, more := c.draw(qubits[len(qubits)-1:], r, t)
+		if ops += n; !more {
+			return ops
+		}
 	}
 	return ops
 }
 
-// ApplyPauliAfterGate mirrors ApplyAfterGate for purely depolarizing
-// models, routing each sampled Pauli insertion through apply(qubit, pauli)
-// (pauli 1=X, 2=Y, 3=Z) instead of the dense kernels — this is how the
-// stabilizer engine absorbs Pauli noise into tableaux. RNG consumption is
-// bit-identical to the dense channels' (including the always-taken draw per
-// channel), so a trajectory that later materializes dense amplitudes
-// continues on exactly the stream the dense engine would have. Returns
-// ok=false without consuming any randomness when the model has non-Pauli
-// channels; callers then fall back to the dense path.
-func (m *Model) ApplyPauliAfterGate(g gate.Gate, r *rng.RNG, apply func(q, pauli int)) (ops int, ok bool) {
-	if !m.PauliOnly() {
-		return 0, false
-	}
-	if m == nil {
-		return 0, true
-	}
-	one, two := m.afterGate(len(g.Qubits))
-	for _, c := range two {
-		if r.Float64() < c.(Depolarizing2Q).P {
-			k := 1 + r.Intn(15)
-			if a := k & 3; a != 0 {
-				apply(g.Qubits[0], a)
-				ops++
-			}
-			if b := k >> 2; b != 0 {
-				apply(g.Qubits[1], b)
-				ops++
-			}
-		}
-	}
-	for _, c := range one {
-		if r.Float64() < c.(Depolarizing1Q).P {
-			apply(g.Qubits[len(g.Qubits)-1], 1+r.Intn(3))
-			ops++
-		}
-	}
-	return ops, true
+// ApplyAfterGate stochastically applies the model's channels following gate
+// g to the dense state and returns the number of operators applied.
+func (m *Model) ApplyAfterGate(s *statevec.State, g gate.Gate, r *rng.RNG) int {
+	return m.Draw(g.Qubits, r, (*Dense)(s))
 }
 
 // SegmentFires dry-runs the model's stochastic channel decisions over a gate
-// segment without touching any state: it consumes the RNG exactly as the
-// real trajectory path would up to (and excluding) the first channel that
-// fires, and reports whether one fired. Valid only for Pauli-only models —
-// their firing decisions are state-independent fixed-probability draws (one
-// Float64 per channel per gate), so the decision can be made before any
-// amplitudes exist. Non-Pauli models return ok=false without consuming any
-// randomness: damping channels derive jump probabilities from the state's
-// |1> marginals, so there is nothing to pre-decide.
+// segment without touching any state: it is Draw with a target that stops at
+// the first operator, so it consumes the RNG exactly as the real trajectory
+// path does up to the first channel that fires, and reports whether one
+// fired. Valid only for Pauli-only models — their firing decisions are
+// state-independent fixed-probability draws, so the decision can be made
+// before any amplitudes exist. Non-Pauli models return ok=false without
+// consuming any randomness: damping channels derive jump probabilities from
+// the state's |1> marginals, so there is nothing to pre-decide.
 //
 // Callers use it for ideal-prefix reuse (internal/core): probe a *copy* of
 // the node RNG; when fired=false, adopt the copy (the draw stream advanced
@@ -176,25 +150,12 @@ func (m *Model) ApplyPauliAfterGate(g gate.Gate, r *rng.RNG, apply func(q, pauli
 // when fired=true, discard the copy and run the segment normally from the
 // original RNG.
 func (m *Model) SegmentFires(gs []gate.Gate, r *rng.RNG) (fired, ok bool) {
-	if m == nil {
-		return false, true
-	}
 	if !m.PauliOnly() {
 		return false, false
 	}
 	for i := range gs {
-		// len of the operand list, not Arity: a method call on gs[i] copies
-		// the gate, and this loop runs once per gate of every tree node.
-		one, two := m.afterGate(len(gs[i].Qubits))
-		for _, c := range two {
-			if r.Float64() < c.(Depolarizing2Q).P {
-				return true, true
-			}
-		}
-		for _, c := range one {
-			if r.Float64() < c.(Depolarizing1Q).P {
-				return true, true
-			}
+		if m.Draw(gs[i].Qubits, r, dryRun{}) > 0 {
+			return true, true
 		}
 	}
 	return false, true
@@ -231,9 +192,10 @@ func (m *Model) FlipReadout(bits uint64, n int, r *rng.RNG) uint64 {
 	return m.Readout.Flip(bits, n, r)
 }
 
-// TrajectoryOps returns an upper bound on the extra kernel applications the
-// model adds per gate, used for computation accounting: one per channel
-// ApplyAfterGate draws after it.
+// TrajectoryOps returns the number of channels Draw draws after gate g,
+// used for computation accounting. It is not a bound on the operators a
+// draw applies: a depolarizing pair can apply two, and a thermal channel on
+// each operand of a two-qubit gate four.
 func (m *Model) TrajectoryOps(g gate.Gate) int {
 	if m == nil {
 		return 0

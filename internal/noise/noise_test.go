@@ -66,7 +66,7 @@ func TestTrajectoryPreservesNorm(t *testing.T) {
 			qs = []int{0, 2}
 		}
 		for i := 0; i < 200; i++ {
-			ch.ApplyTrajectory(s, qs, r)
+			ch.draw(qs, r, (*Dense)(s))
 			if d := math.Abs(s.Norm() - 1); d > 1e-9 {
 				t.Fatalf("%s: norm drifted by %v after %d applications",
 					ch.Name(), d, i+1)
@@ -83,7 +83,7 @@ func TestDepolarizingFiresAtRate(t *testing.T) {
 	const n = 50000
 	for i := 0; i < n; i++ {
 		s := statevec.NewZero(1) // |0>
-		ch.ApplyTrajectory(s, []int{0}, r)
+		ch.draw([]int{0}, r, (*Dense)(s))
 		// X and Y move |0> to |1|; Z leaves it. Count state changes and
 		// scale: 2/3 of firings are visible.
 		if s.Prob(1) > 0.5 {
@@ -106,7 +106,7 @@ func TestAmplitudeDampingDecaysExcitedState(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s := statevec.NewZero(1)
 		s.Apply(gate.New(gate.KindX, 0)) // |1>
-		ch.ApplyTrajectory(s, []int{0}, r)
+		ch.draw([]int{0}, r, (*Dense)(s))
 		p1Sum += s.Prob(1)
 	}
 	mean := p1Sum / n
@@ -120,7 +120,7 @@ func TestAmplitudeDampingFixesGroundState(t *testing.T) {
 	r := rng.New(4)
 	s := statevec.NewZero(1)
 	for i := 0; i < 100; i++ {
-		ch.ApplyTrajectory(s, []int{0}, r)
+		ch.draw([]int{0}, r, (*Dense)(s))
 	}
 	if p := s.Prob(0); math.Abs(p-1) > 1e-12 {
 		t.Fatalf("ground state not fixed: P(0)=%v", p)
@@ -136,7 +136,7 @@ func TestPhaseDampingPreservesPopulations(t *testing.T) {
 		s := statevec.NewZero(1)
 		s.Apply(gate.New(gate.KindH, 0))
 		for k := 0; k < 5; k++ {
-			ch.ApplyTrajectory(s, []int{0}, r)
+			ch.draw([]int{0}, r, (*Dense)(s))
 		}
 		p1Sum += s.Prob1(0)
 	}

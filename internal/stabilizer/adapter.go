@@ -123,20 +123,21 @@ func (b *Backend) CopyState(dst, src *statevec.State) {
 
 // ApplyNoise implements core.StateShadow: Pauli (depolarizing) channels are
 // absorbed into a live tableau — stabilizer states stay stabilizer under
-// Pauli insertions — with RNG consumption identical to the dense channels',
+// Pauli insertions — through the dense engines' own draw (noise.Model.Draw),
 // so trajectories that later hand off to dense kernels are bit-for-bit the
 // trajectories the plain backend would have run. Dense states and
-// non-Pauli models report handled=false and take the executor's dense path.
-func (b *Backend) ApplyNoise(s *statevec.State, g gate.Gate, m *noise.Model, r *rng.RNG) (int, bool) {
+// non-Pauli models report handled=false, consuming no randomness, and take
+// the executor's dense path.
+func (b *Backend) ApplyNoise(s *statevec.State, qubits []int, m *noise.Model, r *rng.RNG) (int, bool) {
 	t := b.shadows[s]
-	if t == nil {
+	if t == nil || !m.PauliOnly() {
 		return 0, false
 	}
-	ops, ok := m.ApplyPauliAfterGate(g, r, t.ApplyPauli)
-	if ok && ops > 0 {
+	ops := m.Draw(qubits, r, (*paulis)(t))
+	if ops > 0 {
 		b.stats.clifford.Add(int64(ops))
 	}
-	return ops, ok
+	return ops, true
 }
 
 // SampleState implements core.StateShadow: shadowed leaves sample by tableau

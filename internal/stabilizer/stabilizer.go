@@ -15,6 +15,7 @@ import (
 
 	"tqsim/internal/circuit"
 	"tqsim/internal/gate"
+	"tqsim/internal/noise"
 	"tqsim/internal/rng"
 )
 
@@ -361,18 +362,28 @@ func (t *Tableau) Apply(g gate.Gate) error {
 	return nil
 }
 
-// ApplyPauli applies Pauli index p (1=X, 2=Y, 3=Z, matching the encoding
-// of noise.Model.ApplyPauliAfterGate) to qubit q; 0 is the identity.
-func (t *Tableau) ApplyPauli(q, p int) {
-	switch p {
-	case 1:
+// paulis is a tableau as a noise.Target. Callers check PauliOnly first, so
+// it receives only X, Y and Z, and no channel asks it for a marginal.
+type paulis Tableau
+
+// Apply implements noise.Target.
+func (p *paulis) Apply(q int, op noise.Op) bool {
+	t := (*Tableau)(p)
+	switch op.Kind {
+	case noise.OpX:
 		t.X(q)
-	case 2:
+	case noise.OpY:
 		t.Y(q)
-	case 3:
+	case noise.OpZ:
 		t.Z(q)
+	default:
+		panic("stabilizer: a non-Pauli noise operator reached a tableau")
 	}
+	return true
 }
+
+// Prob1 implements noise.Target.
+func (p *paulis) Prob1(int) float64 { panic("stabilizer: a damping channel reached a tableau") }
 
 // IsCliffordKind reports whether Apply handles the gate kind. It must stay
 // in lockstep with Apply's switch; TestIsCliffordKindMatchesApply enforces
@@ -396,40 +407,4 @@ func IsClifford(c *circuit.Circuit) bool {
 		}
 	}
 	return true
-}
-
-// RunNoisy performs one Pauli-noise trajectory of a Clifford circuit:
-// depolarizing insertions after each gate at the given rates, then a full
-// measurement. It returns an error for non-Clifford gates.
-func RunNoisy(c *circuit.Circuit, p1, p2 float64, r *rng.RNG) (uint64, error) {
-	t := New(c.NumQubits)
-	for _, g := range c.Gates {
-		if err := t.Apply(g); err != nil {
-			return 0, err
-		}
-		if g.Arity() == 1 {
-			if p1 > 0 && r.Float64() < p1 {
-				t.ApplyPauli(g.Qubits[0], 1+r.Intn(3))
-			}
-		} else if p2 > 0 && r.Float64() < p2 {
-			k := 1 + r.Intn(15)
-			t.ApplyPauli(g.Qubits[0], k&3)
-			t.ApplyPauli(g.Qubits[1], k>>2)
-		}
-	}
-	return t.MeasureAll(r), nil
-}
-
-// Counts runs `shots` noisy Clifford trajectories and histograms outcomes.
-func Counts(c *circuit.Circuit, p1, p2 float64, shots int, seed uint64) (map[uint64]int, error) {
-	root := rng.New(seed)
-	out := make(map[uint64]int)
-	for s := 0; s < shots; s++ {
-		v, err := RunNoisy(c, p1, p2, root.SplitAt(uint64(s)))
-		if err != nil {
-			return nil, err
-		}
-		out[v]++
-	}
-	return out, nil
 }

@@ -2,13 +2,16 @@ package stabilizer
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"tqsim/internal/circuit"
 	"tqsim/internal/gate"
 	"tqsim/internal/metrics"
 	"tqsim/internal/noise"
+	"tqsim/internal/partition"
 	"tqsim/internal/rng"
+	"tqsim/internal/statevec"
 	"tqsim/internal/trajectory"
 	"tqsim/internal/workloads"
 )
@@ -154,16 +157,48 @@ func TestNoisyBVMatchesStatevectorTrajectories(t *testing.T) {
 	// distributions.
 	c := workloads.BV(7, workloads.BVSecret(7))
 	const shots = 30000
-	stab, err := Counts(c, 0.01, 0.05, shots, 3)
+	m := noise.NewDepolarizing(0.01, 0.05)
+	stab, err := RunTree(partition.Baseline(c, shots), m, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := trajectory.Run(c, noise.NewDepolarizing(0.01, 0.05), shots,
-		trajectory.Options{Seed: 4, Parallelism: 8})
-	a := metrics.FromCounts(stab, 1<<7)
+	sv := trajectory.Run(c, m, shots, trajectory.Options{Seed: 4, Parallelism: 8})
+	a := metrics.FromCounts(stab.Counts, 1<<7)
 	b := metrics.FromCounts(sv.Counts, 1<<7)
 	if tvd := metrics.TVD(a, b); tvd > 0.025 {
 		t.Fatalf("stabilizer vs statevector TVD %v", tvd)
+	}
+}
+
+// opLog wraps a noise target and logs the operators handed to it.
+type opLog struct {
+	noise.Target
+	qubits []int
+	ops    []noise.Op
+}
+
+func (l *opLog) Apply(q int, op noise.Op) bool {
+	l.qubits, l.ops = append(l.qubits, q), append(l.ops, op)
+	return l.Target.Apply(q, op)
+}
+
+// TestTableauDrawsTheDenseStream: under DC, DCR and a depolarizing model
+// that fires often, for every gate arity and 600 seeds, the tableau target
+// receives the (qubit, Pauli) sequence the dense state does and leaves the
+// stream where the dense draw leaves it.
+func TestTableauDrawsTheDenseStream(t *testing.T) {
+	for _, m := range []*noise.Model{noise.ByName("DC"), noise.ByName("DCR"), noise.NewDepolarizing(0.2, 0.4)} {
+		for _, qs := range [][]int{{2}, {0, 2}, {1, 0, 2}} {
+			for seed := uint64(0); seed < 600; seed++ {
+				tab := &opLog{Target: (*paulis)(New(3))}
+				dense := &opLog{Target: (*noise.Dense)(statevec.NewZero(3))}
+				a, b := rng.New(seed), rng.New(seed)
+				if m.Draw(qs, a, tab) != m.Draw(qs, b, dense) || *a != *b ||
+					!reflect.DeepEqual(tab.qubits, dense.qubits) || !reflect.DeepEqual(tab.ops, dense.ops) {
+					t.Fatalf("%s %v seed %d: tableau drew %v on %v, dense %v on %v", m.Name(), qs, seed, tab.ops, tab.qubits, dense.ops, dense.qubits)
+				}
+			}
+		}
 	}
 }
 

@@ -34,7 +34,8 @@ const MaxTreeQubits = 64
 // kept on purpose: the dense executor allocates one state vector per level,
 // so it cannot run the 30–64-qubit widths this one exists for. What the two
 // share is what must not diverge: core.SubtreeSpan's node numbering, the
-// noise model's channel sampling, and the cancellation rule.
+// noise draw (noise.Model.Draw, here into the tableau), and the
+// cancellation rule.
 func RunTree(plan *partition.Plan, m *noise.Model, seed uint64, parallelism int) (*core.Result, error) {
 	return RunTreeContext(context.Background(), plan, m, seed, parallelism)
 }
@@ -112,8 +113,7 @@ func RunTreeContext(ctx context.Context, plan *partition.Plan, m *noise.Model, s
 					}
 					// Pauli-only-ness was verified up front; the channel
 					// sampling (and RNG consumption) is the dense engines'.
-					n, _ := m.ApplyPauliAfterGate(g, r, t.ApplyPauli)
-					sh.ops += int64(n)
+					sh.ops += int64(m.Draw(g.Qubits, r, (*paulis)(t)))
 				}
 			}
 			leaf := func(t *Tableau, r *rng.RNG) {

@@ -99,7 +99,8 @@ func (np NoisePoint) canonical() (NoisePoint, error) {
 	if np.Name != "" && (np.P1 != 0 || np.P2 != 0) {
 		return np, fmt.Errorf("noise point %q also sets p1/p2; use one or the other", np.Name)
 	}
-	if np.P1 < 0 || np.P1 > 1 || np.P2 < 0 || np.P2 > 1 {
+	// Written so that NaN, which fails every comparison, fails the check.
+	if !(np.P1 >= 0 && np.P1 <= 1 && np.P2 >= 0 && np.P2 <= 1) {
 		return np, fmt.Errorf("depolarizing rates must be in [0,1], got p1=%g p2=%g", np.P1, np.P2)
 	}
 	if np.Name != "" {

@@ -7,6 +7,7 @@ package sweep
 // and distributed suites in internal/serve.
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -90,6 +91,19 @@ func TestSpecValidation(t *testing.T) {
 		mut(s)
 		if _, err := Prepare(s); err == nil {
 			t.Errorf("bad spec %d accepted", i)
+		}
+	}
+}
+
+// TestSpecRejectsNaNRates: a NaN rate is not in [0,1]. Let through, it made
+// the dense channel fire after every gate while the reuse dry run never
+// fired, so a sweep's histogram depended on NoReuse.
+func TestSpecRejectsNaNRates(t *testing.T) {
+	for _, np := range []NoisePoint{{P1: math.NaN(), P2: 0.01}, {P1: 0.001, P2: math.NaN()}} {
+		s := validSpec()
+		s.Noise = []NoisePoint{np}
+		if _, err := Prepare(s); err == nil || !strings.Contains(err.Error(), "depolarizing rates must be in [0,1]") {
+			t.Errorf("%+v: got %v, want the rate-range error", np, err)
 		}
 	}
 }
