@@ -42,7 +42,9 @@ func TestIdealTreeMatchesIdealDistribution(t *testing.T) {
 func TestTreeAccountingMatchesPlan(t *testing.T) {
 	c := workloads.QFT(6, true)
 	plan := partition.FromStructure(c, []int{4, 2, 2})
-	ex := &Executor{Seed: 1} // ideal: no noise ops inflate the count
+	// Ideal, so no noise ops inflate the count; a full walk, so every node
+	// runs its segment.
+	ex := &Executor{Seed: 1, FullWalk: true}
 	res, err := ex.Run(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +103,7 @@ func TestTreeReducesComputation(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseOps := int64(res.Outcomes) * int64(c.Len())
-	nc := NormalizedComputation(res, baseOps)
+	nc := float64(res.GateApplications) / float64(baseOps)
 	if nc >= 1 {
 		t.Fatalf("tree did not reduce computation: %v", nc)
 	}
@@ -135,7 +137,7 @@ func TestRunBaselineEquivalentToTrajectory(t *testing.T) {
 	c := workloads.BV(6, workloads.BVSecret(6))
 	m := noise.NewSycamore()
 	ex := &Executor{Noise: m, Seed: 11}
-	tree, err := ex.RunBaseline(c, 4000)
+	tree, err := ex.Run(partition.Baseline(c, 4000))
 	if err != nil {
 		t.Fatal(err)
 	}

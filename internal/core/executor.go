@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"tqsim/internal/circuit"
 	"tqsim/internal/gate"
 	"tqsim/internal/noise"
 	"tqsim/internal/partition"
@@ -66,8 +65,9 @@ type Result struct {
 type Executor struct {
 	// Backend applies gates; nil selects PlainBackend.
 	Backend Backend
-	// Noise is the noise model; nil simulates the ideal circuit (every
-	// trajectory is then identical, which makes reuse exact).
+	// Noise is the noise model; nil simulates the ideal circuit. Every
+	// trajectory is then identical, so a reusing run (QuietReuse) serves
+	// every node from the spine.
 	Noise *noise.Model
 	// Seed selects the reproducible trajectory stream.
 	Seed uint64
@@ -183,15 +183,12 @@ func SubtreeSpan(arities []int, level int) uint64 {
 // cheap representation; a buffering backend applies gates through other
 // code paths than the spine is built with; the cluster backend books
 // traffic per applied gate, so skipping gates would change its traffic and
-// gate-op counts) under a non-ideal model whose firing decisions are
-// state-independent (Pauli-only). An ideal run walks the full tree, so its
-// accounting stays plan-exact.
+// gate-op counts) under a model whose firing decisions are state-independent
+// (Pauli-only). The ideal model is one: nothing ever fires, so every node is
+// served from the spine and the run costs one ideal pass.
 func QuietReuse(backend string, m *noise.Model) bool {
-	return backend == PlainBackend{}.Name() && quietNoise(m)
+	return backend == PlainBackend{}.Name() && m.PauliOnly()
 }
-
-// quietNoise is QuietReuse's condition on the model.
-func quietNoise(m *noise.Model) bool { return !m.Ideal() && m.PauliOnly() }
 
 // DensePeakBytes is the dense executor's memory rule: the peak amplitude
 // memory of a tree run of the plan, and whether the run reuses quiet
@@ -298,7 +295,7 @@ func (e *Executor) runTree(plan *partition.Plan, res *Result, leafFor func(worke
 	_, plain := be.(PlainBackend)
 	var reuse bool
 	res.PeakStateBytes, reuse = DensePeakBytes(plan, workers,
-		plain && quietNoise(e.Noise) && !e.FullWalk, e.MemoryBudgetBytes)
+		plain && e.Noise.PauliOnly() && !e.FullWalk, e.MemoryBudgetBytes)
 	// A PlainBackend run lowers its circuit for the register width once:
 	// segments, quiet children and its own spine run kernels, and each
 	// level's slice of them lines up with its subcircuit's gates.
@@ -507,28 +504,12 @@ func (e *Executor) Run(plan *partition.Plan) (*Result, error) {
 	return res, nil
 }
 
-// RunBaseline is a convenience that executes the (shots,1,...,1) baseline
-// plan through the same executor machinery — useful for apples-to-apples
-// backend comparisons (Figure 12 uses this on the fusion backend).
-func (e *Executor) RunBaseline(c *circuit.Circuit, shots int) (*Result, error) {
-	return e.Run(partition.Baseline(c, shots))
-}
-
 // Speedup compares a baseline duration to a TQSim duration.
 func Speedup(baseline, tqsim time.Duration) float64 {
 	if tqsim <= 0 {
 		return 0
 	}
 	return float64(baseline) / float64(tqsim)
-}
-
-// NormalizedComputation returns the tree's kernel work relative to the
-// baseline's for the same outcome count — Figure 19's y-axis.
-func NormalizedComputation(res *Result, baselineOps int64) float64 {
-	if baselineOps <= 0 {
-		return 0
-	}
-	return float64(res.GateApplications) / float64(baselineOps)
 }
 
 // String summarizes the result for logs.

@@ -109,7 +109,7 @@ func withLayout(e *Executor, plan *partition.Plan, cut func(*partition.Plan) ([]
 // work than the full walk even after paying for its own spine, a node that
 // starts at a checkpoint runs fewer gates than it does with the checkpoints
 // unused, and a spine taken from a cache, cold or warm, saves the ideal pass
-// and nothing else.
+// and nothing else. An ideal run is one ideal pass: every node is a spine hit.
 func TestQuietReuseMatchesFullWalk(t *testing.T) {
 	models := []*noise.Model{
 		noise.ByName("DC"),
@@ -118,6 +118,10 @@ func TestQuietReuseMatchesFullWalk(t *testing.T) {
 		// A library-built model is never validated; a NaN rate fires after
 		// every gate, and the dry run must say so too.
 		noise.NewDepolarizing(math.NaN(), 0.01),
+		// The ideal model by name (nil) and a library-built model with no
+		// channels: nothing fires, so both reuse every node.
+		noise.ByName("ideal"),
+		{ModelName: "empty"},
 	}
 	cell := uint64(0)
 	var spineHits, siblingHits, checkpointStarts int64
@@ -163,6 +167,10 @@ func TestQuietReuseMatchesFullWalk(t *testing.T) {
 					if hits > 0 && got.GateApplications >= want.GateApplications {
 						t.Errorf("%s: %d hits but %d gate applications, full walk %d",
 							name, hits, got.GateApplications, want.GateApplications)
+					}
+					if m.Ideal() && (got.PrefixReuseHits != got.Nodes || got.GateApplications != idealPass) {
+						t.Errorf("%s: ideal run hit %d of %d nodes in %d gate applications, want every node in one pass of %d",
+							name, got.PrefixReuseHits, got.Nodes, got.GateApplications, idealPass)
 					}
 					less := *got
 					less.GateApplications -= idealPass
@@ -248,12 +256,12 @@ func TestSpineCuts(t *testing.T) {
 	}
 }
 
-// TestNoQuietReuseOutsidePauliNoise: state-dependent channels and ideal runs
-// reuse nothing and keep the full walk's accounting.
+// TestNoQuietReuseOutsidePauliNoise: state-dependent channels reuse nothing
+// and keep the full walk's accounting.
 func TestNoQuietReuseOutsidePauliNoise(t *testing.T) {
 	c := workloads.QFT(6, true)
 	plan := partition.FromStructure(c, []int{6, 3, 2})
-	for _, name := range []string{"AD", "TR", "ALL", "ideal"} {
+	for _, name := range []string{"AD", "TR", "ALL"} {
 		m := noise.ByName(name)
 		want, err := (&Executor{Backend: opaque{}, Noise: m, Seed: 9}).Run(plan)
 		if err != nil {

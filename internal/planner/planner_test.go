@@ -48,9 +48,9 @@ func TestDecisionTable(t *testing.T) {
 		// channels, so a narrow circuit falls back to dense kernels.
 		{"ghz10/thermal", dcp(workloads.GHZ(10), thermal, 1000), thermal, Budget{}, "statevec", ""},
 
-		// Ideal runs fuse one-qubit gates: the fusion engine wins on
-		// 1q-heavy circuits.
-		{"qsc8/ideal", dcp(workloads.QSC(8, 6, 1), ideal, 2000), ideal, Budget{}, "fusion", ""},
+		// Ideal non-Clifford runs stay on the dense kernels: one ideal pass
+		// serves every leaf.
+		{"qsc8/ideal", dcp(workloads.QSC(8, 6, 1), ideal, 2000), ideal, Budget{}, "statevec", ""},
 
 		// Explicit shard request: cluster wins outright when viable.
 		{"qft10/pauli/shards", dcp(workloads.QFT(10, true), pauli, 2000), pauli, Budget{ClusterNodes: 8}, "cluster", ""},

@@ -8,8 +8,10 @@ import (
 )
 
 // fuzzSpecs seeds FuzzSweepPrepare: ordinary grids over every partitioner
-// and mode, and two hostile partition axes whose leaf count is past int —
-// XCP deep enough that 2^(k(k-1)/2) is +Inf, and a 2^64-leaf tuple.
+// and mode, an ideal non-Clifford grid (every point is one ideal pass through
+// the sweep's SnapshotCache), and two hostile partition axes whose leaf
+// count is past int — XCP deep enough that 2^(k(k-1)/2) is +Inf, and a
+// 2^64-leaf tuple.
 var fuzzSpecs = []string{
 	`{"circuit":"qft_n8","noise":[{"name":"DC"},{"p1":0.001,"p2":0.01}],"shots":[100,200],"repeats":2,"seed":5}`,
 	`{"circuit":"qft_n10","noise":[{"name":"ALL"},{}],"shots":[500],"partitions":[{"strategy":"ucp","levels":4},{"strategy":"xcp"},{"strategy":"structure","structure":[8,4],"bounds":[30]}]}`,
@@ -17,6 +19,7 @@ var fuzzSpecs = []string{
 	`{"qasm":"OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\nh q[1];\n","shots":[10],"partitions":[{"strategy":"structure","structure":[2,2,2]}]}`,
 	`{"circuit":"qft_n8","shots":[100],"partitions":[{"strategy":"xcp","levels":60}]}`,
 	`{"circuit":"qft_n8","shots":[100],"partitions":[{"strategy":"structure","structure":[65536,65536,65536,65536]}]}`,
+	`{"qasm":"OPENQASM 2.0;\nqreg q[3];\nt q[0];\nh q[0];\ncx q[0],q[1];\nrz(0.3) q[1];\nh q[2];\ncx q[1],q[2];\nt q[2];\n","noise":[{"name":"ideal"}],"shots":[16,32],"repeats":2,"seed":7,"backend":"statevec","partitions":[{"strategy":"structure","structure":[4,2,2],"bounds":[2,5]}]}`,
 	`{"qasm":"OPENQASM 2.0;\nqreg q[4];\nh q[0];\nh q[1];\nccx q[0],q[1],q[2];\ncx q[2],q[3];\n","noise":[{"name":"DC"},{"p1":0.01,"p2":0.05}],"shots":[64],"repeats":2,"seed":3,"fidelity":true}`,
 }
 
